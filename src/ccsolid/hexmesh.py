@@ -30,12 +30,39 @@ _LOCAL_EDGES_ARR = np.array(LOCAL_EDGES)
 _LOCAL_FACES_ARR = np.array(LOCAL_FACES)
 
 
-def _group_by(keys, values, nkeys):
-    """Group `values` by integer `keys`; returns a list of nkeys arrays,
-    each sorted ascending."""
-    order = np.lexsort((values, keys))
-    counts = np.bincount(keys, minlength=nkeys)
-    return np.split(values[order], np.cumsum(counts)[:-1])
+class Incidence:
+    """Read-only incidence relation stored as compressed rows.
+
+    Row r lists the ids related to entity r in ascending order.
+    `inc[r]` returns that row as a read-only int64 array, `len(inc)` is
+    the number of rows and `inc.counts` the length of every row.  The
+    flat pair `inc.rows`, `inc.items` holds every (row, item) entry,
+    sorted by row and then by item, for vectorized sums over all rows.
+    """
+
+    def __init__(self, rows, items, nrows):
+        """Group `items` by `rows` (flat arrays of equal length); items keep
+        their given order within a row, so pass them ascending."""
+        order = np.argsort(rows, kind="stable")
+        self.rows = rows[order]
+        self.items = items[order]
+        self.counts = np.bincount(rows, minlength=nrows)
+        self._offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        for a in (self.rows, self.items, self.counts, self._offsets):
+            a.setflags(write=False)
+
+    @classmethod
+    def inverse(cls, table, nrows):
+        """Row r lists the rows of the (m, k) id `table` that contain r."""
+        m, k = table.shape
+        return cls(table.reshape(-1), np.repeat(np.arange(m), k), nrows)
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __getitem__(self, r):
+        r = range(len(self.counts))[r]     # list semantics for the row id
+        return self.items[self._offsets[r]:self._offsets[r + 1]]
 
 
 class HexMesh:
@@ -46,11 +73,18 @@ class HexMesh:
     vertices : (nv, 3) float array
     cells : (nc, 8) int array of vertex indices in the fixed corner order
 
-    Derived on construction: unique edges (sorted vertex pairs), unique
-    faces (canonicalized by sorted vertex set, with one oriented corner
-    cycle kept per face), incidence maps vertex->edges/faces/cells,
-    edge->faces/cells, face->cells, and boundary masks (a face is
-    boundary iff it has exactly one incident cell).
+    Derived on construction: unique edges (sorted vertex pairs, in
+    lexicographic order), unique faces (canonicalized by sorted vertex
+    set, with one oriented corner cycle kept per face), the per-cell and
+    per-face id tables cell_edges, cell_faces and face_edges, and boundary
+    masks (a face is boundary iff it has exactly one incident cell).
+
+    The incidence relations edge_cells, face_cells, edge_faces,
+    vertex_edges, vertex_faces and vertex_cells are Incidence objects:
+    `mesh.vertex_cells[v]` is the ascending int64 array of the cells that
+    contain vertex v, `mesh.vertex_cells.counts` the number of cells at
+    every vertex, and `mesh.vertex_cells.rows`, `mesh.vertex_cells.items`
+    the flat (vertex, cell) pairs of all rows, sorted by vertex.
     """
 
     def __init__(self, vertices, cells):
@@ -63,9 +97,10 @@ class HexMesh:
         nv = len(self.vertices)
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= nv):
             raise ValueError("cell vertex index out of range")
-        for ci, cell in enumerate(self.cells):
-            if len(set(cell.tolist())) != 8:
-                raise ValueError("cell %d has duplicate vertex indices" % ci)
+        corners = np.sort(self.cells, axis=1)
+        dup = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
+        if len(dup):
+            raise ValueError("cell %d has duplicate vertex indices" % dup[0])
         self._build_derived()
         for a in (self.vertices, self.cells, self.edges, self.faces,
                   self.face_cycles, self.cell_edges, self.cell_faces):
@@ -75,8 +110,12 @@ class HexMesh:
         nc = len(self.cells)
         nv = len(self.vertices)
 
+        # an edge is keyed by lo * nv + hi; sorted keys order the edges
+        # lexicographically by (lo, hi)
         pairs = np.sort(self.cells[:, _LOCAL_EDGES_ARR], axis=2).reshape(-1, 2)
-        self.edges, einv = np.unique(pairs, axis=0, return_inverse=True)
+        self._edge_keys, einv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                          return_inverse=True)
+        self.edges = np.stack(np.divmod(self._edge_keys, nv), axis=1)
         self.cell_edges = einv.reshape(nc, 12)
 
         quads = self.cells[:, _LOCAL_FACES_ARR]              # oriented cycles
@@ -86,30 +125,22 @@ class HexMesh:
         self.cell_faces = finv.reshape(nc, 6)
         self.face_cycles = quads.reshape(-1, 4)[first].copy()
 
-        ne, nf = len(self.edges), len(self.faces)
-        cell_of_edge_slot = np.repeat(np.arange(nc), 12)
-        cell_of_face_slot = np.repeat(np.arange(nc), 6)
-        self.edge_cells = _group_by(einv, cell_of_edge_slot, ne)
-        self.face_cells = _group_by(finv, cell_of_face_slot, nf)
-
         # a face contributes its 4 cycle edges to edge->face incidence
-        fedges = np.stack([self.face_cycles, np.roll(self.face_cycles, -1, axis=1)], axis=2)
-        fekeys = np.sort(fedges.reshape(-1, 2), axis=1)
-        eid = {tuple(e): i for i, e in enumerate(map(tuple, self.edges.tolist()))}
-        feids = np.fromiter((eid[tuple(k)] for k in fekeys.tolist()),
-                            dtype=np.int64, count=4 * nf)
-        self.face_edges = feids.reshape(nf, 4)
-        self.edge_faces = _group_by(feids, np.repeat(np.arange(nf), 4), ne)
+        ne, nf = len(self.edges), len(self.faces)
+        nxt = np.roll(self.face_cycles, -1, axis=1)
+        self.face_edges = np.searchsorted(
+            self._edge_keys,
+            np.minimum(self.face_cycles, nxt) * nv
+            + np.maximum(self.face_cycles, nxt))
 
-        self.vertex_edges = _group_by(self.edges.reshape(-1),
-                                      np.repeat(np.arange(ne), 2), nv)
-        self.vertex_faces = _group_by(self.faces.reshape(-1),
-                                      np.repeat(np.arange(nf), 4), nv)
-        self.vertex_cells = _group_by(self.cells.reshape(-1),
-                                      np.repeat(np.arange(nc), 8), nv)
+        self.edge_cells = Incidence.inverse(self.cell_edges, ne)
+        self.face_cells = Incidence.inverse(self.cell_faces, nf)
+        self.edge_faces = Incidence.inverse(self.face_edges, ne)
+        self.vertex_edges = Incidence.inverse(self.edges, nv)
+        self.vertex_faces = Incidence.inverse(self.faces, nv)
+        self.vertex_cells = Incidence.inverse(self.cells, nv)
 
-        self.boundary_face_mask = np.array(
-            [len(cs) == 1 for cs in self.face_cells], dtype=bool)
+        self.boundary_face_mask = self.face_cells.counts == 1
         self.boundary_edge_mask = np.zeros(ne, dtype=bool)
         self.boundary_vertex_mask = np.zeros(nv, dtype=bool)
         bf = np.flatnonzero(self.boundary_face_mask)
@@ -134,12 +165,13 @@ class HexMesh:
 
     def edge_index(self, a, b):
         """Edge id of the (a, b) vertex pair, or -1 if absent."""
-        key = (min(a, b), max(a, b))
-        i = np.searchsorted(self.edges[:, 0], key[0])
-        while i < len(self.edges) and self.edges[i, 0] == key[0]:
-            if self.edges[i, 1] == key[1]:
-                return i
-            i += 1
+        lo, hi = min(a, b), max(a, b)
+        if lo < 0 or hi >= self.num_vertices:
+            return -1
+        key = lo * self.num_vertices + hi
+        i = int(np.searchsorted(self._edge_keys, key))
+        if i < self.num_edges and self._edge_keys[i] == key:
+            return i
         return -1
 
     def face_centroid(self, f):
@@ -198,10 +230,9 @@ def vertex_star(mesh, v):
     if not 0 <= v < mesh.num_vertices:
         raise ValueError("vertex id %d out of range" % v)
     edges = mesh.vertex_edges[v]
-    degrees = np.array([len(mesh.edge_faces[e]) for e in edges], dtype=np.int64)
     return VertexStar(center=int(v),
                       edges=edges,
-                      edge_degrees=degrees,
+                      edge_degrees=mesh.edge_faces.counts[edges],
                       faces=mesh.vertex_faces[v],
                       cells=mesh.vertex_cells[v],
                       interior=not mesh.boundary_vertex_mask[v])
@@ -235,52 +266,65 @@ def validate(mesh):
         N_face = 3(n-2), N_cell = 2(n-2).
     """
     report = ValidationReport()
-    for f in range(mesh.num_faces):
-        k = len(mesh.face_cells[f])
-        if k > 2:
-            report.findings.append(
-                "non-manifold face %d (vertices %s) with %d incident cells"
-                % (f, tuple(mesh.faces[f]), k))
+    face_count = mesh.face_cells.counts
+    for f in np.flatnonzero(face_count > 2):
+        report.findings.append(
+            "non-manifold face %d (vertices %s) with %d incident cells"
+            % (f, tuple(mesh.faces[f]), face_count[f]))
 
-    for e in np.flatnonzero(mesh.boundary_edge_mask):
-        nbf = int(mesh.boundary_face_mask[mesh.edge_faces[e]].sum())
-        if nbf != 2:
-            report.findings.append(
-                "non-manifold edge %d (vertices %s) with %d boundary faces"
-                % (e, tuple(mesh.edges[e]), nbf))
+    ef = mesh.edge_faces
+    nbf = np.bincount(ef.rows[mesh.boundary_face_mask[ef.items]],
+                      minlength=mesh.num_edges)
+    for e in np.flatnonzero(mesh.boundary_edge_mask & (nbf != 2)):
+        report.findings.append(
+            "non-manifold edge %d (vertices %s) with %d boundary faces"
+            % (e, tuple(mesh.edges[e]), nbf[e]))
 
-    seen = set()
-    cell_vsets = [set(c.tolist()) for c in mesh.cells]
-    cell_fsets = [set(fs.tolist()) for fs in mesh.cell_faces]
-    for v in range(mesh.num_vertices):
-        cs = mesh.vertex_cells[v]
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                a, b = int(cs[i]), int(cs[j])
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                shared = len(cell_vsets[a] & cell_vsets[b])
-                if shared >= 3 and not (cell_fsets[a] & cell_fsets[b]):
-                    report.findings.append(
-                        "conformity: cells %d and %d share %d vertices but no face"
-                        % (a, b, shared))
-                elif shared > 4:
-                    report.findings.append(
-                        "conformity: cells %d and %d share %d vertices"
-                        % (a, b, shared))
-
-    for v in range(mesh.num_vertices):
-        if mesh.boundary_vertex_mask[v]:
-            continue
-        star = vertex_star(mesh, v)
-        want_f, want_c = 3 * (star.n - 2), 2 * (star.n - 2)
-        if star.n_face != want_f or star.n_cell != want_c:
+    # cell pairs around every vertex in (vertex, i, j) scan order; a pair
+    # occurs once per vertex the two cells share
+    nc = mesh.num_cells
+    pairs = _row_pairs(mesh.vertex_cells)
+    keys, first, shared = np.unique(pairs[:, 0] * nc + pairs[:, 1],
+                                    return_index=True, return_counts=True)
+    face_pairs = _row_pairs(mesh.face_cells)
+    no_face = ~np.isin(keys, face_pairs[:, 0] * nc + face_pairs[:, 1])
+    flagged = np.flatnonzero((shared >= 3) & no_face | (shared > 4))
+    for i in flagged[np.argsort(first[flagged])]:
+        a, b = divmod(int(keys[i]), nc)
+        if shared[i] >= 3 and no_face[i]:
             report.findings.append(
-                "star: interior vertex %d has n=%d, N_face=%d (want %d), "
-                "N_cell=%d (want %d)"
-                % (v, star.n, star.n_face, want_f, star.n_cell, want_c))
+                "conformity: cells %d and %d share %d vertices but no face"
+                % (a, b, shared[i]))
+        else:
+            report.findings.append(
+                "conformity: cells %d and %d share %d vertices"
+                % (a, b, shared[i]))
+
+    n = mesh.vertex_edges.counts
+    n_face, n_cell = mesh.vertex_faces.counts, mesh.vertex_cells.counts
+    want_f, want_c = 3 * (n - 2), 2 * (n - 2)
+    bad = ~mesh.boundary_vertex_mask & ((n_face != want_f) | (n_cell != want_c))
+    for v in np.flatnonzero(bad):
+        report.findings.append(
+            "star: interior vertex %d has n=%d, N_face=%d (want %d), "
+            "N_cell=%d (want %d)"
+            % (v, n[v], n_face[v], want_f[v], n_cell[v], want_c[v]))
     return report
+
+
+def _row_pairs(inc):
+    """Every pair (a, b) of items in one row of `inc`, a listed before b,
+    ordered by row and then as a nested loop over the row; shape (m, 2)."""
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    block_rows = [np.zeros(0, dtype=np.int64)]
+    for k in np.unique(inc.counts[inc.counts > 1]):
+        rows = np.flatnonzero(inc.counts == k)
+        items = inc.items[inc._offsets[rows][:, None] + np.arange(k)]
+        i, j = np.triu_indices(k, 1)
+        blocks.append(np.stack([items[:, i], items[:, j]], axis=2).reshape(-1, 2))
+        block_rows.append(np.repeat(rows, len(i)))
+    order = np.argsort(np.concatenate(block_rows), kind="stable")
+    return np.concatenate(blocks)[order]
 
 
 def parse_mesh(text):

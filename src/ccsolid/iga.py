@@ -657,7 +657,6 @@ class TwoLevelPreconditioner:
         self.PT = self.P.T.tocsr()
         self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
         self.blocks = None
-        self.diag = None
         self.lu = None
 
     def _cell_blocks(self, K_cells, cells):
@@ -712,10 +711,8 @@ class TwoLevelPreconditioner:
         """Rebuild every cell block and refactorize the coarse companion.
 
         `factors` are the per-(cell, sub) density factors; the companion
-        uses their cell means (None = unit density).  Also records `diag`,
-        the assembled fine diagonal on the free dofs."""
+        uses their cell means (None = unit density)."""
         asm = self.assembly
-        self.diag = asm.diagonal(K_cells)[self.free]
         if self.blocks is None:
             self.blocks = np.empty((asm.num_cells, asm.nd, asm.nd),
                                    dtype=np.float32)

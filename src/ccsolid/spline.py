@@ -81,20 +81,10 @@ def _node_template():
 _NODE_TEMPLATE = _node_template()
 
 
-def _valences(mesh):
-    return np.array([len(es) for es in mesh.vertex_edges], dtype=np.int64)
-
-
-def _edge_degrees(mesh):
-    return np.array([len(fs) for fs in mesh.edge_faces], dtype=np.int64)
-
-
-def _interior_points(mesh, valence=None, edge_degree=None):
+def _interior_points(mesh):
     """Interior control points of every cell, shape (nc, 8, 3)."""
-    if valence is None:
-        valence = _valences(mesh)
-    if edge_degree is None:
-        edge_degree = _edge_degrees(mesh)
+    valence = mesh.vertex_edges.counts
+    edge_degree = mesh.edge_faces.counts
     V = mesh.vertices
     out = np.empty((mesh.num_cells, 8, 3))
     for k in range(8):
@@ -250,19 +240,12 @@ def _evaluate_batch(net, params):
 def regular_vertex_mask(mesh):
     """Interior vertices with a simple regular star: valence 6, 12 faces,
     8 cells, all incident edge degrees 4."""
-    valence = _valences(mesh)
-    edge_degree = _edge_degrees(mesh)
-    nfv = np.array([len(fs) for fs in mesh.vertex_faces])
-    ncv = np.array([len(cs) for cs in mesh.vertex_cells])
-    min_deg = np.full(mesh.num_vertices, np.iinfo(np.int64).max)
-    max_deg = np.zeros(mesh.num_vertices, dtype=np.int64)
-    for v in range(mesh.num_vertices):
-        es = mesh.vertex_edges[v]
-        if len(es):
-            min_deg[v] = edge_degree[es].min()
-            max_deg[v] = edge_degree[es].max()
-    return (~mesh.boundary_vertex_mask & (valence == 6) & (nfv == 12)
-            & (ncv == 8) & (min_deg == 4) & (max_deg == 4))
+    ve = mesh.vertex_edges
+    irregular_edges = np.bincount(ve.rows[mesh.edge_faces.counts[ve.items] != 4],
+                                  minlength=mesh.num_vertices)
+    return (~mesh.boundary_vertex_mask & (ve.counts == 6)
+            & (mesh.vertex_faces.counts == 12) & (mesh.vertex_cells.counts == 8)
+            & (irregular_edges == 0))
 
 
 def fully_regular_cells(mesh):
@@ -308,7 +291,8 @@ def approximation_error(mesh, model, depth):
         origin = 2 * origin[prov.cell_parent] + CORNER_OFFSETS[prov.cell_octant]
         ancestor = ancestor[prov.cell_parent]
 
-    first_cell = np.array([cs[0] for cs in fine.vertex_cells], dtype=np.int64)
+    vc = fine.vertex_cells
+    first_cell = vc.items[np.searchsorted(vc.rows, np.arange(fine.num_vertices))]
     rows = fine.cells[first_cell]
     corner = np.argmax(rows == np.arange(fine.num_vertices)[:, None], axis=1)
     params = (origin[first_cell] + CORNER_OFFSETS[corner]) / float(2 ** depth)

@@ -82,20 +82,16 @@ class Provenance:
     cell_octant: np.ndarray
 
 
-def _flat_incidence(groups):
-    """Flatten a list of index arrays into (keys, values) arrays."""
-    counts = np.array([len(g) for g in groups])
-    keys = np.repeat(np.arange(len(groups)), counts)
-    values = np.concatenate(groups) if len(groups) else np.zeros(0, dtype=np.int64)
-    return keys, values, counts
+def _sum_over(inc, values):
+    """Per-row sum of the `values` rows listed by each row of `inc`."""
+    acc = np.zeros((len(inc),) + values.shape[1:])
+    np.add.at(acc, inc.rows, values[inc.items])
+    return acc
 
 
-def _mean_over(groups, points, out_len):
-    """Per-group mean of `points` rows selected by each group."""
-    keys, values, counts = _flat_incidence(groups)
-    acc = np.zeros((out_len, points.shape[1]))
-    np.add.at(acc, keys, points[values])
-    return acc / np.maximum(counts, 1)[:, None]
+def _mean_over(inc, values):
+    """Per-row mean of the `values` rows listed by each row of `inc`."""
+    return _sum_over(inc, values) / np.maximum(inc.counts, 1)[:, None]
 
 
 def _level1_points(mesh):
@@ -107,55 +103,42 @@ def _level1_points(mesh):
     cell_pts = V[mesh.cells].mean(axis=1)
     A = V[mesh.faces].mean(axis=1)          # face centroids
     M = V[mesh.edges].mean(axis=1)          # edge midpoints
-    nv, ne, nf = mesh.num_vertices, mesh.num_edges, mesh.num_faces
 
     # face points
-    fkeys, fvals, fcounts = _flat_incidence(mesh.face_cells)
-    cp_sum = np.zeros((nf, 3))
-    np.add.at(cp_sum, fkeys, cell_pts[fvals])
-    face_pts = np.where(mesh.boundary_face_mask[:, None],
-                        A, (cp_sum + 2.0 * A) / 4.0)
+    face_pts = np.where(mesh.boundary_face_mask[:, None], A,
+                        (_sum_over(mesh.face_cells, cell_pts) + 2.0 * A) / 4.0)
 
     # edge points
-    ekeys, evals, ecounts = _flat_incidence(mesh.edge_cells)
-    ecp = np.zeros((ne, 3))
-    np.add.at(ecp, ekeys, cell_pts[evals])
-    ecp /= np.maximum(ecounts, 1)[:, None]
-    fkeys2, fvals2, fcounts2 = _flat_incidence(mesh.edge_faces)
-    efc = np.zeros((ne, 3))
-    np.add.at(efc, fkeys2, A[fvals2])
-    efc /= np.maximum(fcounts2, 1)[:, None]
-    edge_pts = edge_point_rule(ecp, efc, M)
+    ef = mesh.edge_faces
+    edge_pts = edge_point_rule(_mean_over(mesh.edge_cells, cell_pts),
+                               _mean_over(ef, A), M)
     if mesh.boundary_edge_mask.any():
-        bmask = mesh.boundary_face_mask[fvals2]
-        bfc = np.zeros((ne, 3))
-        np.add.at(bfc, fkeys2[bmask], A[fvals2[bmask]])
-        bfn = np.bincount(fkeys2[bmask], minlength=ne)
+        bfc, bfn = _boundary_sums(ef, mesh.boundary_face_mask, A)
         be = mesh.boundary_edge_mask
         edge_pts[be] = (M[be] + bfc[be] / np.maximum(bfn[be], 1)[:, None]) / 2.0
 
     # updated vertices
-    vc_mean = _mean_over(mesh.vertex_cells, cell_pts, nv)
-    vf_mean = _mean_over(mesh.vertex_faces, A, nv)
-    ve_mean = _mean_over(mesh.vertex_edges, M, nv)
-    new_verts = vertex_point_rule(vc_mean, vf_mean, ve_mean, V)
+    vf, ve = mesh.vertex_faces, mesh.vertex_edges
+    new_verts = vertex_point_rule(_mean_over(mesh.vertex_cells, cell_pts),
+                                  _mean_over(vf, A), _mean_over(ve, M), V)
     if mesh.boundary_vertex_mask.any():
-        vfk, vfv, _ = _flat_incidence(mesh.vertex_faces)
-        sel = mesh.boundary_face_mask[vfv]
-        Q = np.zeros((nv, 3))
-        np.add.at(Q, vfk[sel], A[vfv[sel]])
-        nQ = np.bincount(vfk[sel], minlength=nv)
-        vek, vev, _ = _flat_incidence(mesh.vertex_edges)
-        sel = mesh.boundary_edge_mask[vev]
-        R = np.zeros((nv, 3))
-        np.add.at(R, vek[sel], M[vev[sel]])
-        ns = np.bincount(vek[sel], minlength=nv)
+        Q, nQ = _boundary_sums(vf, mesh.boundary_face_mask, A)
+        R, ns = _boundary_sums(ve, mesh.boundary_edge_mask, M)
         bv = mesh.boundary_vertex_mask
         nsb = np.maximum(ns[bv], 1).astype(float)[:, None]
         new_verts[bv] = (Q[bv] / np.maximum(nQ[bv], 1)[:, None]
                          + 2.0 * R[bv] / nsb
                          + (nsb - 3.0) * V[bv]) / nsb
     return new_verts, edge_pts, face_pts, cell_pts
+
+
+def _boundary_sums(inc, boundary, values):
+    """Per-row sum of `values` over the boundary entities each row lists,
+    and their number."""
+    sel = boundary[inc.items]
+    acc = np.zeros((len(inc), values.shape[1]))
+    np.add.at(acc, inc.rows[sel], values[inc.items[sel]])
+    return acc, np.bincount(inc.rows[sel], minlength=len(inc))
 
 
 def _dyadic_tables():
@@ -361,19 +344,13 @@ def limit_points(mesh):
     """
     new_verts, edge_pts, face_pts, cell_pts = _level1_points(mesh)
     nv = mesh.num_vertices
-    edge_deg = np.array([len(fs) for fs in mesh.edge_faces], dtype=float)
-
-    ek, ev, e_cnt = _flat_incidence(mesh.vertex_edges)
-    accE = np.zeros((nv, 3))
-    np.add.at(accE, ek, edge_deg[ev, None] * edge_pts[ev])
-    sum_m = np.zeros(nv)
-    np.add.at(sum_m, ek, edge_deg[ev])
-    fk, fv, f_cnt = _flat_incidence(mesh.vertex_faces)
-    accF = np.zeros((nv, 3))
-    np.add.at(accF, fk, face_pts[fv])
-    ck, cv, c_cnt = _flat_incidence(mesh.vertex_cells)
-    accC = np.zeros((nv, 3))
-    np.add.at(accC, ck, cell_pts[cv])
+    ve, vf, vc = mesh.vertex_edges, mesh.vertex_faces, mesh.vertex_cells
+    e_cnt, f_cnt, c_cnt = ve.counts, vf.counts, vc.counts
+    edge_deg = mesh.edge_faces.counts.astype(float)
+    accE = _sum_over(ve, edge_deg[:, None] * edge_pts)
+    sum_m = _sum_over(ve, edge_deg)
+    accF = _sum_over(vf, face_pts)
+    accC = _sum_over(vc, cell_pts)
 
     n = e_cnt.astype(float)
     interior = ~mesh.boundary_vertex_mask
@@ -387,6 +364,13 @@ def limit_points(mesh):
     points[interior] = ((16.0 * (n - 2)[:, None] * new_verts
                          + 4.0 * accE + 4.0 * accF + accC)[interior]
                         / den[interior, None])
-    for v in np.flatnonzero(mesh.boundary_vertex_mask):
-        points[v] = _boundary_limit(mesh, v)
+    # boundary: the surface mask of _boundary_limit, summed over all rows
+    V = mesh.vertices
+    mids4, ns = _boundary_sums(ve, mesh.boundary_edge_mask,
+                               2.0 * V[mesh.edges].sum(axis=1))
+    cents, _ = _boundary_sums(vf, mesh.boundary_face_mask,
+                              V[mesh.faces].mean(axis=1))
+    bv = mesh.boundary_vertex_mask
+    nsb = ns[bv, None]
+    points[bv] = (nsb * nsb * V[bv] + mids4[bv] + cents[bv]) / (nsb * (nsb + 5.0))
     return points, np.array(mesh.boundary_vertex_mask)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .hexmesh import CORNER_OFFSETS
+from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, _evaluate_batch
 from .iga import (Assembly, Material, TwoLevelPreconditioner,
@@ -51,7 +51,8 @@ class DensityField:
 
     def __post_init__(self):
         nsub = 8 ** self.level
-        self.rho = np.asarray(self.rho, dtype=float)
+        # kill() writes through rho.reshape(-1), which must be a view
+        self.rho = np.ascontiguousarray(self.rho, dtype=float)
         self.volumes = np.asarray(self.volumes, dtype=float)
         self.centroids = np.asarray(self.centroids, dtype=float)
         if self.level < 0:
@@ -147,7 +148,8 @@ def density_adjacency(mesh, level):
     Realised by subdividing the mesh itself `level` times, which handles
     neighbours across coarse faces (including around extraordinary edges)
     without any orientation bookkeeping.  Element ids follow the flat
-    DensityField order.
+    DensityField order; returns an Incidence whose row e lists the face
+    neighbours of element e in ascending order.
     """
     fine = mesh
     for _ in range(level):
@@ -156,16 +158,12 @@ def density_adjacency(mesh, level):
     perm = _octant_offsets(level)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(nsub)
-    neighbors = [[] for _ in range(len(fine.cells))]
-    for cells in fine.face_cells:
-        if len(cells) != 2:
-            continue
-        a, b = (int(c) for c in cells)
-        da = (a // nsub) * nsub + inv[a % nsub]
-        db = (b // nsub) * nsub + inv[b % nsub]
-        neighbors[da].append(db)
-        neighbors[db].append(da)
-    return [np.array(sorted(n), dtype=np.int64) for n in neighbors]
+    fc = fine.face_cells
+    pairs = fc.items[(fc.counts == 2)[fc.rows]].reshape(-1, 2)
+    pairs = (pairs // nsub) * nsub + inv[pairs % nsub]
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.argsort(dst, kind="stable")
+    return Incidence(src[order], dst[order], fine.num_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +382,10 @@ def _child_parent_subs(level):
 
 
 def _refine_field(values, new_level):
-    """Children inherit their parent's per-element value one level down."""
-    nc = len(values)
-    return values.reshape(nc, -1)[:, _child_parent_subs(new_level)].copy()
+    """Children inherit their parent's per-element value one level down;
+    `values` holds 8**(new_level - 1) entries per cell, flat or per cell."""
+    parent = np.reshape(values, (-1, 8 ** (new_level - 1)))
+    return parent[:, _child_parent_subs(new_level)]
 
 
 def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
@@ -411,17 +410,24 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     eff = cfg.material(mat)
     level = 0 if cfg.level_up_at is not None else cfg.level
 
-    asm = Assembly(model, problem, eff, level=level, quad_order=quad_order)
-    dens = DensityField(level=level,
-                        rho=np.ones((asm.num_cells, asm.nsub)),
-                        volumes=asm.sub_volumes.copy(),
-                        centroids=_parametric_centers(model, level),
-                        rho_min=cfg.rho_min)
-    filt = SensitivityFilter(dens.centroids, density_adjacency(mesh, level)) \
-        if cfg.filter else None
-    K_cells = asm.aggregate(density_factors(dens, eff))
-    pc = (TwoLevelPreconditioner(asm, mesh, bcs)
-          if cfg.precond == "twolevel" else None)
+    def setup(level, rho, version=0):
+        """Analysis, design field, filter, stiffness and preconditioner of
+        one density level."""
+        asm = Assembly(model, problem, eff, level=level, quad_order=quad_order)
+        dens = DensityField(level=level, rho=rho,
+                            volumes=asm.sub_volumes.copy(),
+                            centroids=_parametric_centers(model, level),
+                            rho_min=cfg.rho_min, version=version)
+        filt = SensitivityFilter(dens.centroids,
+                                 density_adjacency(mesh, level)) \
+            if cfg.filter else None
+        K_cells = asm.aggregate(density_factors(dens, eff))
+        pc = (TwoLevelPreconditioner(asm, mesh, bcs)
+              if cfg.precond == "twolevel" else None)
+        return asm, dens, filt, K_cells, pc
+
+    asm, dens, filt, K_cells, pc = setup(
+        level, np.ones((model.num_cells, 8 ** level)))
     state = OptState(iteration=0, target_volume=dens.total_volume,
                      density=dens)
 
@@ -451,24 +457,13 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             if cfg.level_up_at is not None and dens.level < cfg.level and \
                     state.iteration and state.iteration % cfg.level_up_at == 0:
                 level = dens.level + 1
-                asm = Assembly(model, problem, eff, level=level,
-                               quad_order=quad_order)
-                dens = DensityField(
-                    level=level, rho=_refine_field(dens.rho, level),
-                    volumes=asm.sub_volumes.copy(),
-                    centroids=_parametric_centers(model, level),
-                    rho_min=cfg.rho_min, version=dens.version)
-                filt = SensitivityFilter(dens.centroids,
-                                         density_adjacency(mesh, level)) \
-                    if cfg.filter else None
+                asm, dens, filt, K_cells, pc = setup(
+                    level, _refine_field(dens.rho, level), dens.version)
                 hist = state.history_alpha
                 state = replace(
                     state, density=dens,
                     history_alpha=None if hist is None
                     else _refine_field(hist, level).reshape(-1))
-                K_cells = asm.aggregate(density_factors(dens, eff))
-                if pc is not None:
-                    pc = TwoLevelPreconditioner(asm, mesh, bcs)
                 grid = None
 
             if pc is not None:

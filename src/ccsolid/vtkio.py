@@ -81,14 +81,9 @@ def sample_model(model, d):
     row-major in (i, j, k) within a cell -- the same flat order used for
     per-element density values.
     """
-    from .spline import _evaluate_batch
-
     d = int(d)
     if d < 1:
         raise ValueError("sample density must be >= 1")
-    g = np.arange(d + 1) / d
-    uu, vv, ww = np.meshgrid(g, g, g, indexing="ij")
-    params = np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
     npts = (d + 1) ** 3
 
     def pid(i, j, k):
@@ -102,14 +97,9 @@ def sample_model(model, d):
         pid(ii + 1, jj + 1, kk), pid(ii, jj + 1, kk),
         pid(ii, jj, kk + 1), pid(ii + 1, jj, kk + 1),
         pid(ii + 1, jj + 1, kk + 1), pid(ii, jj + 1, kk + 1)])
-
-    points = np.empty((model.num_cells * npts, 3))
-    hexes = np.empty((model.num_cells * d ** 3, 8), dtype=int)
-    for c in range(model.num_cells):
-        net = model.points[model.cell_nodes[c]].reshape(4, 4, 4, 3)
-        points[c * npts:(c + 1) * npts] = _evaluate_batch(net, params)
-        hexes[c * d ** 3:(c + 1) * d ** 3] = local + c * npts
-    return points, hexes
+    offsets = npts * np.arange(model.num_cells)
+    hexes = (local + offsets[:, None, None]).reshape(-1, 8)
+    return sample_field(model, model.points, d), hexes
 
 
 def sample_field(model, values, d):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ccsolid.hexmesh import HexMesh, parse_mesh, serialize_mesh, validate, vertex_star
+from ccsolid.hexmesh import (LOCAL_EDGES, LOCAL_FACES, HexMesh, parse_mesh,
+                             serialize_mesh, validate, vertex_star)
 
 from meshes import (CUBE_TEXT, icosa_split, lattice, tet_split,
                     two_cubes_sharing_edge, unit_cube, wheel)
@@ -161,3 +162,67 @@ def test_icosa_split_star():
     assert star.interior and star.simple
     assert star.n == 12
     assert (star.edge_degrees == 5).all()
+
+
+def _brute_incidences(mesh):
+    """The six incidence relations from `cells` alone, with Python sets;
+    entity ids are looked up in mesh.edges / mesh.faces."""
+    cell_edges = [{frozenset((c[i], c[j])) for i, j in LOCAL_EDGES}
+                  for c in mesh.cells.tolist()]
+    cell_faces = {}    # vertex set of a face -> its edges, per cell
+    for ci, c in enumerate(mesh.cells.tolist()):
+        for lf in LOCAL_FACES:
+            key = frozenset(c[k] for k in lf)
+            cell_faces[ci, key] = {frozenset((c[i], c[j])) for i, j in LOCAL_EDGES
+                                   if i in lf and j in lf}
+    edges = {frozenset(e) for es in cell_edges for e in es}
+    faces = {key for _, key in cell_faces}
+    assert edges == {frozenset(e) for e in mesh.edges.tolist()}
+    assert faces == {frozenset(f) for f in mesh.faces.tolist()}
+    eid = {frozenset(e): i for i, e in enumerate(mesh.edges.tolist())}
+    fid = {frozenset(f): i for i, f in enumerate(mesh.faces.tolist())}
+    face_edges = {key: es for (_, key), es in cell_faces.items()}
+
+    rel = {name: [set() for _ in range(n)] for name, n in (
+        ("edge_cells", len(edges)), ("face_cells", len(faces)),
+        ("edge_faces", len(edges)), ("vertex_edges", mesh.num_vertices),
+        ("vertex_faces", mesh.num_vertices),
+        ("vertex_cells", mesh.num_vertices))}
+    for ci, es in enumerate(cell_edges):
+        for e in es:
+            rel["edge_cells"][eid[e]].add(ci)
+    for ci, key in cell_faces:
+        rel["face_cells"][fid[key]].add(ci)
+    for key, es in face_edges.items():
+        for e in es:
+            rel["edge_faces"][eid[e]].add(fid[key])
+    for e, i in eid.items():
+        for v in e:
+            rel["vertex_edges"][v].add(i)
+    for f, i in fid.items():
+        for v in f:
+            rel["vertex_faces"][v].add(i)
+    for ci, c in enumerate(mesh.cells.tolist()):
+        for v in c:
+            rel["vertex_cells"][v].add(ci)
+    return {name: [sorted(r) for r in rows] for name, rows in rel.items()}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lattice(2, 2, 2)[0], lambda: tet_split()[0],
+    lambda: icosa_split()[0], two_cubes_sharing_edge],
+    ids=["lattice", "tet_split", "icosa_split", "two_cubes_sharing_edge"])
+def test_incidences_match_brute_force(build):
+    mesh = build()
+    for name, expect in _brute_incidences(mesh).items():
+        inc = getattr(mesh, name)
+        assert len(inc) == len(expect), name
+        assert inc.counts.tolist() == [len(r) for r in expect], name
+        for i, row in enumerate(expect):
+            assert inc[i].dtype == np.int64
+            assert inc[i].tolist() == row, (name, i)
+        pairs = [(i, j) for i, row in enumerate(expect) for j in row]
+        assert list(zip(inc.rows.tolist(), inc.items.tolist())) == pairs, name
+        assert inc[-1].tolist() == expect[-1]
+        with pytest.raises(IndexError):
+            inc[len(expect)]

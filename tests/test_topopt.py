@@ -458,6 +458,27 @@ def test_optimize_level_up_inherits_state():
     assert dens.volume_fraction > 0.4 - dens.volumes.max() / dens.total_volume
 
 
+def test_optimize_level_up_reaches_level_two():
+    # the second level-up refines a sensitivity history that holds 8
+    # values per cell; the refined field must keep deleting material
+    mesh, _ = lattice(3, 2, 1)
+    bcs = _clamp_and_pull(3.0)
+    cfg = BesoConfig(v_star=0.6, er=0.05, level=2, level_up_at=3,
+                     max_iterations=8)
+    levels = []
+    with pytest.warns(UserWarning, match="max_iterations"):
+        dens, history = optimize(
+            mesh, cfg, Material(1.0, 0.3), bcs,
+            callback=lambda s, sol: levels.append(s.density.level))
+    assert levels == [0, 0, 0, 1, 1, 1, 2, 2]
+    assert dens.rho.shape == (mesh.num_cells, 64)
+    assert all(row[3] > 0 for row in history[6:])
+    # a level change re-quadratures the volumes, hence the tolerance
+    fracs = [row[2] for row in history]
+    for k in range(1, len(fracs)):
+        assert fracs[k] <= fracs[k - 1] + 1e-6
+
+
 def test_optimize_solver_stack_equivalence(tmp_path):
     # the two-level + float32 stack must reproduce the plain Jacobi kill
     # decisions; jittered geometry keeps the sensitivity ranking well
