@@ -65,6 +65,6 @@ print("leading eigenvalues of the local 27x27 matrix:", np.round(ev[:4], 6))
 
 # limit_points does every interior vertex at once (boundary vertices use
 # the quad-mesh surface mask)
-lp = limit_points(mesh)
+lp, _ = limit_points(mesh)
 print("limit positions computed for all %d vertices, max shift %.3f"
       % (len(lp), np.max(np.linalg.norm(lp - mesh.vertices, axis=1))))

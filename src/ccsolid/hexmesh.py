@@ -270,7 +270,7 @@ def validate(mesh):
     for f in np.flatnonzero(face_count > 2):
         report.findings.append(
             "non-manifold face %d (vertices %s) with %d incident cells"
-            % (f, tuple(mesh.faces[f]), face_count[f]))
+            % (f, tuple(mesh.faces[f].tolist()), face_count[f]))
 
     ef = mesh.edge_faces
     nbf = np.bincount(ef.rows[mesh.boundary_face_mask[ef.items]],
@@ -278,7 +278,7 @@ def validate(mesh):
     for e in np.flatnonzero(mesh.boundary_edge_mask & (nbf != 2)):
         report.findings.append(
             "non-manifold edge %d (vertices %s) with %d boundary faces"
-            % (e, tuple(mesh.edges[e]), nbf[e]))
+            % (e, tuple(mesh.edges[e].tolist()), nbf[e]))
 
     # cell pairs around every vertex in (vertex, i, j) scan order; a pair
     # occurs once per vertex the two cells share

@@ -190,6 +190,7 @@ class Assembly:
         self.invJ = np.linalg.inv(J)
         self._nets = nets
         self.sub_volumes = np.einsum("csp,p->cs", self.detJ, self._w)
+        self._unit_source = None    # load of a unit heat source, on first use
 
         nodes = model.cell_nodes
         if self.dpn == 1:
@@ -314,10 +315,11 @@ class Assembly:
             for comp in range(self.dpn):
                 F[self.dpn * idx + comp] += vec[comp]
         if bcs.heat_source and self.problem == "heat":
-            fe = bcs.heat_source * np.einsum(
-                "p,csp,spn->cn", self._w, self.detJ, self._N)
-            F += np.bincount(self.dofmap.ravel(), weights=fe.ravel(),
-                             minlength=self.ndof)
+            if self._unit_source is None:
+                fe = np.einsum("p,csp,spn->cn", self._w, self.detJ, self._N)
+                self._unit_source = np.bincount(
+                    self.dofmap.ravel(), weights=fe.ravel(), minlength=self.ndof)
+            F += bcs.heat_source * self._unit_source
         return F
 
     def dirichlet(self, bcs):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hexmesh import CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES, OPPOSITE_CORNER
-from .subdivision import limit_points, subdivide
+from .subdivision import limit_points, scatter_add, subdivide
 
 _CORNER_OF_BITS = {tuple(o): k for k, o in enumerate(CORNER_OFFSETS.tolist())}
 _LOCAL_EDGE_OF = {frozenset(e): i for i, e in enumerate(LOCAL_EDGES)}
@@ -79,6 +79,7 @@ def _node_template():
 
 
 _NODE_TEMPLATE = _node_template()
+_TEMPLATE_CORNER = np.array([k for _, k, _ in _NODE_TEMPLATE])
 
 
 def _interior_points(mesh):
@@ -161,8 +162,6 @@ def build_spline_model(mesh):
                       mesh.num_faces, mesh.num_cells)
     ip = _interior_points(mesh)
     ncp = nv + 2 * ne + 4 * nf + 8 * nc
-    sums = np.zeros((ncp, 3))
-    counts = np.zeros(ncp, dtype=np.int64)
     cell_ids = np.arange(nc)
     cell_nodes = np.empty((nc, 64), dtype=np.int64)
 
@@ -179,9 +178,12 @@ def build_spline_model(mesh):
         else:
             idx = nv + 2 * ne + 4 * nf + 8 * cell_ids + k
         cell_nodes[:, t] = idx
-        np.add.at(sums, idx, ip[:, k])
-        np.add.at(counts, idx, 1)
 
+    # slot-major, then cell order: the summation order of a per-slot scatter
+    sums = scatter_add(cell_nodes.T.ravel(),
+                       ip[:, _TEMPLATE_CORNER].transpose(1, 0, 2).reshape(-1, 3),
+                       ncp)
+    counts = np.bincount(cell_nodes.ravel(), minlength=ncp)
     points = sums / np.maximum(counts, 1)[:, None]
     # vertices in no cell keep their mesh position
     orphan = counts[:nv] == 0
@@ -229,12 +231,29 @@ def jacobian(vol, u, v, w):
         np.einsum("a,b,c,abcd->d", Bu, Bv, dBw, P)], axis=1)
 
 
-def _evaluate_batch(net, params):
-    """Evaluate one (4,4,4,3) net at (m, 3) parameters."""
-    Bu = _bernstein(params[:, 0])
-    Bv = _bernstein(params[:, 1])
-    Bw = _bernstein(params[:, 2])
-    return np.einsum("ma,mb,mc,abcd->md", Bu, Bv, Bw, net)
+def tensor_basis(params):
+    """Tricubic Bernstein values at (p, 3) parameters, shape (p, 64), the
+    columns in the (a, b, c) row-major order of `cell_nodes`."""
+    params = np.asarray(params, dtype=float)
+    Bu, Bv, Bw = (_bernstein(params[:, i]) for i in range(3))
+    return (Bu[:, :, None, None] * Bv[:, None, :, None]
+            * Bw[:, None, None, :]).reshape(len(params), 64)
+
+
+def parameter_grid(g):
+    """Every (g[i], g[j], g[k]) in (i, j, k) row-major order, shape
+    (len(g)**3, 3)."""
+    g = np.asarray(g, dtype=float)
+    return g[np.indices((len(g),) * 3).reshape(3, -1).T]
+
+
+def evaluate_cells(values, cell_nodes, params):
+    """Every patch of a control-point field at the same parameters.
+
+    values: (ncp, k) coefficients; cell_nodes: (ncell, 64) indices into
+    them; params: (p, 3).  Returns (ncell, p, k).
+    """
+    return tensor_basis(params) @ values[cell_nodes]
 
 
 def regular_vertex_mask(mesh):
@@ -295,19 +314,17 @@ def approximation_error(mesh, model, depth):
     first_cell = vc.items[np.searchsorted(vc.rows, np.arange(fine.num_vertices))]
     rows = fine.cells[first_cell]
     corner = np.argmax(rows == np.arange(fine.num_vertices)[:, None], axis=1)
-    params = (origin[first_cell] + CORNER_OFFSETS[corner]) / float(2 ** depth)
     anc = ancestor[first_cell]
 
     limits, boundary = limit_points(fine)
 
-    values = np.empty_like(limits)
-    order = np.argsort(anc, kind="stable")
-    bounds = np.searchsorted(anc[order], np.arange(mesh.num_cells + 1))
-    for c in range(mesh.num_cells):
-        sel = order[bounds[c]:bounds[c + 1]]
-        if len(sel):
-            net = model.points[model.cell_nodes[c]].reshape(4, 4, 4, 3)
-            values[sel] = _evaluate_batch(net, params[sel])
+    # every ancestor patch on the shared dyadic grid; each sample picks its
+    # value by (ancestor, grid index)
+    n = 2 ** depth + 1
+    grid = parameter_grid(np.arange(n) / float(2 ** depth))
+    i, j, k = (origin[first_cell] + CORNER_OFFSETS[corner]).T
+    values = evaluate_cells(model.points, model.cell_nodes, grid)[
+        anc, (i * n + j) * n + k]
 
     distances = np.linalg.norm(limits - values, axis=1)
     regular = ~boundary & fully_regular_cells(mesh)[anc]
@@ -331,21 +348,10 @@ def regular_box_model(shape, spacing=1.0, origin=(0.0, 0.0, 0.0)):
     pts = np.stack(np.meshgrid(*g, indexing="ij"), axis=-1)
     points = (pts * spacing + np.asarray(origin, dtype=float)).reshape(-1, 3)
 
-    def gid(i, j, k):
-        return (i * (3 * b + 1) + j) * (3 * c + 1) + k
-
-    nodes = np.empty((a * b * c, 64), dtype=np.int64)
-    for i in range(a):
-        for j in range(b):
-            for k in range(c):
-                cell = (i * b + j) * c + k
-                t = 0
-                for da in range(4):
-                    for db in range(4):
-                        for dc in range(4):
-                            nodes[cell, t] = gid(3 * i + da, 3 * j + db,
-                                                 3 * k + dc)
-                            t += 1
+    # lattice index of every (cell, net slot), both in row-major order
+    i, j, k = (3 * np.indices((a, b, c)).reshape(3, -1, 1)
+               + np.indices((4, 4, 4)).reshape(3, 1, 64))
+    nodes = (i * (3 * b + 1) + j) * (3 * c + 1) + k
     return SplineModel(points=points, cell_nodes=nodes)
 
 

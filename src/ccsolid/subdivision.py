@@ -82,11 +82,19 @@ class Provenance:
     cell_octant: np.ndarray
 
 
+def scatter_add(index, values, n):
+    """Sum of the `values` rows by target row `index`, shape (n,) +
+    values.shape[1:]; each target accumulates in input order."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    return np.stack([np.bincount(index, weights=col, minlength=n)
+                     for col in values.T], axis=1)
+
+
 def _sum_over(inc, values):
     """Per-row sum of the `values` rows listed by each row of `inc`."""
-    acc = np.zeros((len(inc),) + values.shape[1:])
-    np.add.at(acc, inc.rows, values[inc.items])
-    return acc
+    return scatter_add(inc.rows, values[inc.items], len(inc))
 
 
 def _mean_over(inc, values):
@@ -136,9 +144,9 @@ def _boundary_sums(inc, boundary, values):
     """Per-row sum of `values` over the boundary entities each row lists,
     and their number."""
     sel = boundary[inc.items]
-    acc = np.zeros((len(inc), values.shape[1]))
-    np.add.at(acc, inc.rows[sel], values[inc.items[sel]])
-    return acc, np.bincount(inc.rows[sel], minlength=len(inc))
+    rows = inc.rows[sel]
+    return (scatter_add(rows, values[inc.items[sel]], len(inc)),
+            np.bincount(rows, minlength=len(inc)))
 
 
 def _dyadic_tables():

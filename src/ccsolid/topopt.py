@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
-from .spline import build_spline_model, _evaluate_batch
+from .spline import build_spline_model, evaluate_cells, parameter_grid
 from .iga import (Assembly, Material, TwoLevelPreconditioner,
                   density_factors, solve_system)
 from . import vtkio
@@ -97,14 +97,8 @@ class DensityField:
 
 def _parametric_centers(model, level):
     m = 1 << level
-    g = (np.arange(m) + 0.5) / m
-    ii, jj, kk = np.meshgrid(g, g, g, indexing="ij")
-    params = np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
-    out = np.empty((model.num_cells, m ** 3, 3))
-    for c in range(model.num_cells):
-        net = model.points[model.cell_nodes[c]].reshape(4, 4, 4, 3)
-        out[c] = _evaluate_batch(net, params)
-    return out
+    params = parameter_grid((np.arange(m) + 0.5) / m)
+    return evaluate_cells(model.points, model.cell_nodes, params)
 
 
 def density_field(model, level, rho_min=1e-4, quad_order=4):

@@ -8,6 +8,9 @@ so a write/read cycle is lossless for doubles.
 
 import numpy as np
 
+from .hexmesh import CORNER_OFFSETS
+from .spline import evaluate_cells, parameter_grid
+
 VTK_HEXAHEDRON = 12
 VTK_VERTEX = 1
 
@@ -84,20 +87,10 @@ def sample_model(model, d):
     d = int(d)
     if d < 1:
         raise ValueError("sample density must be >= 1")
-    npts = (d + 1) ** 3
-
-    def pid(i, j, k):
-        return (i * (d + 1) + j) * (d + 1) + k
-
-    ii, jj, kk = np.meshgrid(np.arange(d), np.arange(d), np.arange(d),
-                             indexing="ij")
-    ii, jj, kk = ii.ravel(), jj.ravel(), kk.ravel()
-    local = np.column_stack([
-        pid(ii, jj, kk), pid(ii + 1, jj, kk),
-        pid(ii + 1, jj + 1, kk), pid(ii, jj + 1, kk),
-        pid(ii, jj, kk + 1), pid(ii + 1, jj, kk + 1),
-        pid(ii + 1, jj + 1, kk + 1), pid(ii, jj + 1, kk + 1)])
-    offsets = npts * np.arange(model.num_cells)
+    # grid (i, j, k) of every corner of every sub-hexahedron, VTK order
+    i, j, k = np.indices((d, d, d)).reshape(3, -1, 1) + CORNER_OFFSETS.T[:, None]
+    local = (i * (d + 1) + j) * (d + 1) + k
+    offsets = (d + 1) ** 3 * np.arange(model.num_cells)
     hexes = (local + offsets[:, None, None]).reshape(-1, 8)
     return sample_field(model, model.points, d), hexes
 
@@ -109,21 +102,12 @@ def sample_field(model, values, d):
     returns (num_cells * (d+1)^3, m) values aligned with the sampled
     points.
     """
-    from .spline import _evaluate_batch
-
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    m = values.shape[1]
-    g = np.arange(d + 1) / d
-    uu, vv, ww = np.meshgrid(g, g, g, indexing="ij")
-    params = np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
-    npts = (d + 1) ** 3
-    out = np.empty((model.num_cells * npts, m))
-    for c in range(model.num_cells):
-        net = values[model.cell_nodes[c]].reshape(4, 4, 4, m)
-        out[c * npts:(c + 1) * npts] = _evaluate_batch(net, params)
-    return out
+    params = parameter_grid(np.arange(d + 1) / d)
+    return evaluate_cells(values, model.cell_nodes, params).reshape(
+        -1, values.shape[1])
 
 
 def write_mesh_vtk(path, mesh, cell_data=None, point_data=None,

@@ -128,6 +128,18 @@ def test_sample_field_matches_geometry():
     assert np.allclose(vals[:, 0], points[:, 0], atol=1e-13)
 
 
+def test_sample_field_columns_match_single_column_calls():
+    mesh, _ = lattice(2, 1, 1)
+    model = build_spline_model(mesh)
+    field = np.random.default_rng(3).normal(size=(model.num_control_points, 3))
+    vals = vtkio.sample_field(model, field, 2)
+    assert vals.shape == (model.num_cells * 27, 3)
+    for col in range(3):
+        single = vtkio.sample_field(model, field[:, col], 2)
+        assert single.shape == (model.num_cells * 27, 1)
+        assert np.abs(vals[:, col] - single[:, 0]).max() <= 1e-14
+
+
 def test_vtk_roundtrip_precision(tmp_path):
     pts = np.random.default_rng(1).standard_normal((8, 3)) * np.pi
     from ccsolid.hexmesh import HexMesh

@@ -125,6 +125,9 @@ def test_validate_edge_glued_cubes():
     report = validate(two_cubes_sharing_edge())
     assert not report.ok
     assert any("non-manifold edge" in f for f in report.findings)
+    # vertex ids read as plain integers
+    assert "non-manifold edge 7 (vertices (3, 7)) with 4 boundary faces" \
+        in report.findings
 
 
 def test_validate_extraordinary_meshes_ok():

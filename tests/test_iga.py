@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,9 @@ def test_heat_source_load():
     F = asm.load_vector(bcs)
     # consistent load of a constant source integrates to f * volume
     assert abs(F.sum() - 2.0) <= 1e-12
+    # a later call with another source strength on the same assembly
+    F3 = asm.load_vector(replace(bcs, heat_source=3.0))
+    assert np.allclose(F3, 1.5 * F, rtol=1e-14, atol=0.0)
     sol = assemble_and_solve(model, None, mat, bcs, "heat", rtol=1e-10)
     assert sol.compliance > 0
 

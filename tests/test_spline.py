@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ccsolid.hexmesh import HexMesh
+from ccsolid.hexmesh import CORNER_OFFSETS, HexMesh
 from ccsolid.spline import (BezierVolume, approximation_error,
-                            build_spline_model, evaluate, fully_regular_cells,
-                            interior_bezier_point, jacobian, parse_model,
-                            serialize_model)
-from ccsolid.subdivision import limit_point
+                            build_spline_model, evaluate, evaluate_cells,
+                            fully_regular_cells, interior_bezier_point,
+                            jacobian, parse_model, serialize_model)
+from ccsolid.subdivision import limit_point, limit_points, subdivide
 
 from meshes import jittered_lattice, lattice, tet_split
 
@@ -216,6 +216,19 @@ def test_jacobian_matches_finite_differences():
             assert np.abs(J[:, ax] - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
+def test_evaluate_cells_matches_scalar_evaluate():
+    mesh, _ = subdivide(jittered_lattice(2, 1, 1, seed=5)[0])
+    model = build_spline_model(mesh)
+    params = np.random.default_rng(11).uniform(0.0, 1.0, (7, 3))
+    got = evaluate_cells(model.points, model.cell_nodes, params)
+    assert got.shape == (model.num_cells, 7, 3)
+    scale = np.abs(model.points).max()
+    for c in range(model.num_cells):
+        vol = model.bezier_volume(c)
+        want = np.array([evaluate(vol, *p) for p in params])
+        assert np.abs(got[c] - want).max() <= 1e-13 * scale
+
+
 # ---------------------------------------------------------- approximation
 
 def test_error_zero_on_regular_interior():
@@ -234,6 +247,29 @@ def test_error_depth0_regular_corners():
     stats = approximation_error(mesh, model, depth=0)
     assert stats.depth == 0
     assert stats.distances[stats.regular_interior].max() <= 1e-13
+
+
+def test_error_matches_per_sample_evaluation():
+    # reference: every fine vertex against its ancestor patch, one scalar
+    # evaluate per sample, the ancestry replayed here from the provenance
+    mesh, _ = tet_split()
+    model = build_spline_model(mesh)
+    stats = approximation_error(mesh, model, depth=2)
+    fine, ancestor = mesh, np.arange(mesh.num_cells)
+    origin = np.zeros((mesh.num_cells, 3), dtype=np.int64)
+    for _ in range(2):
+        fine, prov = subdivide(fine)
+        origin = 2 * origin[prov.cell_parent] + CORNER_OFFSETS[prov.cell_octant]
+        ancestor = ancestor[prov.cell_parent]
+    limits, _ = limit_points(fine)
+    want = np.empty(fine.num_vertices)
+    for v in range(fine.num_vertices):
+        c, k = np.argwhere(fine.cells == v)[0]
+        u = (origin[c] + CORNER_OFFSETS[k]) / 4.0
+        point = evaluate(model.bezier_volume(ancestor[c]), *u)
+        want[v] = np.linalg.norm(limits[v] - point)
+    assert stats.distances.shape == want.shape
+    assert np.abs(stats.distances - want).max() <= 1e-13 * np.abs(limits).max()
 
 
 def test_error_positive_on_extraordinary_mesh():
