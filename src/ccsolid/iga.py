@@ -26,6 +26,8 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
+# working-set bound of one batch of the stiffness Gram kernel
+_GRAM_BATCH_BYTES = 32 << 20
 
 
 @dataclass
@@ -156,7 +158,11 @@ class Assembly:
     cell-to-dof map, and batched routines for unit-density sub-element
     stiffness, aggregation over density factors, matvec, and strain-energy
     evaluation.  All reductions run in a fixed order, so repeated
-    assemblies are bit-identical.
+    assemblies are bit-identical.  The three stiffness integrals
+    (sub_stiffness, aggregate, add_increment) share one Gram kernel whose
+    batches hold at most _GRAM_BATCH_BYTES (32 MiB) of gradients and
+    Grams, so their memory beside the result grows neither with the mesh
+    nor with the density level.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -178,9 +184,10 @@ class Assembly:
 
         self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
-        # plain einsum keeps a batch-size-independent summation order, so a
-        # one-cell assembly matches the batched path bit for bit
-        J = np.einsum("cnd,spne->cspde", nets, self._Ghat)
+        # one 3x64 @ 64x3 product per (cell, sub, point): each item is
+        # summed on its own, so a one-cell assembly matches the batched
+        # one bit for bit
+        J = np.matmul(nets.transpose(0, 2, 1)[:, None, None], self._Ghat[None])
         self.detJ = np.linalg.det(J)
         if (self.detJ <= 0).any():
             c, s, p = np.unravel_index(np.argmin(self.detJ), self.detJ.shape)
@@ -203,23 +210,51 @@ class Assembly:
     def num_cells(self):
         return self.model.num_cells
 
-    def _grams(self, cells, subs, scale):
-        """Weighted gradient Gram matrices W for (cell, sub) pairs.
+    def _gram_batches(self, cells, subs, scale, cap=None):
+        """Weighted gradient Grams summed over the subs of each row, in
+        batches of bounded size.
 
-        W[m] = sum_pt w detJ scale q q^T with q the flattened physical
+        cells (n,), subs and scale (n, k), scale >= 0.  Yields (rows, W)
+        for consecutive slices `rows` of the n rows, with
+        W[i] = sum_j sum_pt w detJ scale q q^T over the pairs
+        (cells[r], subs[r, j]), r = rows[i], and q the flattened physical
         gradients; for heat the contraction runs directly over the 64
-        nodes, giving the stiffness itself.
+        nodes, giving the stiffness itself.  A row's subs are folded into
+        the inner dimension of its GEMM, in equal slices of at most `span`
+        subs whose Grams are summed.  A batch holds at most `cap` rows and
+        _GRAM_BATCH_BYTES of gradients and Grams, or one row's slice if
+        that is larger.  The slices depend on k alone and every row is its
+        own GEMM, so W does not depend on the batch size.
         """
-        G = np.einsum("mpne,mpef->mpnf",
-                      self._Ghat[subs], self.invJ[cells, subs])
-        s = self._w[None, :] * self.detJ[cells, subs] * scale[:, None]
-        G *= np.sqrt(s)[:, :, None, None]
-        m, npts = G.shape[:2]
-        if self.dpn == 1:
-            Q = G.transpose(0, 2, 1, 3).reshape(m, 64, npts * 3)
-        else:
-            Q = G.reshape(m, npts, 192).transpose(0, 2, 1)
-        return Q @ Q.transpose(0, 2, 1)
+        n, k = subs.shape
+        pair = 3 * self._Ghat[0].nbytes     # gathered, physical, reordered
+        gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
+        span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
+        nslice = -(-k // span)
+        span = -(-k // nslice)
+        nrow = max(1, _GRAM_BATCH_BYTES // (span * pair + gram))
+        if cap is not None:
+            nrow = min(nrow, cap)
+        for lo in range(0, n, nrow):
+            rows = slice(lo, min(lo + nrow, n))
+            c = cells[rows, None]
+            W = None
+            for s0 in range(0, k, span):
+                s = subs[rows, s0:s0 + span]
+                G = np.matmul(self._Ghat[s], self.invJ[c, s])
+                G *= np.sqrt(self._w * self.detJ[c, s]
+                             * scale[rows, s0:s0 + span, None])[..., None, None]
+                b = len(G)
+                if self.dpn == 1:
+                    Q = G.transpose(0, 3, 1, 2, 4).reshape(b, 64, -1)
+                else:
+                    Q = G.reshape(b, -1, 192).transpose(0, 2, 1)
+                part = Q @ Q.transpose(0, 2, 1)
+                if W is None:
+                    W = part
+                else:
+                    W += part
+            yield rows, W
 
     def _expand(self, W):
         """Turn gradient Grams into stiffness matrices."""
@@ -243,32 +278,53 @@ class Assembly:
         subs = np.asarray(subs, dtype=np.int64)
         scale = (np.ones(len(cells)) if factors is None
                  else np.asarray(factors, dtype=float))
+        out = np.empty((len(cells), self.nd, self.nd))
         # the factor folds into the Gram under a square root; carry the
         # sign outside
-        K = self._expand(self._grams(cells, subs, np.abs(scale)))
-        return np.sign(scale)[:, None, None] * K
+        for rows, W in self._gram_batches(cells, subs[:, None],
+                                          np.abs(scale)[:, None]):
+            out[rows] = np.sign(scale[rows])[:, None, None] * self._expand(W)
+        return out
 
     def aggregate(self, factors, chunk=128):
-        """Per-cell stiffness sum_s factors[c, s] * K0_{c,s}, (nc, nd, nd)."""
+        """Per-cell stiffness sum_s factors[c, s] * K0_{c,s}, (nc, nd, nd).
+
+        Each cell's sub-cubes are summed inside the Gram kernel, whose
+        working set stays within _GRAM_BATCH_BYTES beside the output;
+        `chunk` caps the cells per batch.  The result does not depend on
+        the batch size, and at level 0 it equals sub_stiffness bit for
+        bit."""
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
         factors = np.asarray(factors, dtype=float)
         nc = self.num_cells
         out = np.empty((nc, self.nd, self.nd))
-        all_subs = np.arange(self.nsub)
-        for start in range(0, nc, chunk):
-            sel = np.arange(start, min(start + chunk, nc))
-            cells = np.repeat(sel, self.nsub)
-            subs = np.tile(all_subs, len(sel))
-            W = self._grams(cells, subs, factors[sel].reshape(-1))
-            W = W.reshape(len(sel), self.nsub, self.nd, self.nd).sum(axis=1)
-            out[sel] = self._expand(W)
+        subs = np.broadcast_to(np.arange(self.nsub), (nc, self.nsub))
+        for rows, W in self._gram_batches(np.arange(nc), subs,
+                                          factors.reshape(nc, self.nsub),
+                                          cap=chunk):
+            out[rows] = self._expand(W)
         return out
 
     def add_increment(self, K_cells, cells, subs, dfactors):
-        """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place)."""
+        """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place).
+
+        Pairs are sorted by cell and their signed Grams summed per cell
+        before the expansion, batch by batch, so each touched cell is
+        written once per batch."""
+        cells = np.asarray(cells, dtype=np.int64)
         if not len(cells):
             return
-        delta = self.sub_stiffness(cells, subs, dfactors)
-        np.add.at(K_cells, np.asarray(cells, dtype=np.int64), delta)
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        subs = np.asarray(subs, dtype=np.int64)[order]
+        df = np.asarray(dfactors, dtype=float)[order]
+        for rows, W in self._gram_batches(cells, subs[:, None],
+                                          np.abs(df)[:, None]):
+            W *= np.sign(df[rows])[:, None, None]
+            c = cells[rows]
+            first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+            K_cells[c[first]] += self._expand(np.add.reduceat(W, first))
 
     def matvec(self, K_cells, u):
         ue = u[self.dofmap]
@@ -289,8 +345,11 @@ class Assembly:
         """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub)."""
         ue = u[self.dofmap]
         if self.dpn == 1:
-            grad = np.einsum("spne,cspef,cn->cspf",
-                             self._Ghat, self.invJ, ue, optimize=True)
+            # contract the nodes in one GEMM, then apply J^{-1} per point
+            nsub, npts = self._Ghat.shape[:2]
+            t = ue @ self._Ghat.transpose(2, 0, 1, 3).reshape(64, -1)
+            grad = np.matmul(t.reshape(len(ue), nsub, npts, 1, 3),
+                             self.invJ)[..., 0, :]
             dens = (self.mat.e0 if self.mat is not None else 1.0) \
                 * (grad ** 2).sum(axis=-1)
         else:

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccsolid.hexmesh import CORNER_OFFSETS
+from ccsolid import iga
+from ccsolid.hexmesh import CORNER_OFFSETS, HexMesh
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, Solution,
                          TwoLevelPreconditioner, assemble_and_solve,
@@ -284,6 +286,125 @@ def test_elastic_patch_linear_field():
     sol = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-12)
     assert np.abs(sol.u[:, 0] - 0.1 * model.points[:, 0]).max() <= 1e-9
     assert np.abs(sol.u[:, 1:]).max() <= 1e-10
+
+
+# ------------------------------------------------------ stiffness kernel
+
+def _curved_model(seed=3):
+    """16 curved cells: a jittered 2x1x1 lattice, subdivided once."""
+    mesh, _ = lattice(2, 1, 1)
+    jitter = np.random.default_rng(seed).uniform(-0.08, 0.08,
+                                                 mesh.vertices.shape)
+    mesh, _ = subdivide(HexMesh(mesh.vertices + jitter, mesh.cells))
+    return build_spline_model(mesh)
+
+
+def _mixed_factors(asm, seed):
+    """Density factors of a half-removed design: 1 or 1e-2 per pair."""
+    keep = np.random.default_rng(seed).random((asm.num_cells, asm.nsub))
+    return np.where(keep < 0.5, 1.0, 1e-2)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
+def test_aggregate_independent_of_batch_size(monkeypatch, problem, level):
+    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
+    fac = _mixed_factors(asm, 1)
+    ref = asm.aggregate(fac)
+    # a larger budget packs more cells per batch but slices their
+    # sub-cubes the same way, so every chunk must give the same bits
+    for budget in (iga._GRAM_BATCH_BYTES, 8 * iga._GRAM_BATCH_BYTES):
+        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+        for chunk in (1, 5, 16, 128):
+            assert np.array_equal(asm.aggregate(fac, chunk=chunk), ref)
+    with pytest.raises(ValueError, match="chunk"):
+        asm.aggregate(fac, chunk=0)
+
+
+@pytest.mark.parametrize("problem", ["elasticity", "heat"])
+def test_aggregate_sums_sub_stiffness(problem):
+    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=2)
+    fac = _mixed_factors(asm, 2)
+    K = asm.aggregate(fac)
+    for c in (0, 11):
+        subs = np.arange(asm.nsub)
+        Ks = asm.sub_stiffness(np.full(asm.nsub, c), subs, fac[c])
+        assert _rel(K[c], Ks.sum(axis=0)) <= 1e-12
+        # a negative factor flips the pair's stiffness
+        neg = asm.sub_stiffness([c], [5], [-fac[c, 5]])[0]
+        assert np.array_equal(neg, -Ks[5])
+
+
+@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
+@pytest.mark.parametrize("budget", [None, 1])
+def test_add_increment_matches_fresh_aggregate(monkeypatch, problem, level,
+                                               budget):
+    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
+    if budget is not None:
+        # one pair per batch: a cell's pairs fall into several batches
+        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    fac = _mixed_factors(asm, 4) + 0.5
+    K = asm.aggregate(fac)
+    # unsorted cells, repeated cells, one repeated pair, mixed signs
+    cells = np.array([9, 2, 9, 15, 2, 0, 9, 9])
+    subs = np.array([1, 3, 0, 4, 3, 7, 5, 2])
+    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, 1.5, -0.45, 0.05])
+    new = fac.copy()
+    np.add.at(new, (cells, subs), df)
+    asm.add_increment(K, cells, subs, df)
+    ref = asm.aggregate(new)
+    assert _rel(K, ref) <= 1e-12
+    touched = np.unique(cells)
+    for c in touched:
+        assert _rel(K[c], ref[c]) <= 1e-12
+    before = K.copy()
+    asm.add_increment(K, [], [], [])
+    assert np.array_equal(K, before)
+
+
+def test_gram_kernel_memory_is_bounded():
+    # 27 cells x 64 sub-cubes: the whole (cell, sub) gradient stack would
+    # take about 170 MB per copy
+    model = build_spline_model(lattice(3, 3, 3)[0])
+    asm = Assembly(model, "heat", None, level=2)
+    budget = 64 << 20
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= K.nbytes + budget
+        peaks = []
+        for n in (150, 600):
+            pick = rng.choice(asm.num_cells * asm.nsub, n, replace=False)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            asm.add_increment(K, pick // asm.nsub, pick % asm.nsub,
+                              np.full(n, -0.5))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        assert peaks[1] <= budget
+        assert peaks[1] <= 1.25 * peaks[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("problem", ["elasticity", "heat"])
+def test_level3_aggregate_matches_element(problem):
+    # affine element: the sub-cube quadratures are exact, so the 512
+    # sub-cubes of level 3 must add up to the level-0 element
+    rng = np.random.default_rng(8)
+    A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+    vol = BezierVolume(_greville_net() @ A.T)
+    mat = Material(e0=1.0, nu=0.3)
+    asm = Assembly(iga._single_cell_model(vol), problem, mat, level=3)
+    K = asm.aggregate(np.ones((1, asm.nsub)))[0]
+    ref = (element_stiffness_elastic(vol, mat) if problem == "elasticity"
+           else element_stiffness_heat(vol))
+    assert _rel(K, ref) <= 1e-10
 
 
 # ------------------------------------------------------------ solve paths
