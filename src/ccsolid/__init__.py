@@ -11,8 +11,8 @@ from .spline import (BezierVolume, SplineModel, ErrorStats,
                      interior_bezier_point, evaluate, jacobian,
                      parse_model, serialize_model, regular_box_model)
 from .iga import (Assembly, Material, DirichletSpec, LoadSpec,
-                  BoundaryConditions, Solution, TwoLevelPreconditioner,
-                  assemble_and_solve, solve_system, element_stiffness_heat,
+                  BoundaryConditions, Solution, StiffnessOperator,
+                  TwoLevelPreconditioner, assemble_and_solve, solve_system, element_stiffness_heat,
                   element_stiffness_elastic, subelement_stiffness,
                   subelement_stiffness_heat)
 from .topopt import (BesoConfig, DensityField, OptState, SensitivityFilter,
@@ -31,8 +31,8 @@ __all__ = [
     "evaluate", "jacobian", "parse_model", "serialize_model",
     "regular_box_model",
     "Assembly", "Material", "DirichletSpec", "LoadSpec",
-    "BoundaryConditions", "Solution", "TwoLevelPreconditioner",
-    "assemble_and_solve", "solve_system",
+    "BoundaryConditions", "Solution", "StiffnessOperator",
+    "TwoLevelPreconditioner", "assemble_and_solve", "solve_system",
     "element_stiffness_heat", "element_stiffness_elastic",
     "subelement_stiffness", "subelement_stiffness_heat",
     "BesoConfig", "DensityField", "OptState", "SensitivityFilter",

@@ -39,8 +39,8 @@ class RunConfig:
     max_iters: int = 200
     paper_exact_sensitivity: bool = False
     rtol: float = 1e-8
-    precond: str = "jacobi"
-    single_precision: bool = False
+    precond: str = BesoConfig.precond
+    single_precision: bool = BesoConfig.single_precision
     dirichlet: list = field(default_factory=list)
     loads: list = field(default_factory=list)
     heat_sources: list = field(default_factory=list)
@@ -99,11 +99,12 @@ def parse_config(text):
     [problem] (type), [material] (E0, nu, p, mu_min), [mesh] (subdivide,
     density_level), [beso] (v_star, er, rho_min, filter, max_iters,
     paper_exact_sensitivity), [solver] (rtol, precond, single_precision;
-    precond=twolevel, which only affects `optimize`, preconditions CG with
-    inverted per-cell stiffness blocks plus a coarse trilinear solve, at
-    the memory of one extra float32 stiffness copy), plus any number of
-    [dirichlet] (box, dofs, value) and [load] (box + vector, or source)
-    blocks.  Errors carry line numbers.
+    both default to BesoConfig's.  precond only affects `optimize`, whose
+    default twolevel preconditions CG with inverted per-cell stiffness
+    blocks plus a coarse trilinear solve, at the memory of one float32
+    stiffness copy; jacobi uses the stiffness diagonal, as `solve` always
+    does), plus any number of [dirichlet] (box, dofs, value) and [load]
+    (box + vector, or source) blocks.  Errors carry line numbers.
     """
     cfg = RunConfig()
     mat = {"E0": 1.0, "nu": 0.3, "p": 3.0, "mu_min": 1e-9}

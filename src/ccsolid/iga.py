@@ -26,8 +26,11 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-# working-set bound of one batch of the stiffness Gram kernel
+# working-set bound of one batch of the stiffness Gram kernel, of the
+# sub-element energies and of the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
+# solves between full rebuilds of a StiffnessOperator's preconditioner
+_REFRESH_EVERY = 8
 
 
 @dataclass
@@ -105,11 +108,15 @@ class BoundaryConditions:
 @dataclass
 class Solution:
     """u has one row per control point (1 column for heat, 3 for
-    elasticity); compliance is (1/2) U^T K U."""
+    elasticity); compliance is (1/2) U^T K U.  iterations counts CG
+    iterations, restarts the float64 residual evaluations of the solve,
+    and residual is the returned solution's float64 residual relative to
+    the right-hand side."""
     u: np.ndarray
     compliance: float
     iterations: int
     residual: float
+    restarts: int = 0
 
 
 def _box_mask(points, lo, hi, tol=1e-9):
@@ -198,6 +205,7 @@ class Assembly:
         self._nets = nets
         self.sub_volumes = np.einsum("csp,p->cs", self.detJ, self._w)
         self._unit_source = None    # load of a unit heat source, on first use
+        self._Gt = None             # node-major Ghat, on first sub_energies
 
         nodes = model.cell_nodes
         if self.dpn == 1:
@@ -342,26 +350,47 @@ class Assembly:
                            minlength=self.ndof)
 
     def sub_energies(self, u):
-        """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub)."""
-        ue = u[self.dofmap]
-        if self.dpn == 1:
-            # contract the nodes in one GEMM, then apply J^{-1} per point
-            nsub, npts = self._Ghat.shape[:2]
-            t = ue @ self._Ghat.transpose(2, 0, 1, 3).reshape(64, -1)
-            grad = np.matmul(t.reshape(len(ue), nsub, npts, 1, 3),
-                             self.invJ)[..., 0, :]
-            dens = (self.mat.e0 if self.mat is not None else 1.0) \
-                * (grad ** 2).sum(axis=-1)
-        else:
-            un = ue.reshape(len(ue), 64, 3)
-            H = np.einsum("spne,cspef,cnd->cspfd", self._Ghat, self.invJ, un,
-                          optimize=True)
-            lam, mu = self.mat.lam, self.mat.mu
-            tr = np.einsum("cspdd->csp", H)
-            dens = (lam * tr ** 2
-                    + mu * (np.einsum("cspfd,cspdf->csp", H, H)
-                            + (H ** 2).sum(axis=(-2, -1))))
-        return np.einsum("p,csp,csp->cs", self._w, self.detJ, dens)
+        """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub).
+
+        The nodes are contracted in one GEMM and J^{-1} is applied per
+        point, in batches of cells whose gradient tensors stay within
+        _GRAM_BATCH_BYTES, so the memory beside the (nc, nsub) result does
+        not grow with the design."""
+        nsub, npts = self._Ghat.shape[:2]
+        if self._Gt is None:
+            # node-major copy of the gradient table, one GEMM operand
+            self._Gt = self._Ghat.transpose(2, 0, 1, 3).reshape(64, -1)
+        Gt = self._Gt
+        k0 = self.mat.e0 if self.mat is not None else 1.0
+        nc = self.num_cells
+        # gradient tensors, their products and the einsum temporaries
+        per_cell = 6 * nsub * npts * 3 * self.dpn * 8
+        step = max(1, _GRAM_BATCH_BYTES // per_cell)
+        out = np.empty((nc, nsub))
+        for lo in range(0, nc, step):
+            rows = slice(lo, min(lo + step, nc))
+            ue = u[self.dofmap[rows]]
+            b = len(ue)
+            invJ = self.invJ[rows]
+            if self.dpn == 1:
+                t = (ue @ Gt).reshape(b, nsub, npts, 1, 3)
+                grad = np.matmul(t, invJ)[..., 0, :]
+                dens = k0 * (grad ** 2).sum(axis=-1)
+            else:
+                # T[c, s, p, e, d] = sum_n Ghat[s, p, n, e] u[c, n, d] and
+                # H[..., f, d] = sum_e invJ[..., e, f] T[..., e, d]
+                un = ue.reshape(b, 64, 3).transpose(0, 2, 1)
+                T = (un @ Gt).reshape(b, 3, nsub, npts, 3)
+                H = np.matmul(invJ.swapaxes(-1, -2),
+                              T.transpose(0, 2, 3, 4, 1))
+                lam, mu = self.mat.lam, self.mat.mu
+                tr = np.einsum("cspdd->csp", H)
+                dens = (lam * tr ** 2
+                        + mu * (np.einsum("cspfd,cspdf->csp", H, H)
+                                + (H ** 2).sum(axis=(-2, -1))))
+            out[rows] = np.einsum("p,csp,csp->cs", self._w, self.detJ[rows],
+                                  dens)
+        return out
 
     def load_vector(self, bcs):
         F = np.zeros(self.ndof)
@@ -398,101 +427,97 @@ class Assembly:
         return dofs, vals
 
 
-def _pcg_core(matvec, b, precond, x0, rtol, maxiter):
-    """Preconditioned conjugate gradients.
+def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
+    """Preconditioned conjugate gradients in sweeps under float64 restarts.
 
-    Returns (x, iterations, relres, status) with status one of
-    "converged", "breakdown" (p^T K p <= 0) or "maxiter".  `precond` is
-    either a vector of inverse-diagonal entries or a callable applying a
-    full M^-1.
+    Every restart computes the true residual r = b - K x with the float64
+    `matvec`, and convergence is declared on that residual only.  A sweep
+    then runs CG on K d = r from d = 0 until its recurrence residual has
+    fallen by the factor that would bring the true residual to rtol, and
+    x += d.  The sweeps use `matvec32` (a float32 copy of K, half the
+    memory traffic) when given, else `matvec` itself: in float64 one sweep
+    normally suffices and the restart confirms it.  The float32 recurrence
+    drifts from the true residual, and each restart gains the
+    float32-attainable reduction again, so tight tolerances remain
+    reachable as long as kappa * eps_f32 stays well below one.  Beyond
+    that (e.g. heavily voided systems with mu_min ~ 1e-9) the sweeps stop
+    making progress and the loop raises instead of burning the iteration
+    budget.  In float64 the same stall, after sweeps that met their goal,
+    means the true residual has reached its rounding floor above an rtol
+    too tight for float64; the loop then returns its best iterate with
+    that residual.  `precond` is either a vector of inverse-diagonal
+    entries or a callable applying a full M^-1.
+
+    Returns (x, iterations, relres, restarts, r): the sweeps' iterations,
+    the relative float64 residual, the number of float64 residual
+    evaluations and the last float64 residual b - K x itself.
     """
     apply_m = precond if callable(precond) else (lambda r: precond * r)
+    sweep_mv = matvec if matvec32 is None else matvec32
+    hint = ("the system is too ill-conditioned for float32 -- raise mu_min "
+            "or use full precision" if matvec32 is not None
+            else "matrix not positive definite?")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0, "converged"
+        return np.zeros_like(b), 0, 0.0, 0, np.zeros_like(b)
     x = np.array(x0, dtype=float)
-    r = b - matvec(x)
-    z = apply_m(r)
-    p = np.array(z)
-    rz = r @ z
-    res = np.linalg.norm(r) / bnorm
-    for it in range(1, maxiter + 1):
-        q = matvec(p)
-        pq = p @ q
-        if pq <= 0:
-            return x, it - 1, res, "breakdown"
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        res = np.linalg.norm(r) / bnorm
-        if res <= rtol:
-            return x, it, res, "converged"
-        z = apply_m(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, maxiter, res, "maxiter"
-
-
-def _pcg(matvec, b, precond, x0, rtol, maxiter):
-    """_pcg_core with failures promoted to RuntimeError."""
-    x, it, res, status = _pcg_core(matvec, b, precond, x0, rtol, maxiter)
-    if status == "breakdown":
-        raise RuntimeError("conjugate gradients broke down "
-                           "(matrix not positive definite?)")
-    if status == "maxiter":
-        raise RuntimeError("conjugate gradients did not converge in %d "
-                           "iterations (relative residual %.3e)"
-                           % (maxiter, res))
-    return x, it, res
-
-
-def _refined_pcg(matvec32, matvec64, b, precond, x0, rtol, maxiter):
-    """Mixed-precision CG: float32 inner sweeps under float64 restarts.
-
-    The single-precision recurrence drifts from the true residual, so
-    convergence is only ever declared on a double-precision residual of
-    the current iterate.  An inner sweep that breaks down at its noise
-    floor just triggers a restart with a freshly computed residual; each
-    restart gains the f32-attainable reduction again, so tight tolerances
-    remain reachable as long as kappa * eps_f32 stays well below one.
-    Beyond that (e.g. heavily voided systems with mu_min ~ 1e-9) the
-    sweeps stop making progress and the loop raises instead of burning
-    the iteration budget.  Reported iterations count float32 sweeps only.
-    """
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    x = np.array(x0, dtype=float)
-    total = 0
+    total = restarts = bad = 0
     best = np.inf
-    bad = 0
+    reached = False
     while True:
-        r = b - matvec64(x)
-        res = np.linalg.norm(r) / bnorm
+        r = b - matvec(x)
+        restarts += 1
+        rnorm = np.linalg.norm(r)
+        res = rnorm / bnorm
         if res <= rtol:
-            return x, total, res
+            return x, total, res, restarts, r
         if res <= 0.5 * best:
             bad = 0
         else:
             bad += 1
-        best = min(best, res)
+        if res <= best:
+            best, best_x, best_r = res, x, r
         if bad >= 3 or res > 1e3 * best:
-            raise RuntimeError(
-                "single-precision sweeps stalled at relative residual %.3e "
-                "(target %g): the system is too ill-conditioned for float32 "
-                "-- raise mu_min or use full precision" % (best, rtol))
+            if matvec32 is None and reached:
+                # float64 sweeps meet their goal, yet the true residual
+                # stays put: it sits at its rounding floor above rtol
+                return best_x, total, best, restarts, best_r
+            raise RuntimeError("conjugate gradient sweeps stalled at relative "
+                               "residual %.3e (target %g): %s"
+                               % (best, rtol, hint))
         if total >= maxiter:
             raise RuntimeError("conjugate gradients did not converge in %d "
                                "iterations (relative residual %.3e)"
                                % (total, res))
-        d, it, _, status = _pcg_core(matvec32, r, precond, np.zeros_like(b),
-                                     rtol / res, maxiter - total)
-        if status == "breakdown" and it == 0:
-            raise RuntimeError("single-precision matvec stalled at relative "
-                               "residual %.3e (target %g); use full "
-                               "precision" % (res, rtol))
-        total += max(it, 1)
+        goal = rtol / res
+        d = np.zeros_like(b)
+        s = np.array(r)
+        z = apply_m(s)
+        p = np.array(z)
+        rz = s @ z
+        it = 0
+        reached = False
+        while it < maxiter - total:
+            q = sweep_mv(p)
+            pq = p @ q
+            if pq <= 0:
+                break
+            it += 1
+            alpha = rz / pq
+            d += alpha * p
+            s -= alpha * q
+            if np.linalg.norm(s) / rnorm <= goal:
+                reached = True
+                break
+            z = apply_m(s)
+            rz_new = s @ z
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        if not it:
+            raise RuntimeError("conjugate gradients broke down at relative "
+                               "residual %.3e (target %g): %s"
+                               % (res, rtol, hint))
+        total += it
         x = x + d
 
 
@@ -501,65 +526,70 @@ def solve_system(assembly, K_cells, bcs, rtol=1e-8, max_iter=None,
     """Apply boundary conditions to the aggregated per-cell stiffness and
     solve K U = F; returns the Solution with compliance (1/2) U^T K U.
 
-    `precond` replaces the default Jacobi preconditioner with a callable
-    M^-1 on the free dofs (see TwoLevelPreconditioner).  With
-    `single_precision` the CG sweeps run on a float32 copy of K_cells --
-    half the memory traffic -- restarted from true float64 residuals, so
-    the returned residual is double-precision accurate at any rtol the
-    conditioning admits.
+    K_cells is a StiffnessOperator, which brings its own float32 mirror
+    and preconditioner and brings the latter up to date first, or a plain
+    float64 stack: then the solve runs on a one-solve operator with
+    `precond` (a TwoLevelPreconditioner; default point Jacobi) and, with
+    `single_precision`, a float32 copy of the stack.  Either way the CG
+    sweeps run in the operator's precision under float64 restarts, so the
+    returned residual is double-precision accurate at any rtol the
+    conditioning admits.  With zero Dirichlet values the compliance is
+    (1/2) x^T (b - r) on the free dofs, from the solve's last float64
+    residual r, which saves one pass over the stiffness.
     """
+    op = (K_cells if isinstance(K_cells, StiffnessOperator)
+          else StiffnessOperator(assembly, K_cells, precond=precond,
+                                 single_precision=single_precision))
+    K = op.K
     F = assembly.load_vector(bcs)
     dofs, vals = assembly.dirichlet(bcs)
     if not len(dofs):
         raise ValueError("insufficient constraints: no Dirichlet dof selected")
     ndof = assembly.ndof
-    fixed = np.zeros(ndof, dtype=bool)
-    fixed[dofs] = True
-    free = ~fixed
+    free = np.ones(ndof, dtype=bool)
+    free[dofs] = False
     g = np.zeros(ndof)
     g[dofs] = vals
+    lifted = bool(vals.any())
+    b = (F - assembly.matvec(K, g))[free] if lifted else F[free]
 
-    b = (F - assembly.matvec(K_cells, g))[free]
-    K_iter = K_cells.astype(np.float32) if single_precision else K_cells
-
-    def mv(uf):
+    def mv(uf, stack=K):
         u = np.zeros(ndof)
         u[free] = uf
-        return assembly.matvec(K_iter, u)[free]
-
-    def mv64(uf):
-        u = np.zeros(ndof)
-        u[free] = uf
-        return assembly.matvec(K_cells, u)[free]
+        return assembly.matvec(stack, u)[free]
 
     if method == "dense":
-        K = np.zeros((ndof, ndof))
+        Kd = np.zeros((ndof, ndof))
         dm = assembly.dofmap
         for c in range(assembly.num_cells):
-            K[np.ix_(dm[c], dm[c])] += K_cells[c]
-        x = np.linalg.solve(K[np.ix_(free, free)], b)
-        iters, res = 0, float(np.linalg.norm(mv(x) - b)
-                              / max(np.linalg.norm(b), 1e-300))
+            Kd[np.ix_(dm[c], dm[c])] += K[c]
+        x = np.linalg.solve(Kd[np.ix_(free, free)], b)
+        r = b - mv(x)
+        iters, restarts = 0, 1
+        res = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     elif method == "cg":
-        diag = assembly.diagonal(K_cells)[free]
+        diag = assembly.diagonal(K)[free]
         if (diag <= 0).any():
             raise ValueError("singular system: non-positive diagonal entries")
         maxiter = max_iter if max_iter is not None else 50 * int(free.sum())
         start = (np.zeros(int(free.sum())) if x0 is None
                  else np.asarray(x0, dtype=float)[free])
-        M = precond if precond is not None else 1.0 / diag
-        if single_precision:
-            x, iters, res = _refined_pcg(mv, mv64, b, M, start, rtol, maxiter)
-        else:
-            x, iters, res = _pcg(mv, b, M, start, rtol, maxiter)
+        op.prepare()
+        M = op.precond if op.precond is not None else 1.0 / diag
+        mv32 = (None if op.K32 is None
+                else (lambda uf: mv(uf, op.K32)))
+        x, iters, res, restarts, r = _cg(mv, b, M, start, rtol, maxiter, mv32)
     else:
         raise ValueError("method must be 'cg' or 'dense'")
 
     U = np.array(g)
     U[free] = x
-    compliance = 0.5 * (U @ assembly.matvec(K_cells, U))
+    if lifted:
+        compliance = 0.5 * (U @ assembly.matvec(K, U))
+    else:
+        compliance = 0.5 * (x @ (b - r))
     return Solution(u=U.reshape(-1, assembly.dpn), compliance=float(compliance),
-                    iterations=iters, residual=float(res))
+                    iterations=iters, residual=float(res), restarts=restarts)
 
 
 def density_factors(density, mat):
@@ -686,12 +716,14 @@ class TwoLevelPreconditioner:
     milliseconds.
 
     `refresh` rebuilds every block and refactorizes the companion;
-    `update` rebuilds only the blocks of cells whose stiffness changed.
-    Blocks of their neighbours and the companion tolerate being a few
-    density updates stale, so an optimisation run refreshes occasionally
-    and updates the killed cells in between.  Plain Jacobi remains the
-    solver default; this is for the large runs where CG iteration counts
-    dominate.
+    `update` rebuilds only the blocks of cells whose stiffness changed,
+    in batches of cells whose index arrays and float64 blocks stay within
+    _GRAM_BATCH_BYTES.  Blocks of their neighbours and the companion
+    tolerate being a few density updates stale; a StiffnessOperator that
+    owns the preconditioner refreshes it every _REFRESH_EVERY solves and
+    updates the cells its increments touched in between.  It is the
+    default preconditioner of BESO runs (BesoConfig.precond) and needs at
+    least one mesh vertex in a Dirichlet box.
     """
 
     def __init__(self, assembly, mesh, bcs):
@@ -717,6 +749,15 @@ class TwoLevelPreconditioner:
         self.P = P[free][:, self.cfree].tocsr()
         self.PT = self.P.T.tocsr()
         self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
+        # bytes of building one cell's block: its float64 block, the
+        # scattered neighbour sum, the inverse and its mirrored triangle,
+        # plus source index, destination index and weight (each made and
+        # concatenated) per shared-dof entry
+        entries = np.zeros(assembly.num_cells)
+        for c, _, a, _ in self._overlaps:
+            entries += (dpn * a.shape[1]) ** 2 * np.bincount(
+                c, minlength=assembly.num_cells)
+        self._block_bytes = 4 * 8 * assembly.nd ** 2 + 6 * 8 * entries
         self.blocks = None
         self.lu = None
 
@@ -726,19 +767,22 @@ class TwoLevelPreconditioner:
         asm = self.assembly
         nd, dpn, m = asm.nd, asm.dpn, len(cells)
         out = K_cells[cells]
-        pos = np.full(asm.num_cells, -1, dtype=np.int64)
-        pos[cells] = np.arange(m)
         comps = np.arange(dpn)
         src, dst = [], []
         for c, n, a, b in self._overlaps:
-            keep = pos[c] >= 0
-            if not keep.any():
+            # each group is sorted by cell: take the pairs of `cells`
+            lo = np.searchsorted(c, cells, "left")
+            cnt = np.searchsorted(c, cells, "right") - lo
+            k = int(cnt.sum())
+            if not k:
                 continue
-            a = (dpn * a[keep][:, :, None] + comps).reshape(len(c[keep]), -1)
-            b = (dpn * b[keep][:, :, None] + comps).reshape(a.shape)
-            src.append(((n[keep][:, None, None] * nd + b[:, :, None]) * nd
+            pos = np.repeat(np.arange(m), cnt)
+            idx = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(k)
+            a = (dpn * a[idx][:, :, None] + comps).reshape(k, -1)
+            b = (dpn * b[idx][:, :, None] + comps).reshape(k, -1)
+            src.append(((n[idx][:, None, None] * nd + b[:, :, None]) * nd
                         + b[:, None, :]).ravel())
-            dst.append(((pos[c[keep]][:, None, None] * nd + a[:, :, None]) * nd
+            dst.append(((pos[:, None, None] * nd + a[:, :, None]) * nd
                         + a[:, None, :]).ravel())
         if src:
             out += np.bincount(np.concatenate(dst),
@@ -750,11 +794,15 @@ class TwoLevelPreconditioner:
         out.reshape(m, -1)[:, ::nd + 1][~keep] = 1.0
         return out
 
-    def update(self, K_cells, cells, chunk=128):
+    def update(self, K_cells, cells):
         """Rebuild and re-invert the blocks of the listed cells."""
         cells = np.unique(np.asarray(cells, dtype=np.int64))
-        for start in range(0, len(cells), chunk):
-            sel = cells[start:start + chunk]
+        cost = self._block_bytes[cells]
+        # consecutive batches within the budget, or one cell if larger
+        batch = (np.cumsum(cost) - cost) // _GRAM_BATCH_BYTES
+        for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
+            if not len(sel):
+                continue
             inv = self._cell_blocks(K_cells, sel)
             for i, c in enumerate(sel):
                 u, info = lapack.dpotrf(inv[i])
@@ -801,6 +849,64 @@ class TwoLevelPreconditioner:
         u[self.free] = r
         fine = self.assembly.matvec(self.blocks, u)[self.free]
         return fine + self.P @ self.lu.solve(self.PT @ r)
+
+
+class StiffnessOperator:
+    """The per-cell stiffness of one design with everything its solves use.
+
+    Owns the float64 stack `K` (nc, nd, nd); for single-precision solves a
+    float32 mirror `K32`, made once and kept bit-identical to
+    K.astype(np.float32) by re-casting the cells every increment touches;
+    and the preconditioner: None for point Jacobi, or a
+    TwoLevelPreconditioner that `prepare` (run by solve_system before
+    every solve) rebuilds in full every _REFRESH_EVERY solves, and whose
+    blocks of touched cells it rebuilds before the solves in between.
+    `factors` are the per-(cell, sub) density factors K was aggregated
+    from (None: unit density); `set_factors` keeps K, the mirror and the
+    factors the coarse companion averages in step.
+    """
+
+    def __init__(self, assembly, K_cells, factors=None, precond=None,
+                 single_precision=False):
+        self.assembly = assembly
+        self.K = K_cells
+        self.K32 = K_cells.astype(np.float32) if single_precision else None
+        self.factors = (None if factors is None else np.array(
+            factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
+        self.precond = precond
+        self._age = 0          # solves since the last refresh
+        self._touched = []     # cells changed since the last solve
+
+    def set_factors(self, cells, subs, values):
+        """Change the density factors of the listed (cell, sub) pairs
+        (distinct pairs) and patch K and its mirror incrementally."""
+        cells = np.asarray(cells, dtype=np.int64)
+        subs = np.asarray(subs, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if self.factors is None:
+            raise ValueError("operator was built without density factors")
+        self.assembly.add_increment(self.K, cells, subs,
+                                    values - self.factors[cells, subs])
+        self.factors[cells, subs] = values
+        touched = np.unique(cells)
+        if self.K32 is not None:
+            step = max(1, _GRAM_BATCH_BYTES // self.K[0].nbytes)
+            for lo in range(0, len(touched), step):
+                sel = touched[lo:lo + step]
+                self.K32[sel] = self.K[sel]
+        self._touched.append(touched)
+
+    def prepare(self):
+        """Bring the preconditioner up to date for the next solve."""
+        pc = self.precond
+        if pc is not None:
+            if pc.lu is None or self._age >= _REFRESH_EVERY:
+                pc.refresh(self.K, self.factors)
+                self._age = 0
+            elif self._touched:
+                pc.update(self.K, np.concatenate(self._touched))
+            self._age += 1
+        self._touched = []
 
 
 def assemble_and_solve(model, density, mat, bcs, problem, quad_order=4,

@@ -11,6 +11,7 @@ least productive material until the volume schedule
 max(Vstar * Vtot, V_{k-1} * (1 - ER)) is met; elements are never revived.
 """
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,8 @@ from scipy.spatial import cKDTree
 from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import (Assembly, Material, TwoLevelPreconditioner,
-                  density_factors, solve_system)
+from .iga import (Assembly, Material, StiffnessOperator,
+                  TwoLevelPreconditioner, density_factors, solve_system)
 from . import vtkio
 
 
@@ -199,33 +200,37 @@ class SensitivityFilter:
     """
 
     def __init__(self, centroids, adjacency):
+        """`adjacency` is an Incidence (see density_adjacency) or a list
+        holding every element's face-neighbour ids."""
         centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
         n = len(centroids)
         if len(adjacency) != n:
             raise ValueError("adjacency lists do not match centroids")
-        radii = np.zeros(n)
-        for i, nbrs in enumerate(adjacency):
-            if len(nbrs):
-                d = np.linalg.norm(centroids[nbrs] - centroids[i], axis=1)
-                radii[i] = 2.0 * d.mean()
-        rows, cols, vals = [], [], []
-        tree = cKDTree(centroids)
-        groups = tree.query_ball_point(centroids, radii)
-        for i, group in enumerate(groups):
-            group = np.asarray(group, dtype=np.int64)
-            d = np.linalg.norm(centroids[group] - centroids[i], axis=1)
-            keep = d < radii[i]
-            group, d = group[keep], d[keep]
-            if len(group):
-                w = radii[i] - d
-            else:
-                # isolated element: pass its value through unchanged
-                group, w = np.array([i]), np.array([1.0])
-            rows.append(np.full(len(group), i, dtype=np.int64))
-            cols.append(group)
-            vals.append(w)
+        if not isinstance(adjacency, Incidence):
+            counts = [len(nbrs) for nbrs in adjacency]
+            adjacency = Incidence(
+                np.repeat(np.arange(n), counts),
+                np.concatenate([np.asarray(nbrs, dtype=np.int64).reshape(-1)
+                                for nbrs in adjacency]
+                               + [np.empty(0, dtype=np.int64)]), n)
+        i, j = adjacency.rows, adjacency.items
+        d = np.linalg.norm(centroids[j] - centroids[i], axis=1)
+        counts = adjacency.counts
+        radii = 2.0 * np.bincount(i, weights=d, minlength=n) \
+            / np.maximum(counts, 1)
+        groups = cKDTree(centroids).query_ball_point(centroids, radii)
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n)
+        rows = np.repeat(np.arange(n), sizes)
+        cols = np.fromiter(itertools.chain.from_iterable(groups),
+                           dtype=np.int64, count=int(sizes.sum()))
+        d = np.linalg.norm(centroids[cols] - centroids[rows], axis=1)
+        keep = d < radii[rows]
+        rows, cols, w = rows[keep], cols[keep], (radii[rows] - d)[keep]
+        # isolated element: pass its value through unchanged
+        alone = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
         self.weights = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([w, np.ones(len(alone))]),
+             (np.concatenate([rows, alone]), np.concatenate([cols, alone]))),
             shape=(n, n))
         self._norm = np.asarray(self.weights.sum(axis=1)).reshape(-1)
 
@@ -267,13 +272,16 @@ class BesoConfig:
     one every that many iterations until `level` is reached, with children
     inheriting their parent's density and sensitivity history.
 
-    The last two fields tune the inner CG solver for large runs:
-    precond="twolevel" replaces point Jacobi with inverted per-cell
-    stiffness blocks plus a coarse trilinear correction (see
-    TwoLevelPreconditioner; its float32 block stack is as large as the
-    float32 stiffness copy, the killed cells' blocks are rebuilt after
-    every update and all blocks every 8 iterations), and single_precision
-    runs the matvec on a float32 stiffness copy (needs rtol >= 1e-6).
+    The last two fields choose the CG solver's stack.  precond="twolevel"
+    (the default) preconditions with inverted per-cell stiffness blocks
+    plus a coarse trilinear correction (see TwoLevelPreconditioner; its
+    float32 block stack is as large as the float32 stiffness mirror);
+    optimize falls back to point Jacobi ("jacobi"), with a warning, when
+    no mesh vertex lies in a Dirichlet box.  single_precision runs the CG
+    sweeps on a float32 mirror of the stiffness, half the memory traffic,
+    under float64 restarts; it suits moderate contrasts (mu_min of about
+    1e-2) and tolerances.  StiffnessOperator owns both and the
+    preconditioner's rebuild schedule.
     """
 
     v_star: float
@@ -287,7 +295,7 @@ class BesoConfig:
     rtol: float = 1e-8
     paper_exact_sensitivity: bool = False
     level_up_at: int = None
-    precond: str = "jacobi"
+    precond: str = "twolevel"
     single_precision: bool = False
 
     def __post_init__(self):
@@ -403,10 +411,12 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     model = build_spline_model(mesh)
     eff = cfg.material(mat)
     level = 0 if cfg.level_up_at is not None else cfg.level
+    precond = cfg.precond
 
     def setup(level, rho, version=0):
-        """Analysis, design field, filter, stiffness and preconditioner of
-        one density level."""
+        """Analysis, design field, filter and stiffness operator of one
+        density level."""
+        nonlocal precond
         asm = Assembly(model, problem, eff, level=level, quad_order=quad_order)
         dens = DensityField(level=level, rho=rho,
                             volumes=asm.sub_volumes.copy(),
@@ -415,13 +425,20 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         filt = SensitivityFilter(dens.centroids,
                                  density_adjacency(mesh, level)) \
             if cfg.filter else None
-        K_cells = asm.aggregate(density_factors(dens, eff))
-        pc = (TwoLevelPreconditioner(asm, mesh, bcs)
-              if cfg.precond == "twolevel" else None)
-        return asm, dens, filt, K_cells, pc
+        pc = None
+        if precond == "twolevel":
+            try:
+                pc = TwoLevelPreconditioner(asm, mesh, bcs)
+            except ValueError as exc:
+                warnings.warn("%s: solving with point Jacobi instead of the "
+                              "two-level preconditioner" % exc, stacklevel=3)
+                precond = "jacobi"
+        fac = density_factors(dens, eff)
+        op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
+                               single_precision=cfg.single_precision)
+        return asm, dens, filt, op
 
-    asm, dens, filt, K_cells, pc = setup(
-        level, np.ones((model.num_cells, 8 ** level)))
+    asm, dens, filt, op = setup(level, np.ones((model.num_cells, 8 ** level)))
     state = OptState(iteration=0, target_volume=dens.total_volume,
                      density=dens)
 
@@ -443,7 +460,6 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
                         title="density iteration")
 
     u0 = None
-    touched = np.empty(0, dtype=np.int64)  # cells killed in the last update
     history = state.compliance_history
     try:
         while state.iteration < cfg.max_iterations:
@@ -451,7 +467,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             if cfg.level_up_at is not None and dens.level < cfg.level and \
                     state.iteration and state.iteration % cfg.level_up_at == 0:
                 level = dens.level + 1
-                asm, dens, filt, K_cells, pc = setup(
+                asm, dens, filt, op = setup(
                     level, _refine_field(dens.rho, level), dens.version)
                 hist = state.history_alpha
                 state = replace(
@@ -460,17 +476,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
                     else _refine_field(hist, level).reshape(-1))
                 grid = None
 
-            if pc is not None:
-                # the coarse companion and the neighbours' blocks tolerate
-                # staleness; rebuild everything only every few density
-                # updates, the killed cells' own blocks every time
-                if state.iteration % 8 == 0 or pc.lu is None:
-                    pc.refresh(K_cells, density_factors(dens, eff))
-                else:
-                    pc.update(K_cells, touched)
-            sol = solve_system(asm, K_cells, bcs, rtol=cfg.rtol, x0=u0,
-                               precond=pc,
-                               single_precision=cfg.single_precision)
+            sol = solve_system(asm, op, bcs, rtol=cfg.rtol, x0=u0)
             sol.density_version = dens.version
             u0 = sol.u.reshape(-1)
 
@@ -484,12 +490,9 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             state = beso_iterate(state, atil, cfg)
             killed = np.flatnonzero(before & ~dens.alive.reshape(-1))
             if len(killed):
-                # exact stiffness delta: factor(rho_min) - factor(1)
                 fac = density_factors(dens, eff).reshape(-1)
-                f_alive = eff.mu_min + (1.0 - eff.mu_min)
-                asm.add_increment(K_cells, killed // asm.nsub,
-                                  killed % asm.nsub, fac[killed] - f_alive)
-            touched = killed // asm.nsub
+                op.set_factors(killed // asm.nsub, killed % asm.nsub,
+                               fac[killed])
 
             row = (state.iteration, sol.compliance, dens.volume_fraction,
                    len(killed))

@@ -219,9 +219,9 @@ def test_config_solver_options_roundtrip():
     assert "precond = twolevel" in once
     assert "single_precision = true" in once
     assert serialize_config(parse_config(once)) == once
-    # defaults keep the plain solver
+    # defaults are BesoConfig's: two-level preconditioner, float64 sweeps
     plain = parse_config(CONFIG)
-    assert plain.precond == "jacobi" and not plain.single_precision
+    assert plain.precond == "twolevel" and not plain.single_precision
 
 
 def test_config_heat_source_roundtrip():

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import spsolve
 
 from ccsolid import iga
 from ccsolid.hexmesh import CORNER_OFFSETS, HexMesh
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
-                         LoadSpec, Material, Solution,
+                         LoadSpec, Material, Solution, StiffnessOperator,
                          TwoLevelPreconditioner, assemble_and_solve,
                          density_factors, element_stiffness_elastic,
                          element_stiffness_heat, solve_system,
@@ -695,3 +697,137 @@ def test_single_precision_solve():
                               single_precision=True)
     assert deep.residual <= 1e-10
     assert abs(deep.compliance - ref.compliance) <= 1e-8 * ref.compliance
+
+
+# ------------------------------------------------- stiffness operator, CG
+
+def _sparse_stiffness(asm, K):
+    nd = asm.nd
+    rows = np.repeat(asm.dofmap, nd, axis=1).ravel()
+    cols = np.tile(asm.dofmap, (1, nd)).ravel()
+    return sparse.csr_matrix((K.ravel(), (rows, cols)),
+                             shape=(asm.ndof, asm.ndof))
+
+
+def test_operator_follows_kills():
+    # the float32 mirror, the density factors and the preconditioner
+    # blocks of a StiffnessOperator through BESO-style kills
+    mesh, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = np.full((asm.num_cells, asm.nsub), mat.mu_min + (1 - mat.mu_min))
+    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
+                           single_precision=True)
+    op.prepare()                       # the first solve builds it all
+    first = pc.lu
+    rng = np.random.default_rng(2)
+    alive = np.ones(fac.size, dtype=bool)
+    for k in range(1, 9):
+        # distinct live pairs, some sharing a cell
+        kill = rng.choice(np.flatnonzero(alive), 9, replace=False)
+        alive[kill] = False
+        op.set_factors(kill // asm.nsub, kill % asm.nsub, np.full(9, 0.05))
+        assert np.array_equal(op.K32, op.K.astype(np.float32))
+        op.prepare()
+        # touched cells rebuilt before every solve, everything every 8th
+        fresh = TwoLevelPreconditioner(asm, mesh, bcs)
+        fresh.refresh(op.K, op.factors)
+        touched = np.unique(kill // asm.nsub)
+        assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
+        assert (pc.lu is first) == (k < 8)
+    assert np.array_equal(pc.blocks, fresh.blocks)
+    fac.reshape(-1)[~alive] = 0.05
+    assert np.array_equal(op.factors, fac)
+    assert _rel(op.K, asm.aggregate(fac)) <= 1e-12
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_cg_loop_matches_direct_solve(single):
+    mesh, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    K = asm.aggregate(_random_factors(asm, mat, 17))
+    rtol = 1e-7
+    sol = solve_system(asm, K, bcs, rtol=rtol, single_precision=single)
+    F = asm.load_vector(bcs)
+    dofs, _ = asm.dirichlet(bcs)
+    free = np.ones(asm.ndof, dtype=bool)
+    free[dofs] = False
+    A = _sparse_stiffness(asm, K)[free][:, free].tocsc()
+    x = spsolve(A, F[free])
+    u = sol.u.reshape(-1)
+    assert np.all(u[~free] == 0.0)
+    res = np.linalg.norm(F[free] - A @ u[free]) / np.linalg.norm(F[free])
+    assert res <= rtol and abs(sol.residual - res) <= 1e-3 * rtol
+    # compliance error is quadratic in the residual: far below rtol
+    exact = 0.5 * F[free] @ x
+    assert abs(sol.compliance - exact) <= rtol * exact
+    assert sol.restarts >= (2 if single else 1)
+
+
+@pytest.mark.parametrize("value", [0.0, 2.5])
+def test_compliance_matches_full_product(value):
+    # zero Dirichlet values take the compliance from the solve's residual,
+    # non-zero ones from the full product; both must equal (1/2) U^T K U
+    mesh, model, _ = _beam()
+    bcs = BoundaryConditions(
+        dirichlet=[DirichletSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0,),
+                                 value=value)],
+        heat_source=1.0)
+    mat = Material(e0=2.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "heat", mat, level=1)
+    K = asm.aggregate(_random_factors(asm, mat, 19))
+    sol = solve_system(asm, K, bcs, rtol=1e-9)
+    U = sol.u.reshape(-1)
+    full = 0.5 * U @ (_sparse_stiffness(asm, K) @ U)
+    assert abs(sol.compliance - full) <= 1e-12 * abs(full)
+
+
+def test_preconditioner_update_memory_is_bounded(monkeypatch):
+    # 36 cells of about 2 MB of block-building work each
+    mesh, model, bcs = _beam(nx=4)
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat)
+    fac = _random_factors(asm, mat, 23)
+    K = asm.aggregate(fac)
+    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc.refresh(K, fac)
+    budget = 4 << 20
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    before = pc.blocks.copy()
+    cells = np.arange(asm.num_cells)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pc.update(K, cells)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * budget
+    # the same blocks whatever the batches
+    assert np.array_equal(pc.blocks, before)
+
+
+def test_elastic_energies_memory_is_bounded(monkeypatch):
+    model = _curved_model()
+    asm = Assembly(model, "elasticity", Material(1.0, 0.3), level=2)
+    u = np.random.default_rng(29).standard_normal(asm.ndof)
+    ref = asm.sub_energies(u)
+    budget = 1 << 20
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        E = asm.sub_energies(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the whole-design gradient tensor alone would take 4.7 MB
+    assert peak <= E.nbytes + 2 * budget
+    assert _rel(E, ref) <= 1e-14
+    # each energy is the sub-element stiffness quadratic form
+    for c, sub in ((0, 0), (7, 41), (15, 63)):
+        Ks = asm.sub_stiffness([c], [sub])[0]
+        ue = u[asm.dofmap[c]]
+        assert abs(E[c, sub] - ue @ Ks @ ue) <= 1e-12 * abs(ue @ Ks @ ue)

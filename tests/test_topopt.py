@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -524,3 +525,51 @@ def test_beso_config_validation():
     assert BesoConfig(v_star=0.5).material(base) is base
     eff = BesoConfig(v_star=0.5, p=4.0, mu_min=1e-6).material(base)
     assert eff.p == 4.0 and eff.mu_min == 1e-6 and eff.e0 == 2.0
+
+
+def test_heat_level2_default_stack_matches_jacobi():
+    # the default two-level stack must make the same kill decisions as
+    # point Jacobi on a multi-resolution heat design
+    mesh, _ = jittered_lattice(2, 2, 1, seed=3, amp=0.1)
+    mat = Material(1.0, 0.0)
+    bcs = BoundaryConditions(
+        dirichlet=[DirichletSpec((-BIG,) * 3, (BIG, BIG, 0.45), (0,))],
+        heat_source=1.0)
+    two = BesoConfig(v_star=0.6, er=0.1, level=2, mu_min=1e-2)
+    assert two.precond == "twolevel"
+    jac = replace(two, precond="jacobi")
+    cg = {}
+    da, ha = optimize(mesh, two, mat, bcs, problem="heat",
+                      callback=lambda s, sol: cg.setdefault("two", []).append(
+                          sol.iterations))
+    db, hb = optimize(mesh, jac, mat, bcs, problem="heat",
+                      callback=lambda s, sol: cg.setdefault("jac", []).append(
+                          sol.iterations))
+    assert len(ha) == len(hb) > 3
+    assert np.array_equal(da.rho, db.rho)
+    for ra, rb in zip(ha, hb):
+        assert ra[3] == rb[3]
+        assert abs(ra[1] - rb[1]) <= 1e-7 * abs(rb[1])
+    assert sum(cg["two"]) < sum(cg["jac"])
+
+
+def test_twolevel_falls_back_to_jacobi_without_vertex_constraint():
+    # the box holds control points (x >= 0.248) but no vertex of the
+    # subdivided mesh (x = 0, 0.125, 0.222, 0.5, ...), so the coarse
+    # companion has nothing to fix
+    mesh, _ = lattice(3, 1, 1)
+    bcs = BoundaryConditions(
+        dirichlet=[DirichletSpec((0.23, -BIG, -BIG), (0.45, BIG, BIG),
+                                 (0, 1, 2))],
+        loads=[LoadSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
+    cfg = BesoConfig(v_star=0.8, er=0.05, level=1, level_up_at=2,
+                     max_iterations=5)
+    with pytest.warns(UserWarning) as caught:
+        dens, history = optimize(mesh, cfg, Material(1.0, 0.3), bcs,
+                                 subdivide=1)
+    # one warning, although each level builds its own operator
+    falls = [w for w in caught if "no mesh vertex" in str(w.message)]
+    assert len(falls) == 1 and "Jacobi" in str(falls[0].message)
+    assert dens.level == 1 and len(history) == 5
+    assert all(row[3] > 0 for row in history)
+    assert all(np.isfinite(row[1]) for row in history)
