@@ -7,275 +7,228 @@ blocks with `key = value` pairs; see parse_config.
 """
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import field, make_dataclass, replace
 
 from . import vtkio
-from .hexmesh import parse_mesh, serialize_mesh, validate
+from .hexmesh import (at_least, parse_mesh, read_values, serialize_mesh,
+                      text_lines, validate)
 from .iga import (BoundaryConditions, DirichletSpec, LoadSpec, Material,
                   assemble_and_solve)
 from .spline import approximation_error, build_spline_model
 from .subdivision import limit_points, subdivide
 from .topopt import BesoConfig, optimize
 
-_AXES = {"x": 0, "y": 1, "z": 2}
+_AXES = "xyz"
+
+# Every scalar key of the config format, in file order: (section, key) ->
+# (attribute, kind, beso).  The value, read as `kind` by
+# hexmesh.read_value, sets RunConfig.<attribute>, or the Material field of
+# that name under [material]; `beso` names the BesoConfig field it feeds.
+# Defaults are BesoConfig's, and optimize's for the run's own keys.
+_KEYS = {
+    ("problem", "type"): ("problem", ("heat", "elasticity"), None),
+    ("material", "E0"): ("e0", float, None),
+    ("material", "nu"): ("nu", float, None),
+    ("material", "p"): ("p", float, None),
+    ("material", "mu_min"): ("mu_min", float, None),
+    ("mesh", "subdivide"): ("subdivide", at_least(0), None),
+    ("mesh", "density_level"): ("density_level", at_least(0), "level"),
+    ("beso", "v_star"): ("v_star", float, "v_star"),
+    ("beso", "er"): ("er", float, "er"),
+    ("beso", "rho_min"): ("rho_min", float, "rho_min"),
+    ("beso", "filter"): ("filter", bool, "filter"),
+    ("beso", "max_iters"): ("max_iters", at_least(1), "max_iterations"),
+    ("beso", "paper_exact_sensitivity"): ("paper_exact_sensitivity", bool,
+                                          "paper_exact_sensitivity"),
+    ("solver", "rtol"): ("rtol", float, "rtol"),
+    ("solver", "precond"): ("precond", ("jacobi", "twolevel"), "precond"),
+    ("solver", "single_precision"): ("single_precision", bool,
+                                     "single_precision"),
+}
+_BLOCKS = {"dirichlet": ("box", "dofs", "value"),
+           "load": ("box", "vector", "source")}
 
 
-@dataclass
-class RunConfig:
-    """Everything a solve/optimize run needs besides the mesh file."""
-
-    problem: str = "elasticity"
-    material: Material = field(default_factory=lambda: Material(1.0, 0.3))
-    subdivide: int = 0
-    density_level: int = 1
-    v_star: float = None
-    er: float = 0.02
-    rho_min: float = 1e-4
-    filter: bool = True
-    max_iters: int = 200
-    paper_exact_sensitivity: bool = False
-    rtol: float = 1e-8
-    precond: str = BesoConfig.precond
-    single_precision: bool = BesoConfig.single_precision
-    dirichlet: list = field(default_factory=list)
-    loads: list = field(default_factory=list)
-    heat_sources: list = field(default_factory=list)
-
-    def boundary_conditions(self):
-        return BoundaryConditions(dirichlet=list(self.dirichlet),
-                                  loads=list(self.loads),
-                                  heat_source=float(sum(self.heat_sources)))
-
-    def beso_config(self):
-        if self.v_star is None:
-            raise ValueError("config has no [beso] v_star")
-        return BesoConfig(v_star=self.v_star, er=self.er,
-                          rho_min=self.rho_min, level=self.density_level,
-                          filter=self.filter, max_iterations=self.max_iters,
-                          rtol=self.rtol, precond=self.precond,
-                          single_precision=self.single_precision,
-                          paper_exact_sensitivity=self.paper_exact_sensitivity)
+def _boundary_conditions(self):
+    return BoundaryConditions(dirichlet=list(self.dirichlet),
+                              loads=list(self.loads),
+                              heat_source=float(sum(self.heat_sources)))
 
 
-def _parse_floats(value, n, lineno, key):
-    parts = value.split()
-    if len(parts) != n:
-        raise ValueError("line %d: %s needs %d numbers, got %d"
-                         % (lineno, key, n, len(parts)))
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ValueError("line %d: bad number in %s" % (lineno, key))
+def _beso_config(self):
+    if self.v_star is None:
+        raise ValueError("config has no [beso] v_star")
+    return BesoConfig(**{beso: getattr(self, attr)
+                         for attr, _, beso in _KEYS.values() if beso})
 
 
-def _parse_bool(value, lineno, key):
-    if value not in ("true", "false"):
-        raise ValueError("line %d: %s must be true or false" % (lineno, key))
-    return value == "true"
+def _run_fields():
+    """RunConfig's fields: one per scalar key in table order, the
+    [material] keys folded into one Material, then the block lists."""
+    fields = {}
+    for (section, _), (attr, _, beso) in _KEYS.items():
+        if section == "material":
+            fields["material"] = field(
+                default_factory=lambda: Material(1.0, 0.3))
+        elif beso is None:
+            fields[attr] = inspect.signature(optimize).parameters[attr].default
+        else:       # v_star has no default: None until the config sets it
+            fields[attr] = getattr(BesoConfig, beso, None)
+    return ([(name, object, default) for name, default in fields.items()]
+            + [(name, list, field(default_factory=list))
+               for name in ("dirichlet", "loads", "heat_sources")])
 
 
-def _parse_dofs(value, lineno):
-    if value == "t":
-        return (0,)
-    comps = []
-    for ch in value:
-        if ch not in _AXES:
-            raise ValueError("line %d: dofs must be a subset of xyz or t"
+RunConfig = make_dataclass(
+    "RunConfig", _run_fields(),
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Everything a solve/optimize run needs besides the mesh "
+                   "file: one field per scalar config key (the [material] "
+                   "keys make up `material`) plus the [dirichlet] and "
+                   "[load] blocks.",
+        "boundary_conditions": _boundary_conditions,
+        "beso_config": _beso_config})
+
+
+def _read_dofs(tokens, lineno):
+    word = " ".join(tokens)
+    if word != "t" and not (word and set(word) <= set(_AXES)
+                            and len(set(word)) == len(word)):
+        raise ValueError("line %d: dofs must be t or distinct letters of "
+                         "xyz, got %r" % (lineno, word))
+    return word
+
+
+def _add_block(cfg, section, lineno, block):
+    """Append one [dirichlet] or [load] block, checked against the
+    problem type, to cfg."""
+    dpn = 3 if cfg.problem == "elasticity" else 1
+    if section == "dirichlet":
+        if "box" not in block or "dofs" not in block:
+            raise ValueError("line %d: [dirichlet] needs box and dofs"
                              % lineno)
-        comps.append(_AXES[ch])
-    if not comps or len(set(comps)) != len(comps):
-        raise ValueError("line %d: bad dofs %r" % (lineno, value))
-    return tuple(sorted(comps))
+        dofs = block["dofs"]
+        if (dofs == "t") != (dpn == 1):
+            raise ValueError("line %d: [dirichlet] dofs = %s does not fit "
+                             "the %s problem" % (lineno, dofs, cfg.problem))
+        cfg.dirichlet.append(DirichletSpec(
+            block["box"][:3], block["box"][3:],
+            (0,) if dofs == "t" else sorted(map(_AXES.index, dofs)),
+            block.get("value", [0.0])[0]))
+    elif "source" in block:
+        if "box" in block or "vector" in block:
+            raise ValueError("line %d: a source [load] takes no box or "
+                             "vector" % lineno)
+        cfg.heat_sources.append(block["source"][0])
+    else:
+        if "box" not in block or "vector" not in block:
+            raise ValueError("line %d: [load] needs box and vector "
+                             "(or source)" % lineno)
+        if len(block["vector"]) != dpn:
+            raise ValueError("line %d: [load] vector needs %d numbers for "
+                             "the %s problem, got %d" % (
+                                 lineno, dpn, cfg.problem,
+                                 len(block["vector"])))
+        cfg.loads.append(LoadSpec(block["box"][:3], block["box"][3:],
+                                  block["vector"]))
 
 
 def parse_config(text):
     """Parse the run-config format.
 
-    `[section]` headers with `key = value` lines; `#` comments.  Sections:
-    [problem] (type), [material] (E0, nu, p, mu_min), [mesh] (subdivide,
-    density_level), [beso] (v_star, er, rho_min, filter, max_iters,
-    paper_exact_sensitivity), [solver] (rtol, precond, single_precision;
-    both default to BesoConfig's.  precond only affects `optimize`, whose
-    default twolevel preconditions CG with inverted per-cell stiffness
-    blocks plus a coarse trilinear solve, at the memory of one float32
-    stiffness copy; jacobi uses the stiffness diagonal, as `solve` always
-    does), plus any number of [dirichlet] (box, dofs, value) and [load]
-    (box + vector, or source) blocks.  Errors carry line numbers.
+    `[section]` headers with `key = value` lines; `#` comments.  The
+    scalar keys, in order: [problem] type (heat or elasticity);
+    [material] E0, nu, p, mu_min; [mesh] subdivide, density_level;
+    [beso] v_star, er, rho_min, filter, max_iters,
+    paper_exact_sensitivity; [solver] rtol, precond, single_precision.
+    Numbers must be finite, counts whole and non-negative (max_iters
+    positive).  A key left out takes its default from Material (p,
+    mu_min), BesoConfig (density_level and the [beso] and [solver] keys)
+    or optimize (type, subdivide); E0 and nu default to 1 and 0.3, and
+    v_star must be given for `optimize`.  precond only affects
+    `optimize`, whose default twolevel preconditions CG with inverted
+    per-cell stiffness blocks plus a coarse trilinear solve, at the
+    memory of one float32 stiffness copy; jacobi uses the stiffness
+    diagonal, as `solve` always does.  Any number of [dirichlet] (box,
+    dofs, value) and [load] (box + vector, or source) blocks follow the
+    scalars or mix with them; dofs is t for heat and distinct letters of
+    xyz for elasticity, and a load vector holds one number per dof of a
+    control point (1 for heat, 3 for elasticity).  Errors carry line
+    numbers.
     """
-    cfg = RunConfig()
-    mat = {"E0": 1.0, "nu": 0.3, "p": 3.0, "mu_min": 1e-9}
-    section, pend, pend_line = None, None, 0
-
-    def close_block():
-        if section == "dirichlet":
-            if "box" not in pend or "dofs" not in pend:
-                raise ValueError("line %d: [dirichlet] needs box and dofs"
-                                 % pend_line)
-            cfg.dirichlet.append(DirichletSpec(
-                pend["box"][:3], pend["box"][3:], pend["dofs"],
-                pend.get("value", 0.0)))
-        elif section == "load":
-            if "source" in pend:
-                if "box" in pend or "vector" in pend:
-                    raise ValueError("line %d: a source [load] takes no box "
-                                     "or vector" % pend_line)
-                cfg.heat_sources.append(pend["source"])
-            else:
-                if "box" not in pend or "vector" not in pend:
-                    raise ValueError("line %d: [load] needs box and vector "
-                                     "(or source)" % pend_line)
-                cfg.loads.append(LoadSpec(pend["box"][:3], pend["box"][3:],
-                                          pend["vector"]))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    scalars, material, blocks = {}, {}, []
+    section = None
+    for lineno, line in text_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ValueError("line %d: malformed section header" % lineno)
-            close_block()
             section = line[1:-1].strip()
-            if section not in ("problem", "material", "mesh", "beso",
-                               "solver", "dirichlet", "load"):
+            if section in _BLOCKS:
+                blocks.append((section, lineno, {}))
+            elif section not in {s for s, _ in _KEYS}:
                 raise ValueError("line %d: unknown section [%s]"
                                  % (lineno, section))
-            pend, pend_line = {}, lineno
             continue
         if section is None:
             raise ValueError("line %d: key outside any section" % lineno)
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % lineno)
         key, value = (s.strip() for s in line.split("=", 1))
-
-        if section == "problem":
-            if key != "type":
-                raise ValueError("line %d: unknown key %r in [problem]"
-                                 % (lineno, key))
-            if value not in ("heat", "elasticity"):
-                raise ValueError("line %d: type must be heat or elasticity"
-                                 % lineno)
-            cfg.problem = value
-        elif section == "material":
-            if key not in mat:
-                raise ValueError("line %d: unknown key %r in [material]"
-                                 % (lineno, key))
-            mat[key] = _parse_floats(value, 1, lineno, key)[0]
-        elif section == "mesh":
-            if key == "subdivide":
-                cfg.subdivide = int(_parse_floats(value, 1, lineno, key)[0])
-            elif key == "density_level":
-                cfg.density_level = int(
-                    _parse_floats(value, 1, lineno, key)[0])
-            else:
-                raise ValueError("line %d: unknown key %r in [mesh]"
-                                 % (lineno, key))
-        elif section == "beso":
-            if key == "v_star":
-                cfg.v_star = _parse_floats(value, 1, lineno, key)[0]
-            elif key == "er":
-                cfg.er = _parse_floats(value, 1, lineno, key)[0]
-            elif key == "rho_min":
-                cfg.rho_min = _parse_floats(value, 1, lineno, key)[0]
-            elif key == "filter":
-                cfg.filter = _parse_bool(value, lineno, key)
-            elif key == "max_iters":
-                cfg.max_iters = int(_parse_floats(value, 1, lineno, key)[0])
-            elif key == "paper_exact_sensitivity":
-                cfg.paper_exact_sensitivity = _parse_bool(value, lineno, key)
-            else:
-                raise ValueError("line %d: unknown key %r in [beso]"
-                                 % (lineno, key))
-        elif section == "solver":
-            if key == "rtol":
-                cfg.rtol = _parse_floats(value, 1, lineno, key)[0]
-            elif key == "precond":
-                if value not in ("jacobi", "twolevel"):
-                    raise ValueError("line %d: precond must be jacobi or "
-                                     "twolevel" % lineno)
-                cfg.precond = value
-            elif key == "single_precision":
-                cfg.single_precision = _parse_bool(value, lineno, key)
-            else:
-                raise ValueError("line %d: unknown key %r in [solver]"
-                                 % (lineno, key))
-        elif section == "dirichlet":
-            if key == "box":
-                pend["box"] = _parse_floats(value, 6, lineno, key)
-            elif key == "dofs":
-                pend["dofs"] = _parse_dofs(value, lineno)
-            elif key == "value":
-                pend["value"] = _parse_floats(value, 1, lineno, key)[0]
-            else:
-                raise ValueError("line %d: unknown key %r in [dirichlet]"
-                                 % (lineno, key))
-        else:  # load
-            if key == "box":
-                pend["box"] = _parse_floats(value, 6, lineno, key)
-            elif key == "vector":
-                parts = value.split()
-                pend["vector"] = _parse_floats(value, len(parts), lineno, key)
-            elif key == "source":
-                pend["source"] = _parse_floats(value, 1, lineno, key)[0]
-            else:
-                raise ValueError("line %d: unknown key %r in [load]"
-                                 % (lineno, key))
-    close_block()
-    cfg.material = Material(mat["E0"], mat["nu"], mat["p"], mat["mu_min"])
+        tokens = value.split()
+        if (section, key) in _KEYS:
+            attr, kind, _ = _KEYS[section, key]
+            target = material if section == "material" else scalars
+            target[attr] = read_values(tokens, kind, 1, lineno, key)[0]
+        elif key not in _BLOCKS.get(section, ()):
+            raise ValueError("line %d: unknown key %r in [%s]"
+                             % (lineno, key, section))
+        elif key == "dofs":
+            blocks[-1][2][key] = _read_dofs(tokens, lineno)
+        else:
+            count = {"box": 6, "vector": len(tokens)}.get(key, 1)
+            blocks[-1][2][key] = read_values(tokens, float, count, lineno, key)
+    cfg = RunConfig(**scalars)
+    cfg.material = replace(cfg.material, **material)
+    for section, lineno, block in blocks:
+        _add_block(cfg, section, lineno, block)
     return cfg
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
+def _format(value, kind):
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(kind, range):
+        return "%d" % value
+    return value if isinstance(kind, tuple) else "%.17g" % float(value)
+
+
+def _floats(values):
+    return " ".join(_format(v, float) for v in values)
 
 
 def serialize_config(cfg):
     """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
-    lines = ["[problem]", "type = %s" % cfg.problem,
-             "[material]",
-             "E0 = %s" % _fmt(cfg.material.e0),
-             "nu = %s" % _fmt(cfg.material.nu),
-             "p = %s" % _fmt(cfg.material.p),
-             "mu_min = %s" % _fmt(cfg.material.mu_min),
-             "[mesh]",
-             "subdivide = %d" % cfg.subdivide,
-             "density_level = %d" % cfg.density_level,
-             "[beso]"]
-    if cfg.v_star is not None:
-        lines.append("v_star = %s" % _fmt(cfg.v_star))
-    lines += ["er = %s" % _fmt(cfg.er),
-              "rho_min = %s" % _fmt(cfg.rho_min),
-              "filter = %s" % ("true" if cfg.filter else "false"),
-              "max_iters = %d" % cfg.max_iters,
-              "paper_exact_sensitivity = %s"
-              % ("true" if cfg.paper_exact_sensitivity else "false"),
-              "[solver]",
-              "rtol = %s" % _fmt(cfg.rtol),
-              "precond = %s" % cfg.precond,
-              "single_precision = %s"
-              % ("true" if cfg.single_precision else "false")]
+    lines = []
+    for (section, key), (attr, kind, _) in _KEYS.items():
+        if "[%s]" % section not in lines:
+            lines.append("[%s]" % section)
+        value = getattr(cfg.material if section == "material" else cfg, attr)
+        if value is not None:
+            lines.append("%s = %s" % (key, _format(value, kind)))
     for d in cfg.dirichlet:
-        lines.append("[dirichlet]")
-        lines.append("box = %s" % " ".join(
-            _fmt(v) for v in list(d.lo) + list(d.hi)))
-        if cfg.problem == "heat":
-            dofs = "t"
-        else:
-            dofs = "".join(ax for ax, i in _AXES.items() if i in d.components)
-        lines.append("dofs = %s" % dofs)
-        lines.append("value = %s" % _fmt(d.value))
+        dofs = ("t" if cfg.problem == "heat" else
+                "".join(ax for i, ax in enumerate(_AXES) if i in d.components))
+        lines += ["[dirichlet]", "box = " + _floats([*d.lo, *d.hi]),
+                  "dofs = " + dofs, "value = " + _format(d.value, float)]
     for ld in cfg.loads:
-        lines.append("[load]")
-        lines.append("box = %s" % " ".join(
-            _fmt(v) for v in list(ld.lo) + list(ld.hi)))
-        lines.append("vector = %s" % " ".join(_fmt(v) for v in ld.vector))
+        lines += ["[load]", "box = " + _floats([*ld.lo, *ld.hi]),
+                  "vector = " + _floats(ld.vector)]
     for q in cfg.heat_sources:
-        lines.append("[load]")
-        lines.append("source = %s" % _fmt(q))
+        lines += ["[load]", "source = " + _format(q, float)]
     return "\n".join(lines) + "\n"
 
 

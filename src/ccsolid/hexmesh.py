@@ -7,6 +7,8 @@ cell's local unit frame; every stencil in the other modules is written
 against this frame.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +72,7 @@ class HexMesh:
 
     Parameters
     ----------
-    vertices : (nv, 3) float array
+    vertices : (nv, 3) array of finite floats
     cells : (nc, 8) int array of vertex indices in the fixed corner order
 
     Derived on construction: unique edges (sorted vertex pairs, in
@@ -94,6 +96,11 @@ class HexMesh:
             raise ValueError("vertices must be an (nv, 3) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 8:
             raise ValueError("cells must be an (nc, 8) array")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            v = int(np.argmin(finite))
+            raise ValueError("vertex %d has a non-finite coordinate: %s"
+                             % (v, self.vertices[v].tolist()))
         nv = len(self.vertices)
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= nv):
             raise ValueError("cell vertex index out of range")
@@ -327,72 +334,116 @@ def _row_pairs(inc):
     return np.concatenate(blocks)[order]
 
 
-def parse_mesh(text):
-    """Parse the ASCII mesh format.
-
-    Line 1: `nv nc`; then nv lines `x y z`; then nc lines of 8 vertex
-    indices (0-based, fixed corner order).  `#` starts a comment;
-    blank lines are skipped.  Errors carry the offending line number.
-    """
-    data = []
+def text_lines(text):
+    """Yield (lineno, line) for every non-blank line of `text`: 1-based
+    line numbers, each line without its `#` comment and outer blanks."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            data.append((lineno, line))
-    if not data:
-        raise ValueError("empty mesh file")
+            yield lineno, line
 
-    lineno, header = data[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError("line %d: expected header 'nv nc'" % lineno)
+
+def at_least(lo):
+    """The read_value kind of an integer >= lo."""
+    return range(lo, sys.maxsize)
+
+
+def read_value(token, kind, lineno, what):
+    """Convert one token of line `lineno` to a value of `kind`.
+
+    Kinds: float (a finite number), a range (a whole number in it: an
+    index below a count, or at_least(lo)), bool (true or false) or a
+    tuple of allowed words.  Every failure raises ValueError("line N:
+    ...") naming `what`, the field the token belongs to.
+    """
+    if kind is bool:
+        return read_value(token, ("true", "false"), lineno, what) == "true"
+    if isinstance(kind, tuple):
+        if token not in kind:
+            raise ValueError("line %d: %s must be %s"
+                             % (lineno, what, " or ".join(kind)))
+        return token
     try:
-        nv, nc = int(parts[0]), int(parts[1])
+        x = float(token)
     except ValueError:
-        raise ValueError("line %d: malformed counts %r" % (lineno, header)) from None
-    if nv < 0 or nc < 0:
-        raise ValueError("line %d: negative counts" % lineno)
-    if len(data) - 1 != nv + nc:
+        x = math.nan
+    if kind is float:
+        if math.isfinite(x):
+            return x
+        need = "a finite number"
+    else:
+        if x.is_integer() and int(x) in kind:
+            return int(x)
+        need = ("an integer >= %d" % kind.start if kind.stop == sys.maxsize
+                else "an integer in [%d, %d)" % (kind.start, kind.stop))
+    raise ValueError("line %d: bad number %r in %s: need %s"
+                     % (lineno, token, what, need))
+
+
+def read_values(tokens, kind, count, lineno, what):
+    """read_value over the `count` tokens a line must hold."""
+    if len(tokens) != count:
+        raise ValueError("line %d: %s needs %d %s, got %d"
+                         % (lineno, what, count,
+                            "numbers" if kind is float else "values",
+                            len(tokens)))
+    return [read_value(t, kind, lineno, what) for t in tokens]
+
+
+def parse_counted_table(text, names, width):
+    """Parse the layout shared by the mesh and spline-model files.
+
+    A header of two counts `n m`, then n lines of 3 finite coordinates,
+    then m lines of `width` indices below n.  `#` starts a comment; blank
+    lines are skipped.  `names` names the two kinds of row in messages.
+    Returns the (n, 3) coordinates, the (m, width) int64 index table and
+    the line number of each table row; every error names its line.
+    """
+    lines = list(text_lines(text))
+    if not lines:
+        raise ValueError("empty file: expected a header of %s and %s counts"
+                         % names)
+    lineno, header = lines[0]
+    n, m = read_values(header.split(), at_least(0), 2, lineno, "header")
+    if len(lines) - 1 != n + m:
         raise ValueError(
-            "line %d: header promises %d vertex and %d cell lines, found %d data lines"
-            % (lineno, nv, nc, len(data) - 1))
+            "line %d: header promises %d %s and %d %s lines, found %d data "
+            "lines" % (lineno, n, names[0], m, names[1], len(lines) - 1))
+    points = [read_values(line.split(), float, 3, ln, names[0])
+              for ln, line in lines[1:n + 1]]
+    rows = lines[n + 1:]
+    table = [read_values(line.split(), range(n), width, ln, names[1])
+             for ln, line in rows]
+    return (np.array(points, dtype=float).reshape(n, 3),
+            np.array(table, dtype=np.int64).reshape(m, width),
+            [ln for ln, _ in rows])
 
-    vertices = np.zeros((nv, 3))
-    for i in range(nv):
-        lineno, line = data[1 + i]
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError("line %d: expected 3 coordinates" % lineno)
-        try:
-            vertices[i] = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError("line %d: malformed coordinate" % lineno) from None
 
-    cells = np.zeros((nc, 8), dtype=np.int64)
-    for i in range(nc):
-        lineno, line = data[1 + nv + i]
-        parts = line.split()
-        if len(parts) != 8:
-            raise ValueError("line %d: expected 8 vertex indices" % lineno)
-        try:
-            idx = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError("line %d: malformed vertex index" % lineno) from None
-        for p in idx:
-            if not 0 <= p < nv:
-                raise ValueError("line %d: vertex index %d out of range [0, %d)"
-                                 % (lineno, p, nv))
-        if len(set(idx)) != 8:
-            raise ValueError("line %d: duplicate vertex index within cell" % lineno)
-        cells[i] = idx
+def serialize_counted_table(points, table):
+    """Text form read by parse_counted_table, floats round-tripping."""
+    points, table = np.asarray(points).tolist(), np.asarray(table).tolist()
+    out = ["%d %d" % (len(points), len(table))]
+    out += ["%.17g %.17g %.17g" % tuple(p) for p in points]
+    out += [" ".join(map(str, row)) for row in table]
+    return "\n".join(out) + "\n"
+
+
+def parse_mesh(text):
+    """Parse the ASCII mesh format (see parse_counted_table).
+
+    Line 1: `nv nc`; then nv lines `x y z`; then nc lines of 8 distinct
+    vertex indices (0-based, fixed corner order).  `#` starts a comment;
+    blank lines are skipped.  Errors carry the offending line number.
+    """
+    vertices, cells, lines = parse_counted_table(text, ("vertex", "cell"), 8)
+    corners = np.sort(cells, axis=1)
+    dup = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
+    if len(dup):
+        raise ValueError("line %d: duplicate vertex index within cell"
+                         % lines[dup[0]])
     return HexMesh(vertices, cells)
 
 
 def serialize_mesh(mesh):
     """Serialize to the ASCII mesh format with round-trippable floats."""
-    out = ["%d %d" % (mesh.num_vertices, mesh.num_cells)]
-    for p in mesh.vertices:
-        out.append("%.17g %.17g %.17g" % tuple(p))
-    for c in mesh.cells:
-        out.append(" ".join(str(int(i)) for i in c))
-    return "\n".join(out) + "\n"
+    return serialize_counted_table(mesh.vertices, mesh.cells)

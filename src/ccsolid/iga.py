@@ -47,6 +47,10 @@ class Material:
     mu_min: float = 1e-9
 
     def __post_init__(self):
+        for name in ("e0", "nu", "p", "mu_min"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("material %s must be finite, got %r"
+                                 % (name, getattr(self, name)))
         if self.e0 <= 0:
             raise ValueError("Young's modulus must be positive")
         if not 0.0 <= self.nu < 0.5:
@@ -196,7 +200,7 @@ class Assembly:
         # one bit for bit
         J = np.matmul(nets.transpose(0, 2, 1)[:, None, None], self._Ghat[None])
         self.detJ = np.linalg.det(J)
-        if (self.detJ <= 0).any():
+        if not (self.detJ > 0).all():        # a NaN fails the test too
             c, s, p = np.unravel_index(np.argmin(self.detJ), self.detJ.shape)
             raise ValueError(
                 "non-positive Jacobian in cell %d (sub-element %d, "
@@ -469,6 +473,10 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
         restarts += 1
         rnorm = np.linalg.norm(r)
         res = rnorm / bnorm
+        if not np.isfinite(res):
+            raise RuntimeError("conjugate gradients met a non-finite residual "
+                               "after %d iterations (relative residual %s)"
+                               % (total, res))
         if res <= rtol:
             return x, total, res, restarts, r
         if res <= 0.5 * best:

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hexmesh import CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES, OPPOSITE_CORNER
+from .hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
+                      OPPOSITE_CORNER, parse_counted_table,
+                      serialize_counted_table)
 from .subdivision import limit_points, scatter_add, subdivide
 
 _CORNER_OF_BITS = {tuple(o): k for k, o in enumerate(CORNER_OFFSETS.tolist())}
@@ -358,46 +360,11 @@ def regular_box_model(shape, spacing=1.0, origin=(0.0, 0.0, 0.0)):
 def serialize_model(model):
     """ASCII form: `ncp ncell`, the control points, then 64 indices per
     cell in (a, b, c) row-major order."""
-    out = ["%d %d" % (model.num_control_points, model.num_cells)]
-    for p in model.points:
-        out.append("%.17g %.17g %.17g" % tuple(p))
-    for row in model.cell_nodes:
-        out.append(" ".join(str(int(i)) for i in row))
-    return "\n".join(out) + "\n"
+    return serialize_counted_table(model.points, model.cell_nodes)
 
 
 def parse_model(text):
     """Inverse of serialize_model; errors carry the offending line number."""
-    data = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            data.append((lineno, line))
-    if not data:
-        raise ValueError("empty model file")
-    lineno, header = data[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError("line %d: expected header 'ncp ncell'" % lineno)
-    ncp, ncell = int(parts[0]), int(parts[1])
-    if len(data) - 1 != ncp + ncell:
-        raise ValueError("line %d: header promises %d data lines, found %d"
-                         % (lineno, ncp + ncell, len(data) - 1))
-    points = np.zeros((ncp, 3))
-    for i in range(ncp):
-        lineno, line = data[1 + i]
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError("line %d: expected 3 coordinates" % lineno)
-        points[i] = [float(p) for p in parts]
-    nodes = np.zeros((ncell, 64), dtype=np.int64)
-    for i in range(ncell):
-        lineno, line = data[1 + ncp + i]
-        parts = line.split()
-        if len(parts) != 64:
-            raise ValueError("line %d: expected 64 indices" % lineno)
-        row = [int(p) for p in parts]
-        if min(row) < 0 or max(row) >= ncp:
-            raise ValueError("line %d: control point index out of range" % lineno)
-        nodes[i] = row
+    points, nodes, _ = parse_counted_table(text, ("control point", "cell"),
+                                           64)
     return SplineModel(points=points, cell_nodes=nodes)

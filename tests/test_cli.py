@@ -250,6 +250,20 @@ def test_config_heat_source_roundtrip():
     ("[dirichlet]\nbox = 0 0 0 1 1\ndofs = x\n", r"box needs 6 numbers"),
     ("[solver]\nprecond = amg\n", r"line 2: precond must be"),
     ("[solver]\nsingle_precision = yes\n", r"must be true or false"),
+    ("[mesh]\nsubdivide = 1.5\n", r"line 2: bad number '1.5' in subdivide"),
+    ("[mesh]\nsubdivide = -2\n", r"line 2: bad number '-2' in subdivide"),
+    ("[mesh]\ndensity_level = -1\n", r"line 2: bad number .* density_level"),
+    ("[beso]\nmax_iters = inf\n", r"line 2: bad number 'inf' in max_iters"),
+    ("[beso]\nmax_iters = 0\n", r"line 2: bad number '0' in max_iters"),
+    ("[material]\nE0 = nan\n", r"line 2: bad number 'nan' in E0"),
+    ("[solver]\nrtol = nan\n", r"line 2: bad number 'nan' in rtol"),
+    ("[beso]\nv_star = nan\n", r"line 2: bad number 'nan' in v_star"),
+    ("[dirichlet]\nbox = 0 0 0 1 1 1\ndofs = t\n",
+     r"line 1: \[dirichlet\] dofs = t does not fit the elasticity"),
+    ("[problem]\ntype = heat\n[dirichlet]\nbox = 0 0 0 1 1 1\ndofs = xyz\n",
+     r"line 3: \[dirichlet\] dofs = xyz does not fit the heat"),
+    ("[load]\nbox = 0 0 0 1 1 1\nvector =\n",
+     r"line 1: \[load\] vector needs 3 numbers .* got 0"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ValueError, match=match):
@@ -404,6 +418,27 @@ def test_cli_optimize(tmp_path, capsys):
     _check_vtk((run / "iter_0001.vtk").read_text())
     npoints, ncells, ctype = _check_vtk((run / "final.vtk").read_text())
     assert ctype == 12 and ncells == 2  # half of 4 cells retained
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+@pytest.mark.parametrize("extra", [
+    "[mesh]\nsubdivide = 1.5", "[mesh]\nsubdivide = -2",
+    "[mesh]\ndensity_level = -1", "[beso]\nmax_iters = inf",
+    "[material]\nE0 = nan", "[solver]\nrtol = nan", "[beso]\nv_star = nan",
+])
+def test_cli_reports_bad_values_by_line(tmp_path, capsys, command, extra):
+    # each of these once ran (truncated, or solved with NaN until the CG
+    # budget was spent) or escaped as an OverflowError
+    mesh, _ = lattice(4, 1, 1)
+    src = tmp_path / "beam.mesh"
+    src.write_text(serialize_mesh(mesh))
+    cfgf = tmp_path / "bad.cfg"
+    cfgf.write_text(OPT_CFG + extra + "\n")
+    lineno = OPT_CFG.count("\n") + 2
+    assert run_command([command, str(src), "--config", str(cfgf),
+                        "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ccsolid %s: error: line %d: " % (command, lineno))
 
 
 def test_cli_failures(tmp_path, capsys):

@@ -80,6 +80,14 @@ def test_parse_errors_carry_line_numbers():
                    + "\n0 1 2 3 4 5 6 7\n")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_parse_rejects_non_finite_coordinates(bad):
+    text = "8 1\n" + "\n".join("0 %s %d" % (bad if i == 3 else "0", i)
+                                for i in range(8)) + "\n0 1 2 3 4 5 6 7\n"
+    with pytest.raises(ValueError, match="line 5: bad number"):
+        parse_mesh(text)
+
+
 def test_parse_ignores_comments_and_blanks():
     text = "# header comment\n\n8 1  # counts\n" \
         + "\n".join("%d 0 0" % i for i in range(8)) \
@@ -141,6 +149,19 @@ def test_constructor_rejects_bad_cells():
         HexMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 9]])
     with pytest.raises(ValueError):
         HexMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 6]])
+
+
+def test_constructor_rejects_non_finite_vertices():
+    # one NaN coordinate once spread through validate, the spline fit
+    # and the analysis
+    mesh, _ = lattice(3, 1, 1)
+    verts = mesh.vertices.copy()
+    verts[5, 1] = np.nan
+    with pytest.raises(ValueError, match="vertex 5 has a non-finite"):
+        HexMesh(verts, mesh.cells)
+    verts[5, 1] = -np.inf
+    with pytest.raises(ValueError, match="vertex 5"):
+        HexMesh(verts, mesh.cells)
 
 
 def test_edge_index_lookup():

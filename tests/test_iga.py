@@ -196,6 +196,36 @@ def test_elastic_symmetry_and_rigid_modes():
         assert ev[6] > 1e-9 * norm
 
 
+@pytest.mark.parametrize("name", ["e0", "nu", "p", "mu_min"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_material_rejects_non_finite(name, value):
+    # E0 = nan once passed `e0 <= 0` and solved until the CG budget ran out
+    with pytest.raises(ValueError, match="%s must be finite" % name):
+        replace(Material(e0=1.0, nu=0.3), **{name: value})
+
+
+def test_assembly_rejects_nan_jacobian():
+    mesh, _ = lattice(3, 1, 1)
+    model = build_spline_model(mesh)
+    model.points[40, 2] = np.nan
+    with pytest.raises(ValueError, match="Jacobian"):
+        Assembly(model, "heat", Material(e0=1.0, nu=0.3), level=0)
+
+
+def test_cg_stops_at_first_non_finite_residual():
+    A = 2.0 * np.eye(4)
+    A[1, 2] = A[2, 1] = np.nan
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return A @ x
+
+    with pytest.raises(RuntimeError, match="non-finite residual"):
+        iga._cg(matvec, np.ones(4), np.full(4, 0.5), np.zeros(4), 1e-8, 500)
+    assert len(calls) == 1
+
+
 def test_nonpositive_jacobian_rejected():
     net = _greville_net()
     bad = np.array(net)

@@ -304,3 +304,19 @@ def test_model_parse_errors():
         parse_model("1 0\n0 0\n")
     with pytest.raises(ValueError):
         parse_model("1 1\n0 0 0\n" + " ".join(["0"] * 63) + "\n")
+
+
+_CELL = " ".join(["0"] * 64)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("1 x\n", r"^line 1: bad number 'x'"),
+    ("-1 0\n", r"^line 1: bad number '-1'"),
+    ("1 1\n0 0 x\n" + _CELL, r"^line 2: bad number 'x'"),
+    ("1 1\n# c\n0 nan 0\n" + _CELL, r"^line 3: bad number 'nan'"),
+    ("1 1\n0 0 0\n" + _CELL[:-1] + "x", r"^line 3: bad number 'x'"),
+    ("1 1\n0 0 0\n" + _CELL[:-1] + "1", r"^line 3: .* in \[0, 1\)"),
+])
+def test_model_parse_errors_name_their_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_model(text)
