@@ -103,6 +103,23 @@ def _read_dofs(tokens, lineno):
     return word
 
 
+def _at_line(lineno, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError of the library's own checks
+    re-raised naming the config line it came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
+
+
+def _replace_by_line(obj, changes, lines):
+    """dataclasses.replace obj one field at a time, so that a range check
+    of the library names the line of the key it rejects."""
+    for name, value in changes.items():
+        obj = _at_line(lines[name], replace, obj, **{name: value})
+    return obj
+
+
 def _add_block(cfg, section, lineno, block):
     """Append one [dirichlet] or [load] block, checked against the
     problem type, to cfg."""
@@ -115,14 +132,17 @@ def _add_block(cfg, section, lineno, block):
         if (dofs == "t") != (dpn == 1):
             raise ValueError("line %d: [dirichlet] dofs = %s does not fit "
                              "the %s problem" % (lineno, dofs, cfg.problem))
-        cfg.dirichlet.append(DirichletSpec(
-            block["box"][:3], block["box"][3:],
+        cfg.dirichlet.append(_at_line(
+            lineno, DirichletSpec, block["box"][:3], block["box"][3:],
             (0,) if dofs == "t" else sorted(map(_AXES.index, dofs)),
             block.get("value", [0.0])[0]))
     elif "source" in block:
         if "box" in block or "vector" in block:
             raise ValueError("line %d: a source [load] takes no box or "
                              "vector" % lineno)
+        if dpn != 1:
+            raise ValueError("line %d: a source [load] does not fit the %s "
+                             "problem" % (lineno, cfg.problem))
         cfg.heat_sources.append(block["source"][0])
     else:
         if "box" not in block or "vector" not in block:
@@ -133,8 +153,8 @@ def _add_block(cfg, section, lineno, block):
                              "the %s problem, got %d" % (
                                  lineno, dpn, cfg.problem,
                                  len(block["vector"])))
-        cfg.loads.append(LoadSpec(block["box"][:3], block["box"][3:],
-                                  block["vector"]))
+        cfg.loads.append(_at_line(lineno, LoadSpec, block["box"][:3],
+                                  block["box"][3:], block["vector"]))
 
 
 def parse_config(text):
@@ -157,10 +177,12 @@ def parse_config(text):
     dofs, value) and [load] (box + vector, or source) blocks follow the
     scalars or mix with them; dofs is t for heat and distinct letters of
     xyz for elasticity, and a load vector holds one number per dof of a
-    control point (1 for heat, 3 for elasticity).  Errors carry line
-    numbers.
+    control point (1 for heat, 3 for elasticity); a source load needs the
+    heat problem.  Errors carry line numbers, also those of the range
+    checks in Material, BesoConfig (run whether or not v_star is given)
+    and the box specs.
     """
-    scalars, material, blocks = {}, {}, []
+    scalars, material, blocks, lines = {}, {}, [], {}
     section = None
     for lineno, line in text_lines(text):
         if line.startswith("["):
@@ -180,9 +202,10 @@ def parse_config(text):
         key, value = (s.strip() for s in line.split("=", 1))
         tokens = value.split()
         if (section, key) in _KEYS:
-            attr, kind, _ = _KEYS[section, key]
+            attr, kind, beso = _KEYS[section, key]
             target = material if section == "material" else scalars
             target[attr] = read_values(tokens, kind, 1, lineno, key)[0]
+            lines[beso or attr] = lineno
         elif key not in _BLOCKS.get(section, ()):
             raise ValueError("line %d: unknown key %r in [%s]"
                              % (lineno, key, section))
@@ -192,7 +215,11 @@ def parse_config(text):
             count = {"box": 6, "vector": len(tokens)}.get(key, 1)
             blocks[-1][2][key] = read_values(tokens, float, count, lineno, key)
     cfg = RunConfig(**scalars)
-    cfg.material = replace(cfg.material, **material)
+    cfg.material = _replace_by_line(cfg.material, material, lines)
+    # any valid target volume to start from; the config's own replaces it
+    _replace_by_line(BesoConfig(v_star=0.5), {
+        beso: scalars[attr] for attr, _, beso in _KEYS.values()
+        if beso and attr in scalars}, lines)
     for section, lineno, block in blocks:
         _add_block(cfg, section, lineno, block)
     return cfg

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
@@ -31,6 +30,8 @@ _PROBLEMS = ("heat", "elasticity")
 _GRAM_BATCH_BYTES = 32 << 20
 # solves between full rebuilds of a StiffnessOperator's preconditioner
 _REFRESH_EVERY = 8
+# rows of a pivot block of the block inversion sweep
+_PIVOT = 64
 
 
 @dataclass
@@ -707,6 +708,50 @@ def _cell_overlaps(cell_nodes):
     return groups
 
 
+def _sweep_inverse(A, cells):
+    """Invert a stack of symmetric matrices, overwriting A, by a block
+    Gauss-Jordan sweep over pivot blocks of _PIVOT rows.
+
+    Each step factors its pivot blocks by batched Cholesky, inverts them
+    and updates the stack by batched GEMMs, all in numpy's own LAPACK and
+    BLAS.  The pivot block of step k is the Schur complement of the
+    leading k blocks, and a symmetric matrix is positive definite exactly
+    when every one of them is, so the factorizations check each matrix in
+    full: if A[i] is not positive definite the ValueError names cells[i].
+    Every matrix is swept on its own, so the result does not depend on
+    the batch.  Returns the exactly symmetric 0.5 (X + X^T) of the
+    inverse X.
+    """
+    n = A.shape[-1]
+    for p0 in range(0, n, _PIVOT):
+        p = slice(p0, p0 + _PIVOT)
+        try:
+            np.linalg.cholesky(A[:, p, p])
+        except np.linalg.LinAlgError:
+            for i, c in enumerate(cells):
+                try:
+                    np.linalg.cholesky(A[i, p, p])
+                except np.linalg.LinAlgError:
+                    raise ValueError("cell %d: assembled block is not "
+                                     "positive definite" % c) from None
+            raise
+        others = [s for s in (slice(0, p0), slice(p0 + _PIVOT, n))
+                  if s.start < s.stop]
+        A[:, p, p] = np.linalg.inv(A[:, p, p])
+        # pivot rows become A_pp^-1 A_pj, the other rows A_ij - A_ip A_pp^-1
+        # A_pj, and their pivot columns -A_ip A_pp^-1
+        for s in others:
+            A[:, p, s] = A[:, p, p] @ A[:, p, s]
+        for s in others:
+            D = A[:, s, p] @ A[:, p]
+            A[:, s, p] = 0.0
+            A[:, s] -= D
+    for X in A:                 # one block at a time: the transpose stays
+        X += X.T                # in cache
+    A *= 0.5
+    return A
+
+
 class TwoLevelPreconditioner:
     """Overlapping cell blocks plus a coarse trilinear companion, combined
     additively.
@@ -723,15 +768,25 @@ class TwoLevelPreconditioner:
     system is ~20x smaller than the spline system and factorizes in
     milliseconds.
 
-    `refresh` rebuilds every block and refactorizes the companion;
-    `update` rebuilds only the blocks of cells whose stiffness changed,
-    in batches of cells whose index arrays and float64 blocks stay within
-    _GRAM_BATCH_BYTES.  Blocks of their neighbours and the companion
-    tolerate being a few density updates stale; a StiffnessOperator that
+    Each batch of blocks is inverted in numpy's own LAPACK and BLAS by one
+    block Gauss-Jordan sweep (_sweep_inverse), whose Cholesky-factored
+    pivots check that every assembled block is positive definite; a block
+    that is not raises a ValueError naming its cell.  The inverses are
+    made exactly symmetric, as CG requires, before the float32 cast.
+
+    `update` is told the cells whose stiffness changed: it rebuilds their
+    blocks at once and marks the blocks of the cells sharing a control
+    point with them stale.  `refresh` rebuilds every stale block (every
+    block on the first call) and refactorizes the companion; a clean block
+    would come out bit-identical, so the result equals a full rebuild as
+    long as every change of K_cells is reported through `update`.  Blocks
+    are built in batches of cells whose index arrays, float64 blocks and
+    sweep temporaries stay within _GRAM_BATCH_BYTES.  Stale blocks and the
+    companion tolerate a few density updates; a StiffnessOperator that
     owns the preconditioner refreshes it every _REFRESH_EVERY solves and
-    updates the cells its increments touched in between.  It is the
-    default preconditioner of BESO runs (BesoConfig.precond) and needs at
-    least one mesh vertex in a Dirichlet box.
+    reports the cells its increments touched before every solve.  It is
+    the default preconditioner of BESO runs (BesoConfig.precond) and needs
+    at least one mesh vertex in a Dirichlet box.
     """
 
     def __init__(self, assembly, mesh, bcs):
@@ -757,16 +812,20 @@ class TwoLevelPreconditioner:
         self.P = P[free][:, self.cfree].tocsr()
         self.PT = self.P.T.tocsr()
         self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
-        # bytes of building one cell's block: its float64 block, the
-        # scattered neighbour sum, the inverse and its mirrored triangle,
-        # plus source index, destination index and weight (each made and
+        # bytes of building one cell's block: its float64 block and at
+        # most three more of its size at once (the scattered neighbour
+        # sum; or the sweep's pivot factor, pivot inverse, updated pivot
+        # rows and update product; or the float32 cast), plus source
+        # index, destination index and weight (each made and
         # concatenated) per shared-dof entry
         entries = np.zeros(assembly.num_cells)
         for c, _, a, _ in self._overlaps:
             entries += (dpn * a.shape[1]) ** 2 * np.bincount(
                 c, minlength=assembly.num_cells)
         self._block_bytes = 4 * 8 * assembly.nd ** 2 + 6 * 8 * entries
-        self.blocks = None
+        self._stale = np.ones(assembly.num_cells, dtype=bool)
+        self.blocks = np.empty((assembly.num_cells, assembly.nd, assembly.nd),
+                               dtype=np.float32)
         self.lu = None
 
     def _cell_blocks(self, K_cells, cells):
@@ -802,38 +861,34 @@ class TwoLevelPreconditioner:
         out.reshape(m, -1)[:, ::nd + 1][~keep] = 1.0
         return out
 
-    def update(self, K_cells, cells):
-        """Rebuild and re-invert the blocks of the listed cells."""
-        cells = np.unique(np.asarray(cells, dtype=np.int64))
+    def _build(self, K_cells, cells):
+        """Build and invert the blocks of `cells` (sorted, unique)."""
         cost = self._block_bytes[cells]
         # consecutive batches within the budget, or one cell if larger
         batch = (np.cumsum(cost) - cost) // _GRAM_BATCH_BYTES
         for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
-            if not len(sel):
-                continue
-            inv = self._cell_blocks(K_cells, sel)
-            for i, c in enumerate(sel):
-                u, info = lapack.dpotrf(inv[i])
-                if not info:
-                    inv[i], info = lapack.dpotri(u)
-                if info:
-                    raise ValueError("cell %d: assembled block is not "
-                                     "positive definite" % c)
-            # dpotri fills only the upper triangle (dpotrf zeroed the lower
-            # one); mirroring it keeps M exactly symmetric, as CG requires
-            inv += np.triu(inv, 1).transpose(0, 2, 1)
-            self.blocks[sel] = inv
+            if len(sel):
+                self.blocks[sel] = _sweep_inverse(
+                    self._cell_blocks(K_cells, sel), sel)
+        self._stale[cells] = False
+
+    def update(self, K_cells, cells):
+        """The stiffness of the listed cells changed: rebuild their blocks
+        and mark their neighbours' blocks stale."""
+        cells = np.unique(np.asarray(cells, dtype=np.int64))
+        hit = np.zeros(self.assembly.num_cells, dtype=bool)
+        hit[cells] = True
+        for c, n, _, _ in self._overlaps:
+            self._stale[n[hit[c]]] = True
+        self._build(K_cells, cells)
 
     def refresh(self, K_cells, factors=None):
-        """Rebuild every cell block and refactorize the coarse companion.
+        """Rebuild every stale cell block and refactorize the coarse
+        companion.
 
         `factors` are the per-(cell, sub) density factors; the companion
         uses their cell means (None = unit density)."""
-        asm = self.assembly
-        if self.blocks is None:
-            self.blocks = np.empty((asm.num_cells, asm.nd, asm.nd),
-                                   dtype=np.float32)
-        self.update(K_cells, np.arange(asm.num_cells))
+        self._build(K_cells, np.flatnonzero(self._stale))
         nc = len(self.mesh.cells)
         fac = (np.ones(nc) if factors is None
                else np.asarray(factors, dtype=float).reshape(nc, -1)
@@ -866,9 +921,11 @@ class StiffnessOperator:
     float32 mirror `K32`, made once and kept bit-identical to
     K.astype(np.float32) by re-casting the cells every increment touches;
     and the preconditioner: None for point Jacobi, or a
-    TwoLevelPreconditioner that `prepare` (run by solve_system before
-    every solve) rebuilds in full every _REFRESH_EVERY solves, and whose
-    blocks of touched cells it rebuilds before the solves in between.
+    TwoLevelPreconditioner.  `prepare`, run by solve_system before every
+    solve, reports the cells touched since the last solve to the
+    preconditioner, which rebuilds their blocks, and refreshes it every
+    _REFRESH_EVERY solves: its stale blocks (those of the touched cells'
+    neighbours) and its coarse companion.
     `factors` are the per-(cell, sub) density factors K was aggregated
     from (None: unit density); `set_factors` keeps K, the mirror and the
     factors the coarse companion averages in step.
@@ -908,11 +965,11 @@ class StiffnessOperator:
         """Bring the preconditioner up to date for the next solve."""
         pc = self.precond
         if pc is not None:
+            if self._touched:
+                pc.update(self.K, np.concatenate(self._touched))
             if pc.lu is None or self._age >= _REFRESH_EVERY:
                 pc.refresh(self.K, self.factors)
                 self._age = 0
-            elif self._touched:
-                pc.update(self.K, np.concatenate(self._touched))
             self._age += 1
         self._touched = []
 

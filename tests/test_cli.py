@@ -264,6 +264,17 @@ def test_config_heat_source_roundtrip():
      r"line 3: \[dirichlet\] dofs = xyz does not fit the heat"),
     ("[load]\nbox = 0 0 0 1 1 1\nvector =\n",
      r"line 1: \[load\] vector needs 3 numbers .* got 0"),
+    # a heat source under elasticity once solved to compliance 0 unheard
+    ("[problem]\ntype = elasticity\n[load]\nsource = 3\n",
+     r"line 3: a source \[load\] does not fit the elasticity problem"),
+    # range checks of Material, BesoConfig and the box specs, re-raised
+    # with the line of their key or block
+    ("[material]\nE0 = 2\nnu = 0.7\np = 3\n", r"line 3: Poisson ratio"),
+    ("[beso]\ner = 0.05\nv_star = 2\n", r"line 3: v_star must lie in"),
+    ("[mesh]\nsubdivide = 1\n[dirichlet]\nbox = 1 0 0 0 1 1\ndofs = x\n",
+     r"line 3: box has lo > hi"),
+    ("[mesh]\nsubdivide = 1\n[load]\nbox = 0 0 2 1 1 1\nvector = 0 0 1\n",
+     r"line 3: box has lo > hi"),
 ])
 def test_config_errors(text, match):
     with pytest.raises(ValueError, match=match):

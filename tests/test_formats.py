@@ -206,14 +206,16 @@ def configs(draw):
             draw(st.floats(min_value=1.0, max_value=1e300)), draw(UNIT)),
         subdivide=draw(st.integers(0, 9)),
         density_level=draw(st.integers(0, 9)),
-        v_star=draw(st.none() | FINITE), er=draw(FINITE),
-        rho_min=draw(FINITE), filter=draw(st.booleans()),
+        # within the ranges Material and BesoConfig check, which
+        # parse_config enforces
+        v_star=draw(st.none() | UNIT), er=draw(UNIT),
+        rho_min=draw(UNIT), filter=draw(st.booleans()),
         max_iters=draw(st.integers(1, 10 ** 9)),
         paper_exact_sensitivity=draw(st.booleans()), rtol=draw(FINITE),
         precond=draw(st.sampled_from(["jacobi", "twolevel"])),
         single_precision=draw(st.booleans()),
         dirichlet=dirichlet, loads=loads,
-        heat_sources=draw(st.lists(FINITE, max_size=2)))
+        heat_sources=draw(st.lists(FINITE, max_size=2 if dpn == 1 else 0)))
 
 
 def _state(cfg):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -697,21 +698,68 @@ def test_two_level_heat_blocks_match_dense_assembly():
     pc = TwoLevelPreconditioner(asm, mesh, bcs)
     pc.refresh(K, fac)
     assert pc.blocks.shape == (asm.num_cells, 64, 64)
-    dense = np.zeros((asm.ndof, asm.ndof))
-    for c in range(asm.num_cells):
-        dense[np.ix_(asm.dofmap[c], asm.dofmap[c])] += K[c]
-    fixed = ~pc.free
-    dense[fixed] = 0.0
-    dense[:, fixed] = 0.0
-    dense[fixed, fixed] = 1.0
-    for c in range(asm.num_cells):
-        ref = np.linalg.inv(dense[np.ix_(asm.dofmap[c], asm.dofmap[c])])
+    for c, block in enumerate(_assembled_blocks(asm, K, pc.free)):
+        ref = np.linalg.inv(block)
         assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
                            atol=1e-6 * np.abs(ref).max())
     jac = solve_system(asm, K, bcs, rtol=1e-10)
     two = solve_system(asm, K, bcs, rtol=1e-10, precond=pc)
     assert abs(two.compliance - jac.compliance) <= 1e-8 * jac.compliance
     assert two.iterations < jac.iterations
+
+
+def _assembled_blocks(asm, K, free):
+    """Each cell's principal submatrix of the dense assembled stiffness,
+    with Dirichlet rows and columns replaced by identity."""
+    dense = np.zeros((asm.ndof, asm.ndof))
+    for c in range(asm.num_cells):
+        dense[np.ix_(asm.dofmap[c], asm.dofmap[c])] += K[c]
+    fixed = ~free
+    dense[fixed] = 0.0
+    dense[:, fixed] = 0.0
+    dense[fixed, fixed] = 1.0
+    return [dense[np.ix_(d, d)] for d in asm.dofmap]
+
+
+def test_two_level_elastic_blocks_match_dense_assembly():
+    # three dofs per node: 192x192 blocks, inverted by a sweep over three
+    # 64-row pivot blocks
+    mesh, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = _random_factors(asm, mat, 31)
+    K = asm.aggregate(fac)
+    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc.refresh(K, fac)
+    assert pc.blocks.shape == (asm.num_cells, 192, 192)
+    cells = np.arange(asm.num_cells)
+    # the float64 inverses before the cast: exactly symmetric
+    X = iga._sweep_inverse(pc._cell_blocks(K, cells), cells)
+    assert np.array_equal(X, X.transpose(0, 2, 1))
+    assert np.array_equal(pc.blocks, X.astype(np.float32))
+    for c, block in enumerate(_assembled_blocks(asm, K, pc.free)):
+        ref = np.linalg.inv(block)
+        assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
+                           atol=1e-6 * np.abs(ref).max())
+        assert np.abs(X[c] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("problem", ["heat", "elasticity"])
+def test_two_level_names_indefinite_block(problem):
+    mesh, model, bcs = _beam()
+    if problem == "heat":
+        bcs = BoundaryConditions(dirichlet=[DirichletSpec(
+            (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))])
+    asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    K[9] *= -1.0
+    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    with pytest.raises(ValueError, match=r"cell (\d+): assembled block is "
+                       r"not positive definite") as err:
+        pc.refresh(K)
+    cell = int(re.search(r"cell (\d+)", str(err.value)).group(1))
+    block = _assembled_blocks(asm, K, pc.free)[cell]
+    assert np.linalg.eigvalsh(block).min() < 0
 
 
 def test_single_precision_solve():
@@ -770,6 +818,46 @@ def test_operator_follows_kills():
     fac.reshape(-1)[~alive] = 0.05
     assert np.array_equal(op.factors, fac)
     assert _rel(op.K, asm.aggregate(fac)) <= 1e-12
+
+
+def test_operator_refresh_rebuilds_only_stale_blocks():
+    # kills only in the cells at the held end of the beam: a refresh
+    # rebuilds their blocks and their neighbours', and keeps the rest
+    mesh, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = _random_factors(asm, mat, 37)
+    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc)
+    built = []
+    cell_blocks = pc._cell_blocks
+
+    def counted(K, cells):
+        built.append(len(cells))
+        return cell_blocks(K, cells)
+
+    pc._cell_blocks = counted
+    end = np.flatnonzero(mesh.vertices[mesh.cells].mean(axis=1)[:, 0] < 0.5)
+    pairs = np.random.default_rng(41).permutation(
+        (end[:, None] * asm.nsub + np.arange(asm.nsub)).ravel())
+    rebuilt = []
+    for k in range(2 * iga._REFRESH_EVERY + 1):
+        if k:
+            kill = pairs[2 * k - 2:2 * k]
+            op.set_factors(kill // asm.nsub, kill % asm.nsub,
+                           np.full(2, mat.mu_min))
+        built.clear()
+        op.prepare()
+        rebuilt.append(sum(built))
+        # every block not marked stale is the one a full rebuild gives
+        fresh = TwoLevelPreconditioner(asm, mesh, bcs)
+        fresh.refresh(op.K, op.factors)
+        clean = ~pc._stale
+        assert np.array_equal(pc.blocks[clean], fresh.blocks[clean])
+        assert clean.all() == (k % iga._REFRESH_EVERY == 0)
+    assert rebuilt[0] == asm.num_cells
+    for k in (iga._REFRESH_EVERY, 2 * iga._REFRESH_EVERY):
+        assert 0 < rebuilt[k] < asm.num_cells
 
 
 @pytest.mark.parametrize("single", [False, True])

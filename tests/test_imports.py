@@ -1,0 +1,33 @@
+"""Checks on what the library imports."""
+
+import ast
+import pathlib
+
+import ccsolid
+
+SRC = pathlib.Path(ccsolid.__file__).parent
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from ("%s.%s" % (node.module, alias.name)
+                        for alias in node.names)
+
+
+def test_no_module_imports_scipy_linalg():
+    # scipy ships its own OpenBLAS with its own thread pool.  Dense LAPACK
+    # calls through scipy.linalg between numpy's GEMMs left the two pools'
+    # spinning workers fighting for the cores: on a 2-core machine that
+    # cost the multi-resolution heat iteration a third of its time.  Dense
+    # linear algebra goes through numpy; scipy.sparse and scipy.spatial
+    # stay allowed.
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    bad = [(path.name, name) for path in modules
+           for name in _imported_modules(ast.parse(path.read_text()))
+           if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert not bad, bad
