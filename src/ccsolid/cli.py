@@ -171,11 +171,11 @@ def parse_config(text):
     or optimize (type, subdivide); E0 and nu default to 1 and 0.3, and
     v_star must be given for `optimize`.  precond only affects
     `optimize`, whose default twolevel preconditions CG with inverted
-    per-cell stiffness blocks plus a coarse trilinear solve, at the
-    memory of one float32 stiffness copy; jacobi uses the stiffness
-    diagonal, as `solve` always does.  Any number of [dirichlet] (box,
-    dofs, value) and [load] (box + vector, or source) blocks follow the
-    scalars or mix with them; dofs is t for heat and distinct letters of
+    per-cell stiffness blocks plus a coarse Galerkin solve on the cell
+    corners, at the memory of one float32 stiffness copy; jacobi uses the
+    stiffness diagonal, as `solve` always does.  Any number of [dirichlet]
+    (box, dofs, value) and [load] (box + vector, or source) blocks follow
+    the scalars or mix with them; dofs is t for heat and distinct letters of
     xyz for elasticity, and a load vector holds one number per dof of a
     control point (1 for heat, 3 for elasticity); a source load needs the
     heat problem.  Errors carry line numbers, also those of the range

@@ -70,6 +70,18 @@ class Material:
         return self.e0 / (2.0 * (1.0 + self.nu))
 
 
+def _check_box(spec):
+    """Turn spec.lo and spec.hi into finite float 3-vectors with lo <= hi."""
+    for name in ("lo", "hi"):
+        bound = np.asarray(getattr(spec, name), dtype=float)
+        if bound.shape != (3,) or not np.isfinite(bound).all():
+            raise ValueError("box %s must be a finite 3-vector, got %s"
+                             % (name, bound))
+        setattr(spec, name, bound)
+    if (spec.lo > spec.hi).any():
+        raise ValueError("box has lo > hi")
+
+
 @dataclass
 class DirichletSpec:
     """Fixes `components` of every control point inside the box to `value`."""
@@ -79,12 +91,10 @@ class DirichletSpec:
     value: float = 0.0
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        if self.lo.shape != (3,) or self.hi.shape != (3,):
-            raise ValueError("box bounds must be 3-vectors")
-        if (self.lo > self.hi).any():
-            raise ValueError("box has lo > hi")
+        _check_box(self)
+        if not np.isfinite(self.value):
+            raise ValueError("dirichlet value must be finite, got %r"
+                             % (self.value,))
         self.components = tuple(int(c) for c in self.components)
 
 
@@ -96,11 +106,11 @@ class LoadSpec:
     vector: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+        _check_box(self)
         self.vector = np.atleast_1d(np.asarray(self.vector, dtype=float))
-        if (self.lo > self.hi).any():
-            raise ValueError("box has lo > hi")
+        if not np.isfinite(self.vector).all():
+            raise ValueError("load vector must be finite, got %s"
+                             % (self.vector,))
 
 
 @dataclass
@@ -207,7 +217,6 @@ class Assembly:
                 "non-positive Jacobian in cell %d (sub-element %d, "
                 "quadrature point %d): det J = %g" % (c, s, p, self.detJ[c, s, p]))
         self.invJ = np.linalg.inv(J)
-        self._nets = nets
         self.sub_volumes = np.einsum("csp,p->cs", self.detJ, self._w)
         self._unit_source = None    # load of a unit heat source, on first use
         self._Gt = None             # node-major Ghat, on first sub_energies
@@ -546,6 +555,8 @@ def solve_system(assembly, K_cells, bcs, rtol=1e-8, max_iter=None,
     (1/2) x^T (b - r) on the free dofs, from the solve's last float64
     residual r, which saves one pass over the stiffness.
     """
+    if not 0.0 < rtol < 1.0:          # a NaN fails the test too
+        raise ValueError("rtol must lie in (0, 1), got %r" % (rtol,))
     op = (K_cells if isinstance(K_cells, StiffnessOperator)
           else StiffnessOperator(assembly, K_cells, precond=precond,
                                  single_precision=single_precision))
@@ -608,71 +619,6 @@ def density_factors(density, mat):
         return None
     rho = np.asarray(density.rho, dtype=float)
     return mat.mu_min + (1.0 - mat.mu_min) * rho ** mat.p
-
-
-def _trilinear_gradients():
-    """Reference gradients of the 8 trilinear corner functions at the
-    2x2x2 Gauss points; shape (quad, corner, axis)."""
-    g = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-    pts = [(x, y, z) for z in g for y in g for x in g]
-    C = 2.0 * np.asarray(CORNER_OFFSETS, dtype=float) - 1.0
-    G = np.empty((8, 8, 3))
-    for q, (x, y, z) in enumerate(pts):
-        for a, (cx, cy, cz) in enumerate(C):
-            G[q, a] = [cx * (1 + cy * y) * (1 + cz * z),
-                       cy * (1 + cx * x) * (1 + cz * z),
-                       cz * (1 + cx * x) * (1 + cy * y)]
-    return G / 8.0
-
-
-def _trilinear_stiffness(X, factors, problem, mat):
-    """Stiffness of plain 8-node hexahedra with corner coords X (ne, 8, 3),
-    scaled per element by `factors`."""
-    G = _trilinear_gradients()
-    J = np.einsum("qae,cad->cqed", G, X)       # J[e, d] = dx_d / dxi_e
-    detJ = np.linalg.det(J)
-    invJ = np.linalg.inv(J)                    # invJ[d, e] = dxi_e / dx_d
-    B = np.einsum("qae,cqfe->cqaf", G, invJ)   # physical gradients
-    w = detJ * factors[:, None]
-    if problem == "heat":
-        k0 = mat.e0 if mat is not None else 1.0
-        return k0 * np.einsum("cq,cqaf,cqbf->cab", w, B, B, optimize=True)
-    W = np.einsum("cq,cqaf,cqbg->cafbg", w, B, B, optimize=True)
-    ne = len(X)
-    K = mat.lam * W.reshape(ne, 24, 24) \
-        + mat.mu * W.transpose(0, 3, 2, 1, 4).reshape(ne, 24, 24)
-    A = mat.mu * np.einsum("cadbd->cab", W)
-    for d in range(3):
-        K[:, d::3, d::3] += A
-    return K
-
-
-def _control_slots(model):
-    """Owning cell and (4,4,4)-lattice parameter of every control point,
-    taken from its first appearance in the cell tables."""
-    _, first = np.unique(model.cell_nodes.ravel(), return_index=True)
-    owner = first // 64
-    t = first % 64
-    uvw = np.stack([t // 16, (t // 4) % 4, t % 4], axis=1) / 3.0
-    return owner, uvw
-
-
-def _interpolation_matrix(model, mesh):
-    """Sparse (ncp, nverts) map expressing each control point as the
-    trilinear blend of its owning cell's corner vertices."""
-    owner, uvw = _control_slots(model)
-    corners = np.asarray(CORNER_OFFSETS, dtype=float)
-    w = np.ones((len(owner), 8))
-    for d in range(3):
-        c = corners[:, d][None, :]
-        u = uvw[:, d:d + 1]
-        w = w * (c * u + (1 - c) * (1 - u))
-    rows = np.repeat(np.arange(len(owner)), 8)
-    cols = mesh.cells[owner].ravel()
-    keep = w.ravel() > 1e-14
-    return sparse.csr_matrix(
-        (w.ravel()[keep], (rows[keep], cols[keep])),
-        shape=(len(owner), mesh.num_vertices))
 
 
 def _cell_overlaps(cell_nodes):
@@ -753,7 +699,7 @@ def _sweep_inverse(A, cells):
 
 
 class TwoLevelPreconditioner:
-    """Overlapping cell blocks plus a coarse trilinear companion, combined
+    """Overlapping cell blocks plus a Galerkin coarse correction, combined
     additively.
 
     The fine term is additive Schwarz over the cells: each cell's block is
@@ -762,11 +708,17 @@ class TwoLevelPreconditioner:
     rows and columns replaced by identity), inverted once and stored as a
     float32 stack of the same size as the float32 stiffness copy used by
     single-precision solves.  Applying it is one batched matvec.  The
-    smooth end of the spectrum is corrected by solving a standard 8-node
-    hexahedral discretization of the same problem on the mesh vertices,
-    reached by interpolating control points inside their owning cells; that
-    system is ~20x smaller than the spline system and factorizes in
-    milliseconds.
+    smooth end of the spectrum is corrected on the cells' corner control
+    points (the mesh vertices of a model from build_spline_model): P
+    interpolates every control point trilinearly, at its lattice
+    parameters (i, j, k) / 3, from the corners of the first cell holding
+    it, and the coarse matrix is the Galerkin product P_f^T K_ff P_f on
+    the free dofs, summed cell by cell from K_cells.  A coarse dof is
+    fixed exactly when the fine dof of its own corner control point is.
+    Every kept coarse column then holds a 1 in a row where all others hold
+    0, so P_f has full column rank and the coarse matrix is positive
+    definite whenever K_ff is.  It is ~20x smaller than the spline system
+    and factorizes in milliseconds.
 
     Each batch of blocks is inverted in numpy's own LAPACK and BLAS by one
     block Gauss-Jordan sweep (_sweep_inverse), whose Cholesky-factored
@@ -777,40 +729,51 @@ class TwoLevelPreconditioner:
     `update` is told the cells whose stiffness changed: it rebuilds their
     blocks at once and marks the blocks of the cells sharing a control
     point with them stale.  `refresh` rebuilds every stale block (every
-    block on the first call) and refactorizes the companion; a clean block
-    would come out bit-identical, so the result equals a full rebuild as
-    long as every change of K_cells is reported through `update`.  Blocks
-    are built in batches of cells whose index arrays, float64 blocks and
-    sweep temporaries stay within _GRAM_BATCH_BYTES.  Stale blocks and the
-    companion tolerate a few density updates; a StiffnessOperator that
-    owns the preconditioner refreshes it every _REFRESH_EVERY solves and
-    reports the cells its increments touched before every solve.  It is
-    the default preconditioner of BESO runs (BesoConfig.precond) and needs
-    at least one mesh vertex in a Dirichlet box.
+    block on the first call) and refactorizes the coarse matrix; a clean
+    block would come out bit-identical, so the result equals a full
+    rebuild as long as every change of K_cells is reported through
+    `update`.  Blocks and the coarse products are built in batches of
+    cells whose index arrays, float64 blocks and temporaries stay within
+    _GRAM_BATCH_BYTES.  Stale blocks and the coarse factors tolerate a few
+    density updates; a StiffnessOperator that owns the preconditioner
+    refreshes it every _REFRESH_EVERY solves and reports the cells its
+    increments touched before every solve.  It is the default
+    preconditioner of BESO runs (BesoConfig.precond).
     """
 
-    def __init__(self, assembly, mesh, bcs):
+    def __init__(self, assembly, bcs):
         self.assembly = assembly
-        self.mesh = mesh
-        dpn = assembly.dpn
-        P = _interpolation_matrix(assembly.model, mesh)
-        if dpn > 1:
-            P = sparse.kron(P, sparse.eye(dpn), format="csr")
+        dpn, nodes = assembly.dpn, assembly.model.cell_nodes
         dofs, _ = assembly.dirichlet(bcs)
         free = np.ones(assembly.ndof, dtype=bool)
         free[dofs] = False
-        cfixed = np.zeros(dpn * mesh.num_vertices, dtype=bool)
-        for spec in bcs.dirichlet:
-            inside = np.flatnonzero(_box_mask(mesh.vertices, spec.lo, spec.hi))
-            for comp in spec.components:
-                cfixed[dpn * inside + comp] = True
-        if not cfixed.any():
-            raise ValueError("no mesh vertex falls in any Dirichlet box; "
-                             "the coarse companion would be singular")
+        # T[a, k]: trilinear weight of corner k at the lattice parameters
+        # (i, j, l) / 3 of control point a = 16 i + 4 j + l
+        corner = np.asarray(CORNER_OFFSETS)
+        t = np.arange(4) / 3.0
+        w = np.where(corner.T[:, None, :] == 1, t[:, None], 1.0 - t[:, None])
+        T = (w[0][:, None, None] * w[1][None, :, None]
+             * w[2][None, None, :]).reshape(64, 8)
+        # the coarse nodes: every cell's corner control points
+        corners = nodes[:, corner @ (48, 12, 3)]
+        coarse, cnode = np.unique(corners, return_inverse=True)
+        cnode = cnode.reshape(corners.shape)
+        ids, first = np.unique(nodes.ravel(), return_index=True)
+        owner, slot = np.divmod(first, 64)
+        point, k = np.nonzero(T[slot])
+        P = sparse.csr_matrix(
+            (T[slot[point], k], (ids[point], cnode[owner[point], k])),
+            shape=(assembly.model.num_control_points, len(coarse)))
+        if dpn > 1:
+            P = sparse.kron(P, sparse.eye(dpn), format="csr")
+        comps = np.arange(dpn)
         self.free = free
-        self.cfree = ~cfixed
+        self.cfree = free[(dpn * coarse[:, None] + comps).ravel()]
         self.P = P[free][:, self.cfree].tocsr()
         self.PT = self.P.T.tocsr()
+        # P restricted to a cell's dofs: kron(T, I) on its corners' dofs
+        self._T = np.kron(T, np.eye(dpn))
+        self._cdofs = (dpn * cnode[:, :, None] + comps).reshape(len(nodes), -1)
         self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
         # bytes of building one cell's block: its float64 block and at
         # most three more of its size at once (the scattered neighbour
@@ -882,27 +845,26 @@ class TwoLevelPreconditioner:
             self._stale[n[hit[c]]] = True
         self._build(K_cells, cells)
 
-    def refresh(self, K_cells, factors=None):
+    def refresh(self, K_cells):
         """Rebuild every stale cell block and refactorize the coarse
-        companion.
-
-        `factors` are the per-(cell, sub) density factors; the companion
-        uses their cell means (None = unit density)."""
+        matrix P_f^T K_ff P_f."""
         self._build(K_cells, np.flatnonzero(self._stale))
-        nc = len(self.mesh.cells)
-        fac = (np.ones(nc) if factors is None
-               else np.asarray(factors, dtype=float).reshape(nc, -1)
-               .mean(axis=1))
-        Ke = _trilinear_stiffness(self.mesh.vertices[self.mesh.cells], fac,
-                                  self.assembly.problem, self.assembly.mat)
-        dpn = self.assembly.dpn
-        npc = 8 * dpn
-        dof = (dpn * self.mesh.cells[:, :, None]
-               + np.arange(dpn)).reshape(nc, npc)
-        rows = np.repeat(dof, npc, axis=1).ravel()
-        cols = np.tile(dof, (1, npc)).ravel()
-        n = dpn * self.mesh.num_vertices
-        Kc = sparse.csr_matrix((Ke.ravel(), (rows, cols)), shape=(n, n))
+        asm = self.assembly
+        nc, nd = asm.num_cells, asm.nd
+        m = self._T.shape[1]
+        A = np.empty((nc, m, m))
+        # per cell: the masked table, its product with the block, a copy
+        # of either for the GEMM and the gathered dof indices
+        step = max(1, _GRAM_BATCH_BYTES // (8 * (3 * nd * m + nd)))
+        for lo in range(0, nc, step):
+            sel = slice(lo, min(lo + step, nc))
+            # T_c = kron(T, I) with the rows of fixed dofs zeroed
+            Tc = self._T * self.free[asm.dofmap[sel]][:, :, None]
+            np.matmul(Tc.transpose(0, 2, 1), K_cells[sel] @ Tc, out=A[sel])
+        rows = np.repeat(self._cdofs, m, axis=1).ravel()
+        cols = np.tile(self._cdofs, (1, m)).ravel()
+        n = len(self.cfree)
+        Kc = sparse.csr_matrix((A.ravel(), (rows, cols)), shape=(n, n))
         self.lu = spla.splu(Kc[self.cfree][:, self.cfree].tocsc())
 
     def __call__(self, r):
@@ -925,10 +887,10 @@ class StiffnessOperator:
     solve, reports the cells touched since the last solve to the
     preconditioner, which rebuilds their blocks, and refreshes it every
     _REFRESH_EVERY solves: its stale blocks (those of the touched cells'
-    neighbours) and its coarse companion.
+    neighbours) and its coarse matrix, both taken from K.
     `factors` are the per-(cell, sub) density factors K was aggregated
     from (None: unit density); `set_factors` keeps K, the mirror and the
-    factors the coarse companion averages in step.
+    factors in step.
     """
 
     def __init__(self, assembly, K_cells, factors=None, precond=None,
@@ -968,7 +930,7 @@ class StiffnessOperator:
             if self._touched:
                 pc.update(self.K, np.concatenate(self._touched))
             if pc.lu is None or self._age >= _REFRESH_EVERY:
-                pc.refresh(self.K, self.factors)
+                pc.refresh(self.K)
                 self._age = 0
             self._age += 1
         self._touched = []

@@ -274,14 +274,14 @@ class BesoConfig:
 
     The last two fields choose the CG solver's stack.  precond="twolevel"
     (the default) preconditions with inverted per-cell stiffness blocks
-    plus a coarse trilinear correction (see TwoLevelPreconditioner; its
-    float32 block stack is as large as the float32 stiffness mirror);
-    optimize falls back to point Jacobi ("jacobi"), with a warning, when
-    no mesh vertex lies in a Dirichlet box.  single_precision runs the CG
-    sweeps on a float32 mirror of the stiffness, half the memory traffic,
-    under float64 restarts; it suits moderate contrasts (mu_min of about
-    1e-2) and tolerances.  StiffnessOperator owns both and the
-    preconditioner's rebuild schedule.
+    plus a Galerkin coarse correction on the cells' corner control points
+    (see TwoLevelPreconditioner; its float32 block stack is as large as
+    the float32 stiffness mirror); "jacobi" uses the stiffness diagonal.
+    single_precision runs the CG sweeps on a float32 mirror of the
+    stiffness, half the memory traffic, under float64 restarts; it suits
+    moderate contrasts (mu_min of about 1e-2) and tolerances.
+    StiffnessOperator owns both and the preconditioner's rebuild schedule.
+    rtol, the relative residual the solves must reach, lies in (0, 1).
     """
 
     v_star: float
@@ -311,6 +311,8 @@ class BesoConfig:
             raise ValueError("level must be >= 0")
         if self.p is not None and self.p < 1.0:
             raise ValueError("p must be >= 1")
+        if not 0.0 < self.rtol < 1.0:      # a NaN fails the test too
+            raise ValueError("rtol must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.level_up_at is not None and self.level_up_at < 1:
@@ -411,12 +413,10 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     model = build_spline_model(mesh)
     eff = cfg.material(mat)
     level = 0 if cfg.level_up_at is not None else cfg.level
-    precond = cfg.precond
 
     def setup(level, rho, version=0):
         """Analysis, design field, filter and stiffness operator of one
         density level."""
-        nonlocal precond
         asm = Assembly(model, problem, eff, level=level, quad_order=quad_order)
         dens = DensityField(level=level, rho=rho,
                             volumes=asm.sub_volumes.copy(),
@@ -425,14 +425,8 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         filt = SensitivityFilter(dens.centroids,
                                  density_adjacency(mesh, level)) \
             if cfg.filter else None
-        pc = None
-        if precond == "twolevel":
-            try:
-                pc = TwoLevelPreconditioner(asm, mesh, bcs)
-            except ValueError as exc:
-                warnings.warn("%s: solving with point Jacobi instead of the "
-                              "two-level preconditioner" % exc, stacklevel=3)
-                precond = "jacobi"
+        pc = (TwoLevelPreconditioner(asm, bcs) if cfg.precond == "twolevel"
+              else None)
         fac = density_factors(dens, eff)
         op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
                                single_precision=cfg.single_precision)

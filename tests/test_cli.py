@@ -271,6 +271,9 @@ def test_config_heat_source_roundtrip():
     # with the line of their key or block
     ("[material]\nE0 = 2\nnu = 0.7\np = 3\n", r"line 3: Poisson ratio"),
     ("[beso]\ner = 0.05\nv_star = 2\n", r"line 3: v_star must lie in"),
+    # rtol = 0 chased a 250k-iteration CG budget, rtol = 1 solved to zero
+    ("[beso]\nv_star = 0.5\n[solver]\nrtol = 0\n",
+     r"line 4: rtol must lie in"),
     ("[mesh]\nsubdivide = 1\n[dirichlet]\nbox = 1 0 0 0 1 1\ndofs = x\n",
      r"line 3: box has lo > hi"),
     ("[mesh]\nsubdivide = 1\n[load]\nbox = 0 0 2 1 1 1\nvector = 0 0 1\n",

@@ -211,7 +211,7 @@ def configs(draw):
         v_star=draw(st.none() | UNIT), er=draw(UNIT),
         rho_min=draw(UNIT), filter=draw(st.booleans()),
         max_iters=draw(st.integers(1, 10 ** 9)),
-        paper_exact_sensitivity=draw(st.booleans()), rtol=draw(FINITE),
+        paper_exact_sensitivity=draw(st.booleans()), rtol=draw(UNIT),
         precond=draw(st.sampled_from(["jacobi", "twolevel"])),
         single_precision=draw(st.booleans()),
         dirichlet=dirichlet, loads=loads,

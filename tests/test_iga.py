@@ -522,6 +522,24 @@ def test_bc_validation():
         assemble_and_solve(model, None, mat, bad2, "heat")
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: DirichletSpec((np.nan, 0, 0), (1, 1, 1), (0,)), "lo"),
+    (lambda: DirichletSpec((0, 0, 0), (1, np.inf, 1), (0,)), "hi"),
+    (lambda: DirichletSpec((0, 0, 0), (1, 1, 1), (0,), np.nan), "value"),
+    (lambda: LoadSpec((np.nan, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0)),
+     "lo"),
+    (lambda: LoadSpec((0, 0, 0), (1, 1, np.inf), (1.0,)), "hi"),
+    (lambda: LoadSpec((0, 0, 0), (1, 1, 1), (0, np.nan, 0)), "vector"),
+    (lambda: LoadSpec((0, 0), (1, 1, 1), (1.0,)), "lo"),
+    (lambda: LoadSpec((0, 0, 0), (1, 1), (1.0,)), "hi"),
+])
+def test_box_specs_reject_bad_fields(make, name):
+    # a NaN bound selects no control point, so the load or support it
+    # describes would vanish without a word
+    with pytest.raises(ValueError, match=r"\b%s must be (a )?finite" % name):
+        make()
+
+
 def test_heat_source_load():
     model = regular_box_model((1, 1, 1))
     mat = Material(e0=1.0, nu=0.3)
@@ -542,33 +560,6 @@ def test_heat_source_load():
 
 # ----------------------------------------- two-level / single precision
 
-def test_trilinear_companion_element():
-    from ccsolid.iga import _trilinear_stiffness
-    rng = np.random.default_rng(11)
-    X0 = np.asarray(CORNER_OFFSETS, dtype=float)
-    X = np.stack([X0, X0 + 0.15 * rng.standard_normal((8, 3))])
-    mat = Material(e0=2.0, nu=0.3)
-    K = _trilinear_stiffness(X, np.array([1.0, 1.0]), "elasticity", mat)
-    assert np.allclose(K, K.transpose(0, 2, 1), atol=1e-12)
-    # translations and linearized rotations carry no strain energy
-    modes = np.zeros((6, 8, 3))
-    modes[:3] = np.eye(3)[:, None, :]
-    for a, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):
-        modes[3 + a, :, i] = X[1][:, j]
-        modes[3 + a, :, j] = -X[1][:, i]
-    for m in modes:
-        assert abs(m.reshape(24) @ K[1] @ m.reshape(24)) <= 1e-10
-    H = _trilinear_stiffness(X, np.array([1.0, 1.0]), "heat", mat)
-    assert np.allclose(H.sum(axis=2), 0.0, atol=1e-12)
-    # T = x on the unit cube: energy = conductivity * volume
-    t = X0[:, 0]
-    assert np.isclose(t @ H[0] @ t, 2.0, rtol=1e-12)
-    # element scale factors multiply straight through
-    Kh = _trilinear_stiffness(X, np.array([0.5, 0.25]), "elasticity", mat)
-    assert np.allclose(Kh[0], 0.5 * K[0], rtol=1e-13)
-    assert np.allclose(Kh[1], 0.25 * K[1], rtol=1e-13)
-
-
 def _beam(nx=3):
     mesh, _ = lattice(nx, 1, 1)
     mesh, _ = subdivide(mesh)
@@ -586,7 +577,7 @@ def test_two_level_preconditioner_matches_jacobi():
     mat = Material(e0=1.0, nu=0.3)
     asm = Assembly(model, "elasticity", mat)
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc = TwoLevelPreconditioner(asm, bcs)
     with pytest.raises(RuntimeError, match="refresh"):
         pc(np.ones(int(pc.free.sum())))
     pc.refresh(K)
@@ -608,25 +599,72 @@ def test_two_level_refresh_with_density_factors_solves():
         rho = rng.uniform(0.2, 1.0, (asm.num_cells, 1))
 
     K = asm.aggregate(density_factors(Rho(), mat))
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(K, density_factors(Rho(), mat))
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
     sol = solve_system(asm, K, bcs, rtol=1e-9, precond=pc)
     ref = solve_system(asm, K, bcs, rtol=1e-11)
     assert abs(sol.compliance - ref.compliance) <= 1e-7 * ref.compliance
 
 
-def test_two_level_needs_vertex_constraints():
+def test_two_level_solves_without_vertex_constraints():
+    # the box holds control points but no mesh vertex
     mesh, _ = lattice(3, 1, 1)
     model = build_spline_model(mesh)
     mat = Material(e0=1.0, nu=0.3)
     asm = Assembly(model, "elasticity", mat)
-    # box thin enough to catch interior control points but no mesh vertex
-    bad = BoundaryConditions(
+    bcs = BoundaryConditions(
         dirichlet=[DirichletSpec((0.05, -BIG, -BIG), (0.95, BIG, BIG),
                                  (0, 1, 2))],
         loads=[LoadSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
-    with pytest.raises(ValueError, match="no mesh vertex"):
-        TwoLevelPreconditioner(asm, mesh, bcs=bad)
+    x = mesh.vertices[:, 0]
+    assert not ((x >= 0.05) & (x <= 0.95)).any()
+    pc = TwoLevelPreconditioner(asm, bcs)
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    pc.refresh(K)
+    jac = solve_system(asm, K, bcs, rtol=1e-10)
+    two = solve_system(asm, K, bcs, rtol=1e-10, precond=pc)
+    assert np.allclose(two.u, jac.u, atol=1e-7 * np.abs(jac.u).max())
+    assert abs(two.compliance - jac.compliance) <= 1e-8 * jac.compliance
+
+
+@pytest.mark.parametrize("problem", ["heat", "elasticity"])
+def test_two_level_coarse_matrix_is_galerkin_product(problem):
+    # the factored coarse matrix is P_f^T K_ff P_f: P interpolates each
+    # control point trilinearly from the mesh vertices of the first cell
+    # holding it, and a coarse dof is fixed with its vertex's fine dof
+    mesh, model, bcs = _beam()
+    if problem == "heat":
+        bcs = BoundaryConditions(dirichlet=[DirichletSpec(
+            (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))])
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, problem, mat, level=1)
+    K = asm.aggregate(_random_factors(asm, mat, 43))
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
+    P = np.zeros((model.num_control_points, mesh.num_vertices))
+    for c, nodes in enumerate(model.cell_nodes):
+        for a, node in enumerate(nodes):
+            if P[node].any():
+                continue
+            uvw = np.array([a // 16, (a // 4) % 4, a % 4]) / 3.0
+            for k, corner in enumerate(CORNER_OFFSETS):
+                P[node, mesh.cells[c, k]] = np.prod(
+                    np.where(corner, uvw, 1.0 - uvw))
+    dpn = asm.dpn
+    P = np.kron(P, np.eye(dpn))
+    dofs, _ = asm.dirichlet(bcs)
+    free = np.ones(asm.ndof, dtype=bool)
+    free[dofs] = False
+    cfree = free[(dpn * np.arange(mesh.num_vertices)[:, None]
+                  + np.arange(dpn)).ravel()]
+    Pf = P[free][:, cfree]
+    assert np.array_equal(pc.P.toarray(), Pf)
+    dense = np.zeros((asm.ndof, asm.ndof))
+    for c in range(asm.num_cells):
+        dense[np.ix_(asm.dofmap[c], asm.dofmap[c])] += K[c]
+    A = Pf.T @ dense[np.ix_(free, free)] @ Pf
+    eye = np.eye(len(A))
+    assert np.abs(pc.lu.solve(eye) @ A - eye).max() <= 1e-12
 
 
 def _random_factors(asm, mat, seed):
@@ -643,8 +681,8 @@ def test_two_level_preconditioner_symmetric():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 5)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(asm.aggregate(fac), fac)
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(asm.aggregate(fac))
     assert pc.blocks.dtype == np.float32
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     assert np.array_equal(pc.blocks, pc.blocks.transpose(0, 2, 1))
@@ -665,15 +703,15 @@ def test_two_level_update_matches_refresh_after_kills():
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 7)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(K, fac)
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
     before = pc.blocks.copy()
     # remove four sub-elements as a BESO kill does, two in one cell
     cells = np.array([0, 9, 9, 17])
     subs = np.array([3, 0, 6, 7])
     asm.add_increment(K, cells, subs, mat.mu_min - fac[cells, subs])
     pc.update(K, cells)
-    fresh = TwoLevelPreconditioner(asm, mesh, bcs)
+    fresh = TwoLevelPreconditioner(asm, bcs)
     fresh.refresh(K)
     touched = np.unique(cells)
     assert not np.array_equal(before[touched], fresh.blocks[touched])
@@ -695,8 +733,8 @@ def test_two_level_heat_blocks_match_dense_assembly():
     asm = Assembly(model, "heat", mat, level=1)
     fac = _random_factors(asm, mat, 13)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(K, fac)
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 64, 64)
     for c, block in enumerate(_assembled_blocks(asm, K, pc.free)):
         ref = np.linalg.inv(block)
@@ -729,8 +767,8 @@ def test_two_level_elastic_blocks_match_dense_assembly():
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 31)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(K, fac)
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     cells = np.arange(asm.num_cells)
     # the float64 inverses before the cast: exactly symmetric
@@ -753,13 +791,24 @@ def test_two_level_names_indefinite_block(problem):
     asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
     K[9] *= -1.0
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc = TwoLevelPreconditioner(asm, bcs)
     with pytest.raises(ValueError, match=r"cell (\d+): assembled block is "
                        r"not positive definite") as err:
         pc.refresh(K)
     cell = int(re.search(r"cell (\d+)", str(err.value)).group(1))
     block = _assembled_blocks(asm, K, pc.free)[cell]
     assert np.linalg.eigvalsh(block).min() < 0
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1.0, -1e-8, np.nan])
+def test_solve_rejects_rtol_outside_unit_interval(rtol):
+    # rtol = 1 returned the zero field at 0 iterations; rtol = 0 chased
+    # the whole iteration budget
+    _, model, bcs = _beam()
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    with pytest.raises(ValueError, match=r"rtol must lie in \(0, 1\)"):
+        solve_system(asm, K, bcs, rtol=rtol)
 
 
 def test_single_precision_solve():
@@ -794,7 +843,7 @@ def test_operator_follows_kills():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = np.full((asm.num_cells, asm.nsub), mat.mu_min + (1 - mat.mu_min))
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc = TwoLevelPreconditioner(asm, bcs)
     op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
                            single_precision=True)
     op.prepare()                       # the first solve builds it all
@@ -809,8 +858,8 @@ def test_operator_follows_kills():
         assert np.array_equal(op.K32, op.K.astype(np.float32))
         op.prepare()
         # touched cells rebuilt before every solve, everything every 8th
-        fresh = TwoLevelPreconditioner(asm, mesh, bcs)
-        fresh.refresh(op.K, op.factors)
+        fresh = TwoLevelPreconditioner(asm, bcs)
+        fresh.refresh(op.K)
         touched = np.unique(kill // asm.nsub)
         assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
         assert (pc.lu is first) == (k < 8)
@@ -827,7 +876,7 @@ def test_operator_refresh_rebuilds_only_stale_blocks():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 37)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
+    pc = TwoLevelPreconditioner(asm, bcs)
     op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc)
     built = []
     cell_blocks = pc._cell_blocks
@@ -850,8 +899,8 @@ def test_operator_refresh_rebuilds_only_stale_blocks():
         op.prepare()
         rebuilt.append(sum(built))
         # every block not marked stale is the one a full rebuild gives
-        fresh = TwoLevelPreconditioner(asm, mesh, bcs)
-        fresh.refresh(op.K, op.factors)
+        fresh = TwoLevelPreconditioner(asm, bcs)
+        fresh.refresh(op.K)
         clean = ~pc._stale
         assert np.array_equal(pc.blocks[clean], fresh.blocks[clean])
         assert clean.all() == (k % iga._REFRESH_EVERY == 0)
@@ -909,8 +958,8 @@ def test_preconditioner_update_memory_is_bounded(monkeypatch):
     asm = Assembly(model, "elasticity", mat)
     fac = _random_factors(asm, mat, 23)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, mesh, bcs)
-    pc.refresh(K, fac)
+    pc = TwoLevelPreconditioner(asm, bcs)
+    pc.refresh(K)
     budget = 4 << 20
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
     before = pc.blocks.copy()
