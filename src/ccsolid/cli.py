@@ -15,8 +15,8 @@ from dataclasses import field, make_dataclass, replace
 from . import vtkio
 from .hexmesh import (at_least, parse_mesh, read_values, serialize_mesh,
                       text_lines, validate)
-from .iga import (BoundaryConditions, DirichletSpec, LoadSpec, Material,
-                  assemble_and_solve)
+from .iga import (PRECONDITIONERS, BoundaryConditions, DirichletSpec,
+                  LoadSpec, Material, assemble_and_solve)
 from .spline import approximation_error, build_spline_model
 from .subdivision import limit_points, subdivide
 from .topopt import BesoConfig, optimize
@@ -44,7 +44,7 @@ _KEYS = {
     ("beso", "paper_exact_sensitivity"): ("paper_exact_sensitivity", bool,
                                           "paper_exact_sensitivity"),
     ("solver", "rtol"): ("rtol", float, "rtol"),
-    ("solver", "precond"): ("precond", ("jacobi", "twolevel"), "precond"),
+    ("solver", "precond"): ("precond", PRECONDITIONERS, "precond"),
     ("solver", "single_precision"): ("single_precision", bool,
                                      "single_precision"),
 }
@@ -169,18 +169,18 @@ def parse_config(text):
     positive).  A key left out takes its default from Material (p,
     mu_min), BesoConfig (density_level and the [beso] and [solver] keys)
     or optimize (type, subdivide); E0 and nu default to 1 and 0.3, and
-    v_star must be given for `optimize`.  precond only affects
-    `optimize`, whose default twolevel preconditions CG with inverted
-    per-cell stiffness blocks plus a coarse Galerkin solve on the cell
-    corners, at the memory of one float32 stiffness copy; jacobi uses the
-    stiffness diagonal, as `solve` always does.  Any number of [dirichlet]
-    (box, dofs, value) and [load] (box + vector, or source) blocks follow
-    the scalars or mix with them; dofs is t for heat and distinct letters of
-    xyz for elasticity, and a load vector holds one number per dof of a
-    control point (1 for heat, 3 for elasticity); a source load needs the
-    heat problem.  Errors carry line numbers, also those of the range
-    checks in Material, BesoConfig (run whether or not v_star is given)
-    and the box specs.
+    v_star must be given for `optimize`.  precond only reaches the
+    StiffnessOperator of `optimize`: its default twolevel preconditions CG
+    with inverted per-cell stiffness blocks plus a coarse Galerkin solve on
+    the cell corners, at the memory of one float32 stiffness copy; jacobi
+    uses the stiffness diagonal, as `solve` always does.  Any number of
+    [dirichlet] (box, dofs, value) and [load] (box + vector, or source)
+    blocks follow the scalars or mix with them; dofs is t for heat and
+    distinct letters of xyz for elasticity, and a load vector holds one
+    number per dof of a control point (1 for heat, 3 for elasticity); a
+    source load needs the heat problem.  Errors carry line numbers, also
+    those of the range checks in Material, BesoConfig (run whether or not
+    v_star is given) and the box specs.
     """
     scalars, material, blocks, lines = {}, {}, [], {}
     section = None

@@ -181,12 +181,6 @@ class HexMesh:
             return i
         return -1
 
-    def face_centroid(self, f):
-        return self.vertices[self.faces[f]].mean(axis=0)
-
-    def edge_midpoint(self, e):
-        return self.vertices[self.edges[e]].mean(axis=0)
-
     def cell_centroid(self, c):
         return self.vertices[self.cells[c]].mean(axis=0)
 

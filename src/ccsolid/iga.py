@@ -15,7 +15,7 @@ the conjugate-gradient matvec stay allocation-light and deterministic.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -25,6 +25,7 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
+PRECONDITIONERS = ("jacobi", "twolevel")
 # working-set bound of one batch of the stiffness Gram kernel, of the
 # sub-element energies and of the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
@@ -119,6 +120,11 @@ class BoundaryConditions:
     loads: list = field(default_factory=list)
     heat_source: float = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.heat_source):
+            raise ValueError("heat_source must be finite, got %r"
+                             % (self.heat_source,))
+
 
 @dataclass
 class Solution:
@@ -204,6 +210,11 @@ class Assembly:
         self.nd = 64 * self.dpn
         self.ndof = self.dpn * model.num_control_points
 
+        finite = np.isfinite(model.points).all(axis=1)
+        if not finite.all():
+            raise ValueError("control point %d has a non-finite coordinate; "
+                             "its cells' Jacobian is undefined"
+                             % np.argmin(finite))
         self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
         # one 3x64 @ 64x3 product per (cell, sub, point): each item is
@@ -358,6 +369,12 @@ class Assembly:
         return np.bincount(self.dofmap.ravel(), weights=ve.ravel(),
                            minlength=self.ndof)
 
+    def free_matvec(self, K_cells, free, uf):
+        """K_ff uf, on the dofs of the mask `free` (the others held at 0)."""
+        u = np.zeros(self.ndof)
+        u[free] = uf
+        return self.matvec(K_cells, u)[free]
+
     def diagonal(self, K_cells):
         d = np.einsum("cii->ci", K_cells)
         return np.bincount(self.dofmap.ravel(), weights=d.ravel(),
@@ -407,6 +424,9 @@ class Assembly:
         return out
 
     def load_vector(self, bcs):
+        if bcs.heat_source and self.problem != "heat":
+            raise ValueError("a heat source needs the heat problem, not %s"
+                             % self.problem)
         F = np.zeros(self.ndof)
         for load in bcs.loads:
             vec = load.vector
@@ -414,9 +434,8 @@ class Assembly:
                 raise ValueError("load vector must have %d component(s)"
                                  % self.dpn)
             idx = np.flatnonzero(_box_mask(self.model.points, load.lo, load.hi))
-            for comp in range(self.dpn):
-                F[self.dpn * idx + comp] += vec[comp]
-        if bcs.heat_source and self.problem == "heat":
+            F.reshape(-1, self.dpn)[idx] += vec
+        if bcs.heat_source:
             if self._unit_source is None:
                 fe = np.einsum("p,csp,spn->cn", self._w, self.detJ, self._N)
                 self._unit_source = np.bincount(
@@ -426,19 +445,17 @@ class Assembly:
 
     def dirichlet(self, bcs):
         """(dofs, values) from the dirichlet specs; later specs win."""
-        fixed = {}
+        vals = np.full(self.ndof, np.nan)       # spec values are finite
         for spec in bcs.dirichlet:
             bad = [c for c in spec.components if not 0 <= c < self.dpn]
             if bad:
                 raise ValueError("dirichlet component %s invalid for %s"
                                  % (bad, self.problem))
             idx = np.flatnonzero(_box_mask(self.model.points, spec.lo, spec.hi))
-            for comp in spec.components:
-                for i in idx:
-                    fixed[self.dpn * i + comp] = spec.value
-        dofs = np.array(sorted(fixed), dtype=np.int64)
-        vals = np.array([fixed[d] for d in dofs])
-        return dofs, vals
+            comps = np.array(spec.components, dtype=np.int64)
+            vals[(self.dpn * idx[:, None] + comps).ravel()] = spec.value
+        dofs = np.flatnonzero(~np.isnan(vals))
+        return dofs, vals[dofs]
 
 
 def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
@@ -539,47 +556,28 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
         x = x + d
 
 
-def solve_system(assembly, K_cells, bcs, rtol=1e-8, max_iter=None,
-                 method="cg", x0=None, precond=None, single_precision=False):
-    """Apply boundary conditions to the aggregated per-cell stiffness and
-    solve K U = F; returns the Solution with compliance (1/2) U^T K U.
+def solve_system(op, rtol=1e-8, max_iter=None, method="cg", x0=None):
+    """Solve K U = F on a StiffnessOperator, which holds K, the load F and
+    the Dirichlet lift; returns the Solution with compliance (1/2) U^T K U.
 
-    K_cells is a StiffnessOperator, which brings its own float32 mirror
-    and preconditioner and brings the latter up to date first, or a plain
-    float64 stack: then the solve runs on a one-solve operator with
-    `precond` (a TwoLevelPreconditioner; default point Jacobi) and, with
-    `single_precision`, a float32 copy of the stack.  Either way the CG
-    sweeps run in the operator's precision under float64 restarts, so the
-    returned residual is double-precision accurate at any rtol the
-    conditioning admits.  With zero Dirichlet values the compliance is
-    (1/2) x^T (b - r) on the free dofs, from the solve's last float64
-    residual r, which saves one pass over the stiffness.
+    The CG sweeps run in the operator's precision (its float32 mirror, if
+    it has one) under float64 restarts, so the returned residual is
+    double-precision accurate at any rtol the conditioning admits; the
+    operator's preconditioner is brought up to date first.  With zero
+    Dirichlet values the compliance is (1/2) x^T (b - r) on the free dofs,
+    from the solve's last float64 residual r, which saves one pass over
+    the stiffness.  method="dense" solves the assembled free block
+    directly, as a reference.
     """
     if not 0.0 < rtol < 1.0:          # a NaN fails the test too
         raise ValueError("rtol must lie in (0, 1), got %r" % (rtol,))
-    op = (K_cells if isinstance(K_cells, StiffnessOperator)
-          else StiffnessOperator(assembly, K_cells, precond=precond,
-                                 single_precision=single_precision))
-    K = op.K
-    F = assembly.load_vector(bcs)
-    dofs, vals = assembly.dirichlet(bcs)
-    if not len(dofs):
-        raise ValueError("insufficient constraints: no Dirichlet dof selected")
-    ndof = assembly.ndof
-    free = np.ones(ndof, dtype=bool)
-    free[dofs] = False
-    g = np.zeros(ndof)
-    g[dofs] = vals
-    lifted = bool(vals.any())
-    b = (F - assembly.matvec(K, g))[free] if lifted else F[free]
-
-    def mv(uf, stack=K):
-        u = np.zeros(ndof)
-        u[free] = uf
-        return assembly.matvec(stack, u)[free]
+    assembly, K, free, g = op.assembly, op.K, op.free, op.g
+    lifted = bool(g.any())
+    b = (op.F - assembly.matvec(K, g))[free] if lifted else op.F[free]
+    mv = partial(assembly.free_matvec, K, free)
 
     if method == "dense":
-        Kd = np.zeros((ndof, ndof))
+        Kd = np.zeros((assembly.ndof, assembly.ndof))
         dm = assembly.dofmap
         for c in range(assembly.num_cells):
             Kd[np.ix_(dm[c], dm[c])] += K[c]
@@ -597,7 +595,7 @@ def solve_system(assembly, K_cells, bcs, rtol=1e-8, max_iter=None,
         op.prepare()
         M = op.precond if op.precond is not None else 1.0 / diag
         mv32 = (None if op.K32 is None
-                else (lambda uf: mv(uf, op.K32)))
+                else partial(assembly.free_matvec, op.K32, free))
         x, iters, res, restarts, r = _cg(mv, b, M, start, rtol, maxiter, mv32)
     else:
         raise ValueError("method must be 'cg' or 'dense'")
@@ -735,18 +733,15 @@ class TwoLevelPreconditioner:
     `update`.  Blocks and the coarse products are built in batches of
     cells whose index arrays, float64 blocks and temporaries stay within
     _GRAM_BATCH_BYTES.  Stale blocks and the coarse factors tolerate a few
-    density updates; a StiffnessOperator that owns the preconditioner
-    refreshes it every _REFRESH_EVERY solves and reports the cells its
-    increments touched before every solve.  It is the default
-    preconditioner of BESO runs (BesoConfig.precond).
+    density updates; the StiffnessOperator that owns it builds it on its
+    mask `free` of unfixed dofs, refreshes it every _REFRESH_EVERY solves
+    and reports the cells its increments touched before every solve.  It
+    is the default preconditioner of BESO runs (BesoConfig.precond).
     """
 
-    def __init__(self, assembly, bcs):
+    def __init__(self, assembly, free):
         self.assembly = assembly
         dpn, nodes = assembly.dpn, assembly.model.cell_nodes
-        dofs, _ = assembly.dirichlet(bcs)
-        free = np.ones(assembly.ndof, dtype=bool)
-        free[dofs] = False
         # T[a, k]: trilinear weight of corner k at the lattice parameters
         # (i, j, l) / 3 of control point a = 16 i + 4 j + l
         corner = np.asarray(CORNER_OFFSETS)
@@ -870,37 +865,48 @@ class TwoLevelPreconditioner:
     def __call__(self, r):
         if self.lu is None:
             raise RuntimeError("call refresh() before preconditioning")
-        u = np.zeros(self.assembly.ndof)
-        u[self.free] = r
-        fine = self.assembly.matvec(self.blocks, u)[self.free]
+        fine = self.assembly.free_matvec(self.blocks, self.free, r)
         return fine + self.P @ self.lu.solve(self.PT @ r)
 
 
 class StiffnessOperator:
     """The per-cell stiffness of one design with everything its solves use.
 
-    Owns the float64 stack `K` (nc, nd, nd); for single-precision solves a
-    float32 mirror `K32`, made once and kept bit-identical to
+    Resolves `bcs` once: the load `F`, the mask `free` of unfixed dofs and
+    the lift `g` of the Dirichlet values; a `bcs` fixing no dof raises
+    "insufficient constraints".  Owns the float64 stack `K` (nc, nd, nd);
+    with `single_precision` its float32 mirror `K32`, kept bit-identical to
     K.astype(np.float32) by re-casting the cells every increment touches;
-    and the preconditioner: None for point Jacobi, or a
-    TwoLevelPreconditioner.  `prepare`, run by solve_system before every
-    solve, reports the cells touched since the last solve to the
-    preconditioner, which rebuilds their blocks, and refreshes it every
-    _REFRESH_EVERY solves: its stale blocks (those of the touched cells'
-    neighbours) and its coarse matrix, both taken from K.
-    `factors` are the per-(cell, sub) density factors K was aggregated
-    from (None: unit density); `set_factors` keeps K, the mirror and the
-    factors in step.
+    and the preconditioner `precond` names: None for "jacobi", a
+    TwoLevelPreconditioner on `free` for "twolevel".  Before every CG
+    solve, `prepare` has the preconditioner rebuild the blocks of the cells
+    touched since the last solve and, every _REFRESH_EVERY solves, its
+    stale blocks and coarse matrix, all from K.  `factors` are the
+    per-(cell, sub) density factors K was aggregated from (None: unit
+    density); `set_factors` keeps K, K32 and the factors in step.
     """
 
-    def __init__(self, assembly, K_cells, factors=None, precond=None,
+    def __init__(self, assembly, K_cells, bcs, factors=None, precond="jacobi",
                  single_precision=False):
+        if precond not in PRECONDITIONERS:
+            raise ValueError("precond must be one of %s, got %r"
+                             % (PRECONDITIONERS, precond))
         self.assembly = assembly
+        self.F = assembly.load_vector(bcs)
+        dofs, vals = assembly.dirichlet(bcs)
+        if not len(dofs):
+            raise ValueError("insufficient constraints: no Dirichlet dof "
+                             "selected")
+        self.free = np.ones(assembly.ndof, dtype=bool)
+        self.free[dofs] = False
+        self.g = np.zeros(assembly.ndof)
+        self.g[dofs] = vals
         self.K = K_cells
         self.K32 = K_cells.astype(np.float32) if single_precision else None
         self.factors = (None if factors is None else np.array(
             factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
-        self.precond = precond
+        self.precond = (TwoLevelPreconditioner(assembly, self.free)
+                        if precond == "twolevel" else None)
         self._age = 0          # solves since the last refresh
         self._touched = []     # cells changed since the last solve
 
@@ -949,9 +955,9 @@ def assemble_and_solve(model, density, mat, bcs, problem, quad_order=4,
     factors = density_factors(density, mat)
     if factors is None:
         factors = np.ones((asm.num_cells, asm.nsub))
-    K_cells = asm.aggregate(factors)
-    return solve_system(asm, K_cells, bcs, rtol=rtol, max_iter=max_iter,
-                        method=method, single_precision=single_precision)
+    op = StiffnessOperator(asm, asm.aggregate(factors), bcs,
+                           single_precision=single_precision)
+    return solve_system(op, rtol=rtol, max_iter=max_iter, method=method)
 
 
 def _single_cell_model(vol):

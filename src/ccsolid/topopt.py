@@ -23,8 +23,8 @@ from scipy.spatial import cKDTree
 from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import (Assembly, Material, StiffnessOperator,
-                  TwoLevelPreconditioner, density_factors, solve_system)
+from .iga import (PRECONDITIONERS, Assembly, Material, StiffnessOperator,
+                  density_factors, solve_system)
 from . import vtkio
 
 
@@ -279,8 +279,8 @@ class BesoConfig:
     the float32 stiffness mirror); "jacobi" uses the stiffness diagonal.
     single_precision runs the CG sweeps on a float32 mirror of the
     stiffness, half the memory traffic, under float64 restarts; it suits
-    moderate contrasts (mu_min of about 1e-2) and tolerances.
-    StiffnessOperator owns both and the preconditioner's rebuild schedule.
+    moderate contrasts (mu_min of about 1e-2) and tolerances.  Each density
+    level's StiffnessOperator builds both and owns the rebuild schedule.
     rtol, the relative residual the solves must reach, lies in (0, 1).
     """
 
@@ -299,7 +299,7 @@ class BesoConfig:
     single_precision: bool = False
 
     def __post_init__(self):
-        if self.precond not in ("jacobi", "twolevel"):
+        if self.precond not in PRECONDITIONERS:
             raise ValueError("precond must be 'jacobi' or 'twolevel'")
         if not 0.0 < self.v_star < 1.0:
             raise ValueError("v_star must lie in (0, 1)")
@@ -425,10 +425,9 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         filt = SensitivityFilter(dens.centroids,
                                  density_adjacency(mesh, level)) \
             if cfg.filter else None
-        pc = (TwoLevelPreconditioner(asm, bcs) if cfg.precond == "twolevel"
-              else None)
         fac = density_factors(dens, eff)
-        op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
+        op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                               precond=cfg.precond,
                                single_precision=cfg.single_precision)
         return asm, dens, filt, op
 
@@ -470,7 +469,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
                     else _refine_field(hist, level).reshape(-1))
                 grid = None
 
-            sol = solve_system(asm, op, bcs, rtol=cfg.rtol, x0=u0)
+            sol = solve_system(op, rtol=cfg.rtol, x0=u0)
             sol.density_version = dens.version
             u0 = sol.u.reshape(-1)
 

@@ -213,6 +213,16 @@ def test_assembly_rejects_nan_jacobian():
         Assembly(model, "heat", Material(e0=1.0, nu=0.3), level=0)
 
 
+def test_assembly_names_non_finite_control_point():
+    # rejected before the Jacobian determinants, which would warn on NaN
+    mesh, _ = lattice(3, 1, 1)
+    model = build_spline_model(mesh)
+    model.points[57, 0] = np.inf
+    with pytest.raises(ValueError, match="control point 57 has a "
+                       "non-finite coordinate"):
+        Assembly(model, "elasticity", Material(e0=1.0, nu=0.3), level=1)
+
+
 def test_cg_stops_at_first_non_finite_residual():
     A = 2.0 * np.eye(4)
     A[1, 2] = A[2, 1] = np.nan
@@ -473,8 +483,8 @@ def test_assembly_deterministic():
     K1 = asm.aggregate(ones)
     K2 = asm.aggregate(ones)
     assert np.array_equal(K1, K2)
-    a = solve_system(asm, K1, bcs, rtol=1e-10)
-    b = solve_system(asm, K2, bcs, rtol=1e-10)
+    a = solve_system(StiffnessOperator(asm, K1, bcs), rtol=1e-10)
+    b = solve_system(StiffnessOperator(asm, K2, bcs), rtol=1e-10)
     assert np.array_equal(a.u, b.u)
     assert a.iterations == b.iterations
 
@@ -558,6 +568,25 @@ def test_heat_source_load():
     assert sol.compliance > 0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_heat_source_must_be_finite(value):
+    # a NaN source failed only inside CG, naming no input
+    with pytest.raises(ValueError, match="heat_source must be finite"):
+        BoundaryConditions(heat_source=value)
+
+
+def test_heat_source_rejected_on_elasticity():
+    # the source used to be dropped: compliance 0 after 0 iterations
+    model, mat, bcs = _cantilever_setup()
+    bcs = replace(bcs, loads=[], heat_source=3.0)
+    asm = Assembly(model, "elasticity", mat)
+    with pytest.raises(ValueError, match="heat source needs the heat problem"):
+        asm.load_vector(bcs)
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    with pytest.raises(ValueError, match="heat source needs the heat problem"):
+        StiffnessOperator(asm, K, bcs)
+
+
 # ----------------------------------------- two-level / single precision
 
 def _beam(nx=3):
@@ -577,12 +606,13 @@ def test_two_level_preconditioner_matches_jacobi():
     mat = Material(e0=1.0, nu=0.3)
     asm = Assembly(model, "elasticity", mat)
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    pc = TwoLevelPreconditioner(asm, bcs)
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    pc = op.precond
     with pytest.raises(RuntimeError, match="refresh"):
         pc(np.ones(int(pc.free.sum())))
     pc.refresh(K)
-    jac = solve_system(asm, K, bcs, rtol=1e-10)
-    two = solve_system(asm, K, bcs, rtol=1e-10, precond=pc)
+    jac = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-10)
+    two = solve_system(op, rtol=1e-10)
     assert np.allclose(two.u, jac.u, atol=1e-7 * np.abs(jac.u).max())
     assert abs(two.compliance - jac.compliance) <= 1e-8 * jac.compliance
     assert two.iterations < jac.iterations
@@ -599,10 +629,11 @@ def test_two_level_refresh_with_density_factors_solves():
         rho = rng.uniform(0.2, 1.0, (asm.num_cells, 1))
 
     K = asm.aggregate(density_factors(Rho(), mat))
-    pc = TwoLevelPreconditioner(asm, bcs)
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    pc = op.precond
     pc.refresh(K)
-    sol = solve_system(asm, K, bcs, rtol=1e-9, precond=pc)
-    ref = solve_system(asm, K, bcs, rtol=1e-11)
+    sol = solve_system(op, rtol=1e-9)
+    ref = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-11)
     assert abs(sol.compliance - ref.compliance) <= 1e-7 * ref.compliance
 
 
@@ -618,11 +649,12 @@ def test_two_level_solves_without_vertex_constraints():
         loads=[LoadSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
     x = mesh.vertices[:, 0]
     assert not ((x >= 0.05) & (x <= 0.95)).any()
-    pc = TwoLevelPreconditioner(asm, bcs)
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    pc = op.precond
     pc.refresh(K)
-    jac = solve_system(asm, K, bcs, rtol=1e-10)
-    two = solve_system(asm, K, bcs, rtol=1e-10, precond=pc)
+    jac = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-10)
+    two = solve_system(op, rtol=1e-10)
     assert np.allclose(two.u, jac.u, atol=1e-7 * np.abs(jac.u).max())
     assert abs(two.compliance - jac.compliance) <= 1e-8 * jac.compliance
 
@@ -639,7 +671,7 @@ def test_two_level_coarse_matrix_is_galerkin_product(problem):
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, problem, mat, level=1)
     K = asm.aggregate(_random_factors(asm, mat, 43))
-    pc = TwoLevelPreconditioner(asm, bcs)
+    pc = StiffnessOperator(asm, K, bcs, precond="twolevel").precond
     pc.refresh(K)
     P = np.zeros((model.num_control_points, mesh.num_vertices))
     for c, nodes in enumerate(model.cell_nodes):
@@ -681,8 +713,9 @@ def test_two_level_preconditioner_symmetric():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 5)
-    pc = TwoLevelPreconditioner(asm, bcs)
-    pc.refresh(asm.aggregate(fac))
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, precond="twolevel")
+    pc = op.precond
+    pc.refresh(op.K)
     assert pc.blocks.dtype == np.float32
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     assert np.array_equal(pc.blocks, pc.blocks.transpose(0, 2, 1))
@@ -703,7 +736,7 @@ def test_two_level_update_matches_refresh_after_kills():
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 7)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, bcs)
+    pc = StiffnessOperator(asm, K, bcs, precond="twolevel").precond
     pc.refresh(K)
     before = pc.blocks.copy()
     # remove four sub-elements as a BESO kill does, two in one cell
@@ -711,7 +744,7 @@ def test_two_level_update_matches_refresh_after_kills():
     subs = np.array([3, 0, 6, 7])
     asm.add_increment(K, cells, subs, mat.mu_min - fac[cells, subs])
     pc.update(K, cells)
-    fresh = TwoLevelPreconditioner(asm, bcs)
+    fresh = TwoLevelPreconditioner(asm, pc.free)
     fresh.refresh(K)
     touched = np.unique(cells)
     assert not np.array_equal(before[touched], fresh.blocks[touched])
@@ -733,15 +766,16 @@ def test_two_level_heat_blocks_match_dense_assembly():
     asm = Assembly(model, "heat", mat, level=1)
     fac = _random_factors(asm, mat, 13)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, bcs)
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    pc = op.precond
     pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 64, 64)
     for c, block in enumerate(_assembled_blocks(asm, K, pc.free)):
         ref = np.linalg.inv(block)
         assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
                            atol=1e-6 * np.abs(ref).max())
-    jac = solve_system(asm, K, bcs, rtol=1e-10)
-    two = solve_system(asm, K, bcs, rtol=1e-10, precond=pc)
+    jac = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-10)
+    two = solve_system(op, rtol=1e-10)
     assert abs(two.compliance - jac.compliance) <= 1e-8 * jac.compliance
     assert two.iterations < jac.iterations
 
@@ -767,7 +801,7 @@ def test_two_level_elastic_blocks_match_dense_assembly():
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 31)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, bcs)
+    pc = StiffnessOperator(asm, K, bcs, precond="twolevel").precond
     pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     cells = np.arange(asm.num_cells)
@@ -791,7 +825,7 @@ def test_two_level_names_indefinite_block(problem):
     asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
     K[9] *= -1.0
-    pc = TwoLevelPreconditioner(asm, bcs)
+    pc = StiffnessOperator(asm, K, bcs, precond="twolevel").precond
     with pytest.raises(ValueError, match=r"cell (\d+): assembled block is "
                        r"not positive definite") as err:
         pc.refresh(K)
@@ -808,7 +842,7 @@ def test_solve_rejects_rtol_outside_unit_interval(rtol):
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
     with pytest.raises(ValueError, match=r"rtol must lie in \(0, 1\)"):
-        solve_system(asm, K, bcs, rtol=rtol)
+        solve_system(StiffnessOperator(asm, K, bcs), rtol=rtol)
 
 
 def test_single_precision_solve():
@@ -843,9 +877,9 @@ def test_operator_follows_kills():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = np.full((asm.num_cells, asm.nsub), mat.mu_min + (1 - mat.mu_min))
-    pc = TwoLevelPreconditioner(asm, bcs)
-    op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc,
-                           single_precision=True)
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                           precond="twolevel", single_precision=True)
+    pc = op.precond
     op.prepare()                       # the first solve builds it all
     first = pc.lu
     rng = np.random.default_rng(2)
@@ -858,7 +892,7 @@ def test_operator_follows_kills():
         assert np.array_equal(op.K32, op.K.astype(np.float32))
         op.prepare()
         # touched cells rebuilt before every solve, everything every 8th
-        fresh = TwoLevelPreconditioner(asm, bcs)
+        fresh = TwoLevelPreconditioner(asm, pc.free)
         fresh.refresh(op.K)
         touched = np.unique(kill // asm.nsub)
         assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
@@ -876,8 +910,9 @@ def test_operator_refresh_rebuilds_only_stale_blocks():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 37)
-    pc = TwoLevelPreconditioner(asm, bcs)
-    op = StiffnessOperator(asm, asm.aggregate(fac), fac, precond=pc)
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                           precond="twolevel")
+    pc = op.precond
     built = []
     cell_blocks = pc._cell_blocks
 
@@ -899,7 +934,7 @@ def test_operator_refresh_rebuilds_only_stale_blocks():
         op.prepare()
         rebuilt.append(sum(built))
         # every block not marked stale is the one a full rebuild gives
-        fresh = TwoLevelPreconditioner(asm, bcs)
+        fresh = TwoLevelPreconditioner(asm, pc.free)
         fresh.refresh(op.K)
         clean = ~pc._stale
         assert np.array_equal(pc.blocks[clean], fresh.blocks[clean])
@@ -909,6 +944,56 @@ def test_operator_refresh_rebuilds_only_stale_blocks():
         assert 0 < rebuilt[k] < asm.num_cells
 
 
+def test_operator_rejects_unknown_precond():
+    _, model, bcs = _beam()
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    with pytest.raises(ValueError, match="precond must be one of"):
+        StiffnessOperator(asm, K, bcs, precond="amg")
+
+
+def test_operator_needs_constraints_at_construction():
+    _, model, bcs = _beam()
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    with pytest.raises(ValueError, match="insufficient constraints"):
+        StiffnessOperator(asm, K, replace(bcs, dirichlet=[]))
+
+
+@pytest.mark.parametrize("problem", ["heat", "elasticity"])
+def test_preconditioner_acts_on_the_operators_free_dofs(problem):
+    _, model, bcs = _beam()
+    if problem == "heat":
+        bcs = BoundaryConditions(dirichlet=[DirichletSpec(
+            (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))], heat_source=1.0)
+    asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    dofs, _ = asm.dirichlet(bcs)
+    free = np.ones(asm.ndof, dtype=bool)
+    free[dofs] = False
+    assert 0 < len(dofs) and np.array_equal(op.free, free)
+    assert op.precond.free is op.free
+    assert op.precond.P.shape[0] == int(free.sum())
+
+
+def test_operator_resolves_boundary_conditions_once(monkeypatch):
+    _, model, bcs = _beam()
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    calls = []
+    for name in ("dirichlet", "load_vector"):
+        method = getattr(asm, name)
+        monkeypatch.setattr(asm, name, lambda bcs, name=name, method=method:
+                            calls.append(name) or method(bcs))
+    op = StiffnessOperator(asm, K, bcs, precond="twolevel")
+    first = solve_system(op, rtol=1e-8)
+    again = solve_system(op, rtol=1e-8, x0=first.u.reshape(-1))
+    assert sorted(calls) == ["dirichlet", "load_vector"]
+    assert again.iterations == 0
+    assert abs(again.compliance - first.compliance) <= 1e-8 * first.compliance
+
+
 @pytest.mark.parametrize("single", [False, True])
 def test_cg_loop_matches_direct_solve(single):
     mesh, model, bcs = _beam()
@@ -916,7 +1001,8 @@ def test_cg_loop_matches_direct_solve(single):
     asm = Assembly(model, "elasticity", mat, level=1)
     K = asm.aggregate(_random_factors(asm, mat, 17))
     rtol = 1e-7
-    sol = solve_system(asm, K, bcs, rtol=rtol, single_precision=single)
+    sol = solve_system(StiffnessOperator(asm, K, bcs,
+                                         single_precision=single), rtol=rtol)
     F = asm.load_vector(bcs)
     dofs, _ = asm.dirichlet(bcs)
     free = np.ones(asm.ndof, dtype=bool)
@@ -945,7 +1031,7 @@ def test_compliance_matches_full_product(value):
     mat = Material(e0=2.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "heat", mat, level=1)
     K = asm.aggregate(_random_factors(asm, mat, 19))
-    sol = solve_system(asm, K, bcs, rtol=1e-9)
+    sol = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-9)
     U = sol.u.reshape(-1)
     full = 0.5 * U @ (_sparse_stiffness(asm, K) @ U)
     assert abs(sol.compliance - full) <= 1e-12 * abs(full)
@@ -958,7 +1044,7 @@ def test_preconditioner_update_memory_is_bounded(monkeypatch):
     asm = Assembly(model, "elasticity", mat)
     fac = _random_factors(asm, mat, 23)
     K = asm.aggregate(fac)
-    pc = TwoLevelPreconditioner(asm, bcs)
+    pc = StiffnessOperator(asm, K, bcs, precond="twolevel").precond
     pc.refresh(K)
     budget = 4 << 20
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
-                         LoadSpec, Material, density_factors,
-                         element_stiffness_elastic, solve_system)
+                         LoadSpec, Material, StiffnessOperator,
+                         density_factors, element_stiffness_elastic,
+                         solve_system)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
                             SensitivityFilter, average_history, beso_iterate,
@@ -41,7 +42,8 @@ class _Rho:
 
 def _compliance(asm, rho, mat, bcs):
     K = asm.aggregate(density_factors(_Rho(asm.level, rho), mat))
-    return solve_system(asm, K, bcs, method="dense").compliance
+    return solve_system(StiffnessOperator(asm, K, bcs),
+                        method="dense").compliance
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,7 @@ def test_sensitivity_matches_finite_differences():
     rho = 0.3 + 0.7 * rng.random((1, 8))
 
     K = asm.aggregate(density_factors(_Rho(1, rho), mat))
-    sol = solve_system(asm, K, bcs, method="dense")
+    sol = solve_system(StiffnessOperator(asm, K, bcs), method="dense")
     alpha = sensitivities(sol, asm, _Rho(1, rho))
     alpha_pe = sensitivities(sol, asm, _Rho(1, rho),
                              paper_exact_sensitivity=True)
@@ -96,7 +98,8 @@ def test_sensitivities_reject_stale_solution():
     asm = Assembly(model, "elasticity", mat, level=0)
     dens = density_field(model, 0)
     K = asm.aggregate(density_factors(dens, mat))
-    sol = solve_system(asm, K, _clamp_and_pull(2.0), method="dense")
+    sol = solve_system(StiffnessOperator(asm, K, _clamp_and_pull(2.0)),
+                       method="dense")
     sol.density_version = dens.version
     sensitivities(sol, asm, dens)  # fresh: fine
     dens.kill([0])
