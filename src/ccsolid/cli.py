@@ -8,6 +8,7 @@ blocks with `key = value` pairs; see parse_config.
 
 import argparse
 import inspect
+import math
 import os
 import sys
 from dataclasses import field, make_dataclass, replace
@@ -15,8 +16,8 @@ from dataclasses import field, make_dataclass, replace
 from . import vtkio
 from .hexmesh import (at_least, parse_mesh, read_values, serialize_mesh,
                       text_lines, validate)
-from .iga import (PRECONDITIONERS, BoundaryConditions, DirichletSpec,
-                  LoadSpec, Material, assemble_and_solve)
+from .iga import (BoundaryConditions, DirichletSpec, LoadSpec, Material,
+                  assemble_and_solve)
 from .spline import approximation_error, build_spline_model
 from .subdivision import limit_points, subdivide
 from .topopt import BesoConfig, optimize
@@ -44,7 +45,6 @@ _KEYS = {
     ("beso", "paper_exact_sensitivity"): ("paper_exact_sensitivity", bool,
                                           "paper_exact_sensitivity"),
     ("solver", "rtol"): ("rtol", float, "rtol"),
-    ("solver", "precond"): ("precond", PRECONDITIONERS, "precond"),
     ("solver", "single_precision"): ("single_precision", bool,
                                      "single_precision"),
 }
@@ -143,6 +143,10 @@ def _add_block(cfg, section, lineno, block):
         if dpn != 1:
             raise ValueError("line %d: a source [load] does not fit the %s "
                              "problem" % (lineno, cfg.problem))
+        total = sum(cfg.heat_sources) + block["source"][0]
+        if not math.isfinite(total):
+            raise ValueError("line %d: the [load] sources sum to %r, not a "
+                             "finite heat source" % (lineno, total))
         cfg.heat_sources.append(block["source"][0])
     else:
         if "box" not in block or "vector" not in block:
@@ -164,21 +168,18 @@ def parse_config(text):
     scalar keys, in order: [problem] type (heat or elasticity);
     [material] E0, nu, p, mu_min; [mesh] subdivide, density_level;
     [beso] v_star, er, rho_min, filter, max_iters,
-    paper_exact_sensitivity; [solver] rtol, precond, single_precision.
+    paper_exact_sensitivity; [solver] rtol, single_precision.
     Numbers must be finite, counts whole and non-negative (max_iters
     positive).  A key left out takes its default from Material (p,
     mu_min), BesoConfig (density_level and the [beso] and [solver] keys)
     or optimize (type, subdivide); E0 and nu default to 1 and 0.3, and
-    v_star must be given for `optimize`.  precond only reaches the
-    StiffnessOperator of `optimize`: its default twolevel preconditions CG
-    with inverted per-cell stiffness blocks plus a coarse Galerkin solve on
-    the cell corners, at the memory of one float32 stiffness copy; jacobi
-    uses the stiffness diagonal, as `solve` always does.  Any number of
-    [dirichlet] (box, dofs, value) and [load] (box + vector, or source)
-    blocks follow the scalars or mix with them; dofs is t for heat and
-    distinct letters of xyz for elasticity, and a load vector holds one
-    number per dof of a control point (1 for heat, 3 for elasticity); a
-    source load needs the heat problem.  Errors carry line numbers, also
+    v_star must be given for `optimize`.  Any number of [dirichlet] (box,
+    dofs, value) and [load] (box + vector, or source) blocks follow the
+    scalars or mix with them; dofs is t for heat and distinct letters of
+    xyz for elasticity, and a load vector holds one number per dof of a
+    control point (1 for heat, 3 for elasticity); a source load needs the
+    heat problem, and the sources add up to one heat source, which must
+    stay finite at every block.  Errors carry line numbers, also
     those of the range checks in Material, BesoConfig (run whether or not
     v_star is given) and the box specs.
     """

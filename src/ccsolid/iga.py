@@ -25,7 +25,6 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-PRECONDITIONERS = ("jacobi", "twolevel")
 # working-set bound of one batch of the stiffness Gram kernel, of the
 # sub-element energies and of the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
@@ -375,11 +374,6 @@ class Assembly:
         u[free] = uf
         return self.matvec(K_cells, u)[free]
 
-    def diagonal(self, K_cells):
-        d = np.einsum("cii->ci", K_cells)
-        return np.bincount(self.dofmap.ravel(), weights=d.ravel(),
-                           minlength=self.ndof)
-
     def sub_energies(self, u):
         """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub).
 
@@ -476,14 +470,12 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
     budget.  In float64 the same stall, after sweeps that met their goal,
     means the true residual has reached its rounding floor above an rtol
     too tight for float64; the loop then returns its best iterate with
-    that residual.  `precond` is either a vector of inverse-diagonal
-    entries or a callable applying a full M^-1.
+    that residual.  `precond` is a callable applying M^-1.
 
     Returns (x, iterations, relres, restarts, r): the sweeps' iterations,
     the relative float64 residual, the number of float64 residual
     evaluations and the last float64 residual b - K x itself.
     """
-    apply_m = precond if callable(precond) else (lambda r: precond * r)
     sweep_mv = matvec if matvec32 is None else matvec32
     hint = ("the system is too ill-conditioned for float32 -- raise mu_min "
             "or use full precision" if matvec32 is not None
@@ -527,7 +519,7 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
         goal = rtol / res
         d = np.zeros_like(b)
         s = np.array(r)
-        z = apply_m(s)
+        z = precond(s)
         p = np.array(z)
         rz = s @ z
         it = 0
@@ -544,7 +536,7 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
             if np.linalg.norm(s) / rnorm <= goal:
                 reached = True
                 break
-            z = apply_m(s)
+            z = precond(s)
             rz_new = s @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -563,7 +555,10 @@ def solve_system(op, rtol=1e-8, max_iter=None, method="cg", x0=None):
     The CG sweeps run in the operator's precision (its float32 mirror, if
     it has one) under float64 restarts, so the returned residual is
     double-precision accurate at any rtol the conditioning admits; the
-    operator's preconditioner is brought up to date first.  With zero
+    operator's two-level preconditioner is brought up to date first, and
+    its Cholesky-checked block inversion rejects a K_ff that is not
+    positive definite on some cell's dofs (a non-positive diagonal entry
+    among them) with a ValueError naming the cell.  With zero
     Dirichlet values the compliance is (1/2) x^T (b - r) on the free dofs,
     from the solve's last float64 residual r, which saves one pass over
     the stiffness.  method="dense" solves the assembled free block
@@ -586,17 +581,14 @@ def solve_system(op, rtol=1e-8, max_iter=None, method="cg", x0=None):
         iters, restarts = 0, 1
         res = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     elif method == "cg":
-        diag = assembly.diagonal(K)[free]
-        if (diag <= 0).any():
-            raise ValueError("singular system: non-positive diagonal entries")
         maxiter = max_iter if max_iter is not None else 50 * int(free.sum())
         start = (np.zeros(int(free.sum())) if x0 is None
                  else np.asarray(x0, dtype=float)[free])
         op.prepare()
-        M = op.precond if op.precond is not None else 1.0 / diag
         mv32 = (None if op.K32 is None
                 else partial(assembly.free_matvec, op.K32, free))
-        x, iters, res, restarts, r = _cg(mv, b, M, start, rtol, maxiter, mv32)
+        x, iters, res, restarts, r = _cg(mv, b, op.precond, start, rtol,
+                                         maxiter, mv32)
     else:
         raise ValueError("method must be 'cg' or 'dense'")
 
@@ -736,7 +728,7 @@ class TwoLevelPreconditioner:
     density updates; the StiffnessOperator that owns it builds it on its
     mask `free` of unfixed dofs, refreshes it every _REFRESH_EVERY solves
     and reports the cells its increments touched before every solve.  It
-    is the default preconditioner of BESO runs (BesoConfig.precond).
+    is the preconditioner of every CG solve.
     """
 
     def __init__(self, assembly, free):
@@ -877,8 +869,7 @@ class StiffnessOperator:
     "insufficient constraints".  Owns the float64 stack `K` (nc, nd, nd);
     with `single_precision` its float32 mirror `K32`, kept bit-identical to
     K.astype(np.float32) by re-casting the cells every increment touches;
-    and the preconditioner `precond` names: None for "jacobi", a
-    TwoLevelPreconditioner on `free` for "twolevel".  Before every CG
+    and `precond`, the TwoLevelPreconditioner on `free`.  Before every CG
     solve, `prepare` has the preconditioner rebuild the blocks of the cells
     touched since the last solve and, every _REFRESH_EVERY solves, its
     stale blocks and coarse matrix, all from K.  `factors` are the
@@ -886,11 +877,8 @@ class StiffnessOperator:
     density); `set_factors` keeps K, K32 and the factors in step.
     """
 
-    def __init__(self, assembly, K_cells, bcs, factors=None, precond="jacobi",
+    def __init__(self, assembly, K_cells, bcs, factors=None,
                  single_precision=False):
-        if precond not in PRECONDITIONERS:
-            raise ValueError("precond must be one of %s, got %r"
-                             % (PRECONDITIONERS, precond))
         self.assembly = assembly
         self.F = assembly.load_vector(bcs)
         dofs, vals = assembly.dirichlet(bcs)
@@ -905,8 +893,7 @@ class StiffnessOperator:
         self.K32 = K_cells.astype(np.float32) if single_precision else None
         self.factors = (None if factors is None else np.array(
             factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
-        self.precond = (TwoLevelPreconditioner(assembly, self.free)
-                        if precond == "twolevel" else None)
+        self.precond = TwoLevelPreconditioner(assembly, self.free)
         self._age = 0          # solves since the last refresh
         self._touched = []     # cells changed since the last solve
 
@@ -932,14 +919,13 @@ class StiffnessOperator:
     def prepare(self):
         """Bring the preconditioner up to date for the next solve."""
         pc = self.precond
-        if pc is not None:
-            if self._touched:
-                pc.update(self.K, np.concatenate(self._touched))
-            if pc.lu is None or self._age >= _REFRESH_EVERY:
-                pc.refresh(self.K)
-                self._age = 0
-            self._age += 1
-        self._touched = []
+        if self._touched:
+            pc.update(self.K, np.concatenate(self._touched))
+            self._touched = []
+        if pc.lu is None or self._age >= _REFRESH_EVERY:
+            pc.refresh(self.K)
+            self._age = 0
+        self._age += 1
 
 
 def assemble_and_solve(model, density, mat, bcs, problem, quad_order=4,

@@ -23,8 +23,8 @@ from scipy.spatial import cKDTree
 from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import (PRECONDITIONERS, Assembly, Material, StiffnessOperator,
-                  density_factors, solve_system)
+from .iga import (Assembly, Material, StiffnessOperator, density_factors,
+                  solve_system)
 from . import vtkio
 
 
@@ -272,16 +272,20 @@ class BesoConfig:
     one every that many iterations until `level` is reached, with children
     inheriting their parent's density and sensitivity history.
 
-    The last two fields choose the CG solver's stack.  precond="twolevel"
-    (the default) preconditions with inverted per-cell stiffness blocks
-    plus a Galerkin coarse correction on the cells' corner control points
-    (see TwoLevelPreconditioner; its float32 block stack is as large as
-    the float32 stiffness mirror); "jacobi" uses the stiffness diagonal.
     single_precision runs the CG sweeps on a float32 mirror of the
     stiffness, half the memory traffic, under float64 restarts; it suits
-    moderate contrasts (mu_min of about 1e-2) and tolerances.  Each density
-    level's StiffnessOperator builds both and owns the rebuild schedule.
-    rtol, the relative residual the solves must reach, lies in (0, 1).
+    moderate contrasts (mu_min of about 1e-2) and tolerances.  Every solve
+    is preconditioned by the two-level stack of inverted per-cell stiffness
+    blocks plus a Galerkin coarse correction on the cells' corner control
+    points (see TwoLevelPreconditioner; its float32 block stack is as large
+    as the float32 stiffness mirror).  Each density level's
+    StiffnessOperator builds the mirror and the preconditioner and owns the
+    rebuild schedule.  rtol, the relative residual the solves must reach,
+    lies in (0, 1).
+
+    precond chooses nothing: "twolevel" is its only accepted value.  It is
+    kept so that callers written when a second preconditioner existed, and
+    still pass precond="twolevel", keep running.
     """
 
     v_star: float
@@ -299,8 +303,9 @@ class BesoConfig:
     single_precision: bool = False
 
     def __post_init__(self):
-        if self.precond not in PRECONDITIONERS:
-            raise ValueError("precond must be 'jacobi' or 'twolevel'")
+        if self.precond != "twolevel":
+            raise ValueError("precond must be 'twolevel', the only "
+                             "preconditioner, got %r" % (self.precond,))
         if not 0.0 < self.v_star < 1.0:
             raise ValueError("v_star must lie in (0, 1)")
         if not 0.0 < self.er < 1.0:
@@ -427,7 +432,6 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             if cfg.filter else None
         fac = density_factors(dens, eff)
         op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
-                               precond=cfg.precond,
                                single_precision=cfg.single_precision)
         return asm, dens, filt, op
 

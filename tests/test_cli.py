@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from ccsolid.cli import parse_config, run_command, serialize_config
 from ccsolid.hexmesh import parse_mesh, serialize_mesh
+from ccsolid.iga import assemble_and_solve
 from ccsolid.spline import build_spline_model, regular_box_model
 from ccsolid import vtkio
 from meshes import lattice, two_cubes_sharing_edge, unit_cube
@@ -210,18 +213,35 @@ def test_config_roundtrip_identity():
 
 def test_config_solver_options_roundtrip():
     text = ("[problem]\ntype = elasticity\n[solver]\nrtol = 0.001\n"
-            "precond = twolevel\nsingle_precision = true\n"
+            "single_precision = true\n"
             "[dirichlet]\nbox = 0 0 0 1 1 1\ndofs = xyz\n"
             "[load]\nbox = 0 0 0 1 1 1\nvector = 1 0 0\n")
     cfg = parse_config(text)
-    assert cfg.precond == "twolevel" and cfg.single_precision
+    assert cfg.rtol == 0.001 and cfg.single_precision
     once = serialize_config(cfg)
-    assert "precond = twolevel" in once
     assert "single_precision = true" in once
+    assert "precond" not in once
     assert serialize_config(parse_config(once)) == once
-    # defaults are BesoConfig's: two-level preconditioner, float64 sweeps
-    plain = parse_config(CONFIG)
-    assert plain.precond == "twolevel" and not plain.single_precision
+    # defaults are BesoConfig's: float64 sweeps
+    assert not parse_config(CONFIG).single_precision
+    # the preconditioner is not a choice: the key is unknown
+    with pytest.raises(ValueError, match=r"^line 6: unknown key 'precond' "
+                       r"in \[solver\]$"):
+        parse_config(text.replace("single_precision = true\n",
+                                  "single_precision = true\n"
+                                  "precond = twolevel\n"))
+
+
+def test_config_heat_sources_must_sum_to_a_finite_source():
+    # each source is finite, their sum is not: the block that overflows it
+    # is named, not left to BoundaryConditions
+    text = ("[problem]\ntype = heat\n[load]\nsource = 1e308\n"
+            "[load]\nsource = -1\n[load]\nsource = 1e308\n")
+    with pytest.raises(ValueError, match=r"^line 7: the \[load\] sources "
+                       r"sum to inf"):
+        parse_config(text)
+    cfg = parse_config(text.replace("source = 1e308\n", "source = 1e307\n"))
+    assert cfg.boundary_conditions().heat_source == 2 * 1e307
 
 
 def test_config_heat_source_roundtrip():
@@ -248,7 +268,7 @@ def test_config_heat_source_roundtrip():
     ("[load]\nbox = 0 0 0 1 1 1\n", r"line 1: \[load\] needs"),
     ("[load]\nsource = 1\nbox = 0 0 0 1 1 1\n", r"source .* takes no box"),
     ("[dirichlet]\nbox = 0 0 0 1 1\ndofs = x\n", r"box needs 6 numbers"),
-    ("[solver]\nprecond = amg\n", r"line 2: precond must be"),
+    ("[solver]\nprecond = twolevel\n", r"line 2: unknown key 'precond'"),
     ("[solver]\nsingle_precision = yes\n", r"must be true or false"),
     ("[mesh]\nsubdivide = 1.5\n", r"line 2: bad number '1.5' in subdivide"),
     ("[mesh]\nsubdivide = -2\n", r"line 2: bad number '-2' in subdivide"),
@@ -369,7 +389,17 @@ def test_cli_solve_elastic(tmp_path, capsys):
     out = tmp_path / "sol.vtk"
     assert run_command(["solve", str(src), "--config", str(cfgf),
                         "-o", str(out), "--sample", "2"]) == 0
-    assert "compliance" in capsys.readouterr().out
+    found = re.search(r"compliance (\S+) \((\d+) iterations",
+                      capsys.readouterr().out)
+    # the two-level preconditioner takes 31 CG iterations here, point
+    # Jacobi about 170 and no preconditioner 232
+    assert 0 < int(found.group(2)) <= 60
+    cfg = parse_config(SOLVE_CFG)
+    ref = assemble_and_solve(build_spline_model(mesh), None, cfg.material,
+                             cfg.boundary_conditions(), cfg.problem,
+                             method="dense")
+    assert (abs(float(found.group(1)) - ref.compliance)
+            <= cfg.rtol * ref.compliance)
     text = out.read_text()
     assert "VECTORS displacement double" in text
     npoints, ncells, ctype = _check_vtk(text)

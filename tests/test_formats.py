@@ -212,10 +212,13 @@ def configs(draw):
         rho_min=draw(UNIT), filter=draw(st.booleans()),
         max_iters=draw(st.integers(1, 10 ** 9)),
         paper_exact_sensitivity=draw(st.booleans()), rtol=draw(UNIT),
-        precond=draw(st.sampled_from(["jacobi", "twolevel"])),
         single_precision=draw(st.booleans()),
         dirichlet=dirichlet, loads=loads,
-        heat_sources=draw(st.lists(FINITE, max_size=2 if dpn == 1 else 0)))
+        # bounded so that the sum of two stays finite, as parse_config
+        # requires of the sources
+        heat_sources=draw(st.lists(
+            st.floats(min_value=-1e307, max_value=1e307),
+            max_size=2 if dpn == 1 else 0)))
 
 
 def _state(cfg):
@@ -242,7 +245,7 @@ def test_config_round_trip_is_exact(data):
 
 
 _SCALAR_BAD = {
-    "type": ["HEAT", "fluid", "1"], "precond": ["amg", "Jacobi"],
+    "type": ["HEAT", "fluid", "1"],
     "filter": ["yes", "1", "True"], "paper_exact_sensitivity": ["no", "0"],
     "single_precision": ["on"], "subdivide": NOT_COUNT,
     "density_level": NOT_COUNT, "max_iters": NOT_COUNT + ["0"],
