@@ -12,10 +12,12 @@ mesh.  Per quadrature point the elasticity integrand factors as
 with g_i the physical shape gradients, so each element matrix is one
 Gram product of the gradient vectors plus cheap reshuffles; assembly and
 the conjugate-gradient matvec stay allocation-light and deterministic.
+The basis gradients are tabulated component-major, (3, 64) per point, so
+Grams and energies share one gradient step J^{-T} X on that table.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -25,8 +27,8 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import SplineModel, _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-# working-set bound of one batch of the stiffness Gram kernel, of the
-# sub-element energies and of the preconditioner's cell blocks
+# working-set bound of one batch of the Jacobians, the stiffness Gram
+# kernel, the sub-element energies and the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
 # solves between full rebuilds of a StiffnessOperator's preconditioner
 _REFRESH_EVERY = 8
@@ -151,14 +153,15 @@ def _gauss01(order):
 @lru_cache(maxsize=32)
 def _quad_tables(level, order):
     """Per sub-cube: quadrature weights (with the 1/8^level measure),
-    parent-basis values N and parameter gradients Ghat at the mapped
-    points.  Sub-cube (i, j, k) has index (i*2^level + j)*2^level + k."""
+    parent-basis values N and component-major parameter gradients
+    Ghat[s, p, e, n] (basis n along parameter e) at the mapped points.
+    Sub-cube (i, j, k) has index (i*2^level + j)*2^level + k."""
     x, w = _gauss01(order)
     m = 2 ** level
     npts = order ** 3
     wts = (np.einsum("i,j,k->ijk", w, w, w).reshape(npts) / m ** 3)
     N = np.empty((m ** 3, npts, 64))
-    Ghat = np.empty((m ** 3, npts, 64, 3))
+    Ghat = np.empty((m ** 3, npts, 3, 64))
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -171,7 +174,7 @@ def _quad_tables(level, order):
                 for ax in range(3):
                     F = list(B)
                     F[ax] = D[ax]
-                    Ghat[s, :, :, ax] = np.einsum(
+                    Ghat[s, :, ax] = np.einsum(
                         "ia,jb,kc->ijkabc", *F).reshape(npts, 64)
     for a in (wts, N, Ghat):
         a.setflags(write=False)
@@ -185,11 +188,11 @@ class Assembly:
     cell-to-dof map, and batched routines for unit-density sub-element
     stiffness, aggregation over density factors, matvec, and strain-energy
     evaluation.  All reductions run in a fixed order, so repeated
-    assemblies are bit-identical.  The three stiffness integrals
-    (sub_stiffness, aggregate, add_increment) share one Gram kernel whose
-    batches hold at most _GRAM_BATCH_BYTES (32 MiB) of gradients and
-    Grams, so their memory beside the result grows neither with the mesh
-    nor with the density level.
+    assemblies are bit-identical.  The stiffness integrals (sub_stiffness,
+    aggregate, add_increment) share one Gram kernel; it and sub_energies
+    form gradients as J^{-T} X on the component-major table.  Their
+    batches, and those forming J^{-1}, hold at most _GRAM_BATCH_BYTES
+    (32 MiB): memory beside the results grows with neither mesh nor level.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -216,27 +219,30 @@ class Assembly:
                              % np.argmin(finite))
         self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
-        # one 3x64 @ 64x3 product per (cell, sub, point): each item is
-        # summed on its own, so a one-cell assembly matches the batched
-        # one bit for bit
-        J = np.matmul(nets.transpose(0, 2, 1)[:, None, None], self._Ghat[None])
-        self.detJ = np.linalg.det(J)
-        if not (self.detJ > 0).all():        # a NaN fails the test too
+        self.detJ = np.empty((len(nets), self.nsub, len(self._w)))
+        self.invJ = np.empty(self.detJ.shape + (3, 3))
+        # per cell: J, its inverse and det J
+        step = max(1, _GRAM_BATCH_BYTES // (19 * self.detJ[0].nbytes))
+        for lo in range(0, len(nets), step):
+            rows = slice(lo, lo + step)
+            # one 3x64 @ 64x3 product per (cell, sub, point): each item is
+            # summed on its own, so no batching changes the bits
+            J = np.matmul(nets[rows, None, None].swapaxes(-1, -2),
+                          self._Ghat.swapaxes(-1, -2))
+            self.detJ[rows] = np.linalg.det(J)
+            if (self.detJ[rows] > 0).all():   # a NaN fails the test too
+                self.invJ[rows] = np.linalg.inv(J)
+        if not (self.detJ > 0).all():
             c, s, p = np.unravel_index(np.argmin(self.detJ), self.detJ.shape)
             raise ValueError(
                 "non-positive Jacobian in cell %d (sub-element %d, "
                 "quadrature point %d): det J = %g" % (c, s, p, self.detJ[c, s, p]))
-        self.invJ = np.linalg.inv(J)
         self.sub_volumes = np.einsum("csp,p->cs", self.detJ, self._w)
         self._unit_source = None    # load of a unit heat source, on first use
-        self._Gt = None             # node-major Ghat, on first sub_energies
 
         nodes = model.cell_nodes
-        if self.dpn == 1:
-            self.dofmap = np.array(nodes)
-        else:
-            self.dofmap = (3 * nodes[:, :, None]
-                           + np.arange(3)).reshape(len(nodes), self.nd)
+        self.dofmap = (self.dpn * nodes[:, :, None]
+                       + np.arange(self.dpn)).reshape(len(nodes), self.nd)
 
     @property
     def num_cells(self):
@@ -249,17 +255,19 @@ class Assembly:
         cells (n,), subs and scale (n, k), scale >= 0.  Yields (rows, W)
         for consecutive slices `rows` of the n rows, with
         W[i] = sum_j sum_pt w detJ scale q q^T over the pairs
-        (cells[r], subs[r, j]), r = rows[i], and q the flattened physical
-        gradients; for heat the contraction runs directly over the 64
-        nodes, giving the stiffness itself.  A row's subs are folded into
-        the inner dimension of its GEMM, in equal slices of at most `span`
-        subs whose Grams are summed.  A batch holds at most `cap` rows and
-        _GRAM_BATCH_BYTES of gradients and Grams, or one row's slice if
-        that is larger.  The slices depend on k alone and every row is its
-        own GEMM, so W does not depend on the batch size.
+        (cells[r], subs[r, j]), r = rows[i], and q the physical gradients
+        J^{-T} Ghat flattened component-major, (d, node); for heat the sum
+        runs over d too, giving the stiffness itself.  A row's subs are
+        folded into the inner dimension of its GEMM, in equal slices of at
+        most `span` subs whose Grams are summed.  A batch holds at most
+        `cap` rows and _GRAM_BATCH_BYTES of gradients and Grams, or one
+        row's slice if that is larger.  The slices depend on k alone and
+        every row is its own GEMM, so W does not depend on the batch size.
         """
         n, k = subs.shape
-        pair = 3 * self._Ghat[0].nbytes     # gathered, physical, reordered
+        # per pair: gathered Ghat, gradients and the previous slice's, bound
+        # until replaced (J^{-1} and scale temporaries add under 5 % of one)
+        pair = 3 * self._Ghat[0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
         span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
         nslice = -(-k // span)
@@ -273,15 +281,11 @@ class Assembly:
             W = None
             for s0 in range(0, k, span):
                 s = subs[rows, s0:s0 + span]
-                G = np.matmul(self._Ghat[s], self.invJ[c, s])
+                G = np.matmul(self.invJ[c, s].swapaxes(-1, -2), self._Ghat[s])
                 G *= np.sqrt(self._w * self.detJ[c, s]
                              * scale[rows, s0:s0 + span, None])[..., None, None]
-                b = len(G)
-                if self.dpn == 1:
-                    Q = G.transpose(0, 3, 1, 2, 4).reshape(b, 64, -1)
-                else:
-                    Q = G.reshape(b, -1, 192).transpose(0, 2, 1)
-                part = Q @ Q.transpose(0, 2, 1)
+                Q = G.reshape(len(G), -1, self.nd)
+                part = Q.transpose(0, 2, 1) @ Q
                 if W is None:
                     W = part
                 else:
@@ -294,11 +298,12 @@ class Assembly:
             k0 = self.mat.e0 if self.mat is not None else 1.0
             return k0 * W
         lam, mu = self.mat.lam, self.mat.mu
-        m = len(W)
-        W4 = W.reshape(m, 64, 3, 64, 3)
-        K = lam * W + mu * W4.transpose(0, 3, 2, 1, 4).reshape(m, 192, 192)
-        A = mu * np.einsum("midjd->mij", W4)
+        W4 = W.reshape(len(W), 3, 64, 3, 64)
+        K = np.empty((len(W), 192, 192))
+        A = mu * np.einsum("mdidj->mij", W4)
         for d in range(3):
+            for e in range(3):
+                K[:, d::3, e::3] = lam * W4[:, d, :, e] + mu * W4[:, e, :, d]
             K[:, d::3, d::3] += A
         return K
 
@@ -377,15 +382,12 @@ class Assembly:
     def sub_energies(self, u):
         """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub).
 
-        The nodes are contracted in one GEMM and J^{-1} is applied per
-        point, in batches of cells whose gradient tensors stay within
-        _GRAM_BATCH_BYTES, so the memory beside the (nc, nsub) result does
-        not grow with the design."""
+        The nodes are contracted in one GEMM with the component-major
+        gradient table and J^{-T} is applied per point, in batches of cells
+        whose gradient tensors stay within _GRAM_BATCH_BYTES, so the memory
+        beside the (nc, nsub) result does not grow with the design."""
         nsub, npts = self._Ghat.shape[:2]
-        if self._Gt is None:
-            # node-major copy of the gradient table, one GEMM operand
-            self._Gt = self._Ghat.transpose(2, 0, 1, 3).reshape(64, -1)
-        Gt = self._Gt
+        Gt = self._Ghat.reshape(-1, 64).T
         k0 = self.mat.e0 if self.mat is not None else 1.0
         nc = self.num_cells
         # gradient tensors, their products and the einsum temporaries
@@ -394,25 +396,21 @@ class Assembly:
         out = np.empty((nc, nsub))
         for lo in range(0, nc, step):
             rows = slice(lo, min(lo + step, nc))
-            ue = u[self.dofmap[rows]]
-            b = len(ue)
-            invJ = self.invJ[rows]
+            un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
+            # T[c, d, s, p, e] = sum_n Ghat[s, p, e, n] u[c, n, d], one 2-D
+            # GEMM, and H[..., f, d] = sum_e invJ[..., e, f] T[..., e, d]
+            T = (un.swapaxes(1, 2).reshape(-1, 64) @ Gt).reshape(
+                len(un), self.dpn, nsub, npts, 3)
+            H = np.matmul(self.invJ[rows].swapaxes(-1, -2),
+                          T.transpose(0, 2, 3, 4, 1))
+            sq = (H ** 2).sum(axis=(-2, -1))
             if self.dpn == 1:
-                t = (ue @ Gt).reshape(b, nsub, npts, 1, 3)
-                grad = np.matmul(t, invJ)[..., 0, :]
-                dens = k0 * (grad ** 2).sum(axis=-1)
+                dens = k0 * sq
             else:
-                # T[c, s, p, e, d] = sum_n Ghat[s, p, n, e] u[c, n, d] and
-                # H[..., f, d] = sum_e invJ[..., e, f] T[..., e, d]
-                un = ue.reshape(b, 64, 3).transpose(0, 2, 1)
-                T = (un @ Gt).reshape(b, 3, nsub, npts, 3)
-                H = np.matmul(invJ.swapaxes(-1, -2),
-                              T.transpose(0, 2, 3, 4, 1))
                 lam, mu = self.mat.lam, self.mat.mu
                 tr = np.einsum("cspdd->csp", H)
                 dens = (lam * tr ** 2
-                        + mu * (np.einsum("cspfd,cspdf->csp", H, H)
-                                + (H ** 2).sum(axis=(-2, -1))))
+                        + mu * (np.einsum("cspfd,cspdf->csp", H, H) + sq))
             out[rows] = np.einsum("p,csp,csp->cs", self._w, self.detJ[rows],
                                   dens)
         return out
@@ -869,12 +867,13 @@ class StiffnessOperator:
     "insufficient constraints".  Owns the float64 stack `K` (nc, nd, nd);
     with `single_precision` its float32 mirror `K32`, kept bit-identical to
     K.astype(np.float32) by re-casting the cells every increment touches;
-    and `precond`, the TwoLevelPreconditioner on `free`.  Before every CG
-    solve, `prepare` has the preconditioner rebuild the blocks of the cells
-    touched since the last solve and, every _REFRESH_EVERY solves, its
-    stale blocks and coarse matrix, all from K.  `factors` are the
-    per-(cell, sub) density factors K was aggregated from (None: unit
-    density); `set_factors` keeps K, K32 and the factors in step.
+    and `precond`, the TwoLevelPreconditioner on `free`, built on first use
+    (dense solves never use it).  Before every CG solve, `prepare` has the
+    preconditioner rebuild the blocks of the cells touched since the last
+    solve and, every _REFRESH_EVERY solves, its stale blocks and coarse
+    matrix, all from K.  `factors` are the per-(cell, sub) density factors
+    K was aggregated from (None: unit density); `set_factors` keeps K, K32
+    and the factors in step.
     """
 
     def __init__(self, assembly, K_cells, bcs, factors=None,
@@ -893,9 +892,12 @@ class StiffnessOperator:
         self.K32 = K_cells.astype(np.float32) if single_precision else None
         self.factors = (None if factors is None else np.array(
             factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
-        self.precond = TwoLevelPreconditioner(assembly, self.free)
         self._age = 0          # solves since the last refresh
         self._touched = []     # cells changed since the last solve
+
+    @cached_property
+    def precond(self):
+        return TwoLevelPreconditioner(self.assembly, self.free)
 
     def set_factors(self, cells, subs, values):
         """Change the density factors of the listed (cell, sub) pairs

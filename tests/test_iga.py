@@ -15,7 +15,8 @@ from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          density_factors, element_stiffness_elastic,
                          element_stiffness_heat, solve_system,
                          subelement_stiffness, subelement_stiffness_heat)
-from ccsolid.spline import BezierVolume, build_spline_model, regular_box_model
+from ccsolid.spline import (BezierVolume, SplineModel, build_spline_model,
+                            regular_box_model)
 from ccsolid.subdivision import subdivide
 from meshes import lattice
 
@@ -244,6 +245,42 @@ def test_nonpositive_jacobian_rejected():
     bad[..., 0] *= -1.0
     with pytest.raises(ValueError, match="Jacobian"):
         element_stiffness_heat(BezierVolume(bad))
+
+
+def test_nonpositive_jacobian_named_whatever_the_batches(monkeypatch):
+    # two cells with mirrored node order: the error names the point of
+    # least det J over the whole model, also when each cell is its own batch
+    model = _curved_model()
+    nodes = model.cell_nodes.copy()
+    for c in (0, 11):
+        nodes[c] = nodes[c].reshape(4, 4, 4)[::-1].ravel()
+    bad = SplineModel(points=model.points, cell_nodes=nodes)
+    msgs = []
+    for budget in (iga._GRAM_BATCH_BYTES, 1):
+        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+        with pytest.raises(ValueError, match="non-positive Jacobian") as err:
+            Assembly(bad, "heat", None, level=1)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1]
+    assert "in cell 11 " in msgs[0]
+
+
+def test_assembly_jacobian_memory_is_bounded(monkeypatch):
+    model = _curved_model()
+    ref = Assembly(model, "elasticity", Material(1.0, 0.3), level=2)
+    budget = 1 << 20
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        asm = Assembly(model, "elasticity", Material(1.0, 0.3), level=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the whole J beside its inverse would take another 4.7 MB
+    assert peak <= asm.detJ.nbytes + asm.invJ.nbytes + 2 * budget
+    assert np.array_equal(asm.detJ, ref.detJ)
+    assert np.array_equal(asm.invJ, ref.invJ)
 
 
 # ------------------------------------------------------------ subelements
@@ -992,6 +1029,18 @@ def test_preconditioner_acts_on_the_operators_free_dofs(problem):
     assert 0 < len(dofs) and np.array_equal(op.free, free)
     assert op.precond.free is op.free
     assert op.precond.P.shape[0] == int(free.sum())
+
+
+def test_dense_solve_builds_no_preconditioner():
+    _, model, bcs = _beam()
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
+                           bcs)
+    dense = solve_system(op, method="dense")
+    assert "precond" not in vars(op)
+    cg = solve_system(op, rtol=1e-10)
+    assert isinstance(vars(op)["precond"], TwoLevelPreconditioner)
+    assert abs(cg.compliance - dense.compliance) <= 1e-8 * dense.compliance
 
 
 def test_operator_resolves_boundary_conditions_once(monkeypatch):
