@@ -9,16 +9,15 @@ console command uses, so each call below is exactly
 
     ccsolid <subcommand> <args...>
 
-run from a temp directory.
+run from a temporary directory that is removed at the end.  The script
+stops with that command's exit code at the first command that fails.
 """
 
 import os
+import sys
 import tempfile
 import numpy as np
 from ccsolid import HexMesh, run_command, serialize_mesh
-
-work = tempfile.mkdtemp(prefix="pipeline_")
-os.chdir(work)
 
 
 def block(nx, ny, nz, h=1.0):
@@ -38,28 +37,28 @@ def block(nx, ny, nz, h=1.0):
     return HexMesh(verts, np.array(cells))
 
 
-# a mesh file in the plain ASCII format: `nv nc`, vertex lines, cell lines
-with open("beam.mesh", "w") as fh:
-    fh.write(serialize_mesh(block(4, 1, 1)))
+def ccsolid(*argv):
+    """Echo one command line and run it; stop the tour if it fails."""
+    print("\n$ ccsolid " + " ".join(argv))
+    code = run_command(list(argv))
+    if code:
+        sys.exit(code)
 
-print("$ ccsolid validate beam.mesh")
-run_command(["validate", "beam.mesh"])
 
-print("\n$ ccsolid subdivide beam.mesh -n 2 -o fine.mesh")
-run_command(["subdivide", "beam.mesh", "-n", "2", "-o", "fine.mesh"])
+def tour(work):
+    # a mesh file in the plain ASCII format: `nv nc`, vertex lines, cell lines
+    with open("beam.mesh", "w") as fh:
+        fh.write(serialize_mesh(block(4, 1, 1)))
 
-print("\n$ ccsolid limit fine.mesh -o limit.vtk")
-run_command(["limit", "fine.mesh", "-o", "limit.vtk"])
+    ccsolid("validate", "beam.mesh")
+    ccsolid("subdivide", "beam.mesh", "-n", "2", "-o", "fine.mesh")
+    ccsolid("limit", "fine.mesh", "-o", "limit.vtk")
+    ccsolid("bezier", "beam.mesh", "-o", "model.vtk")
+    ccsolid("error", "beam.mesh", "--depth", "2")
 
-print("\n$ ccsolid bezier beam.mesh -o model.vtk")
-run_command(["bezier", "beam.mesh", "-o", "model.vtk"])
-
-print("\n$ ccsolid error beam.mesh --depth 2")
-run_command(["error", "beam.mesh", "--depth", "2"])
-
-# an analysis needs a config: clamp one end, shear the other
-with open("pull.cfg", "w") as fh:
-    fh.write("""\
+    # an analysis needs a config: clamp one end, shear the other
+    with open("pull.cfg", "w") as fh:
+        fh.write("""\
 [problem]
 type = elasticity
 
@@ -78,13 +77,11 @@ dofs = xyz
 box = 3.75 -1e9 -1e9  1e9 1e9 1e9
 vector = 0 0 -1
 """)
+    ccsolid("solve", "beam.mesh", "--config", "pull.cfg", "-o", "pulled.vtk")
 
-print("\n$ ccsolid solve beam.mesh --config pull.cfg -o pulled.vtk")
-run_command(["solve", "beam.mesh", "--config", "pull.cfg", "-o", "pulled.vtk"])
-
-# optimization reuses the config plus a [beso] block
-with open("carve.cfg", "w") as fh:
-    fh.write(open("pull.cfg").read() + """
+    # optimization reuses the config plus a [beso] block
+    with open("carve.cfg", "w") as fh:
+        fh.write(open("pull.cfg").read() + """
 [mesh]
 density_level = 1
 
@@ -92,16 +89,22 @@ density_level = 1
 v_star = 0.6
 er = 0.05
 """)
+    ccsolid("optimize", "beam.mesh", "--config", "carve.cfg", "-o", "carved")
 
-print("\n$ ccsolid optimize beam.mesh --config carve.cfg -o carved")
-run_command(["optimize", "beam.mesh", "--config", "carve.cfg", "-o",
-             "carved"])
+    print("\nfiles produced:")
+    for name in sorted(os.listdir(work)):
+        path = os.path.join(work, name)
+        if os.path.isdir(path):
+            inner = sorted(os.listdir(path))
+            print("  %s/ (%d files, e.g. %s)" % (name, len(inner), inner[:2]))
+        else:
+            print("  %s (%d bytes)" % (name, os.path.getsize(path)))
 
-print("\nfiles produced:")
-for name in sorted(os.listdir(work)):
-    path = os.path.join(work, name)
-    if os.path.isdir(path):
-        inner = sorted(os.listdir(path))
-        print("  %s/ (%d files, e.g. %s)" % (name, len(inner), inner[:2]))
-    else:
-        print("  %s (%d bytes)" % (name, os.path.getsize(path)))
+
+home = os.getcwd()
+with tempfile.TemporaryDirectory(prefix="pipeline_") as work:
+    os.chdir(work)
+    try:
+        tour(work)
+    finally:
+        os.chdir(home)

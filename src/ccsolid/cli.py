@@ -358,15 +358,14 @@ def _cmd_solve(args):
 def _cmd_optimize(args):
     mesh = _read_mesh(args.mesh)
     cfg = _read_config(args.config)
+    for _ in range(cfg.subdivide):
+        mesh, _ = subdivide(mesh)
     dens, history = optimize(mesh, cfg.beso_config(), cfg.material,
                              cfg.boundary_conditions(), problem=cfg.problem,
-                             subdivide=cfg.subdivide, out_dir=args.output)
+                             out_dir=args.output)
     # final solid: sub-elements still at full density
-    final_mesh = mesh
-    for _ in range(cfg.subdivide):
-        final_mesh, _ = subdivide(final_mesh)
-    model = build_spline_model(final_mesh)
-    points, hexes = vtkio.sample_model(model, 1 << dens.level)
+    points, hexes = vtkio.sample_model(build_spline_model(mesh),
+                                       1 << dens.level)
     alive = dens.alive.reshape(-1)
     vtkio.write_vtk(os.path.join(args.output, "final.vtk"), points,
                     hexes[alive],

@@ -120,9 +120,9 @@ class HexMesh:
         # an edge is keyed by lo * nv + hi; sorted keys order the edges
         # lexicographically by (lo, hi)
         pairs = np.sort(self.cells[:, _LOCAL_EDGES_ARR], axis=2).reshape(-1, 2)
-        self._edge_keys, einv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
-                                          return_inverse=True)
-        self.edges = np.stack(np.divmod(self._edge_keys, nv), axis=1)
+        edge_keys, einv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                    return_inverse=True)
+        self.edges = np.stack(np.divmod(edge_keys, nv), axis=1)
         self.cell_edges = einv.reshape(nc, 12)
 
         quads = self.cells[:, _LOCAL_FACES_ARR]              # oriented cycles
@@ -136,7 +136,7 @@ class HexMesh:
         ne, nf = len(self.edges), len(self.faces)
         nxt = np.roll(self.face_cycles, -1, axis=1)
         self.face_edges = np.searchsorted(
-            self._edge_keys,
+            edge_keys,
             np.minimum(self.face_cycles, nxt) * nv
             + np.maximum(self.face_cycles, nxt))
 
@@ -169,25 +169,6 @@ class HexMesh:
     @property
     def num_cells(self):
         return len(self.cells)
-
-    def edge_index(self, a, b):
-        """Edge id of the (a, b) vertex pair, or -1 if absent."""
-        lo, hi = min(a, b), max(a, b)
-        if lo < 0 or hi >= self.num_vertices:
-            return -1
-        key = lo * self.num_vertices + hi
-        i = int(np.searchsorted(self._edge_keys, key))
-        if i < self.num_edges and self._edge_keys[i] == key:
-            return i
-        return -1
-
-    def cell_centroid(self, c):
-        return self.vertices[self.cells[c]].mean(axis=0)
-
-    def bbox_diagonal(self):
-        if not len(self.vertices):
-            return 0.0
-        return float(np.linalg.norm(self.vertices.max(0) - self.vertices.min(0)))
 
 
 @dataclass

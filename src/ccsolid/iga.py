@@ -206,7 +206,6 @@ class Assembly:
         self.problem = problem
         self.mat = mat
         self.level = level
-        self.quad_order = quad_order
         self.nsub = 8 ** level
         self.dpn = 3 if problem == "elasticity" else 1
         self.nd = 64 * self.dpn
@@ -546,7 +545,7 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
         x = x + d
 
 
-def solve_system(op, rtol=1e-8, max_iter=None, method="cg", x0=None):
+def solve_system(op, rtol=1e-8, method="cg", x0=None):
     """Solve K U = F on a StiffnessOperator, which holds K, the load F and
     the Dirichlet lift; returns the Solution with compliance (1/2) U^T K U.
 
@@ -579,14 +578,13 @@ def solve_system(op, rtol=1e-8, max_iter=None, method="cg", x0=None):
         iters, restarts = 0, 1
         res = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
     elif method == "cg":
-        maxiter = max_iter if max_iter is not None else 50 * int(free.sum())
         start = (np.zeros(int(free.sum())) if x0 is None
                  else np.asarray(x0, dtype=float)[free])
         op.prepare()
         mv32 = (None if op.K32 is None
                 else partial(assembly.free_matvec, op.K32, free))
         x, iters, res, restarts, r = _cg(mv, b, op.precond, start, rtol,
-                                         maxiter, mv32)
+                                         50 * len(start), mv32)
     else:
         raise ValueError("method must be 'cg' or 'dense'")
 
@@ -930,22 +928,21 @@ class StiffnessOperator:
         self._age += 1
 
 
-def assemble_and_solve(model, density, mat, bcs, problem, quad_order=4,
-                       rtol=1e-8, max_iter=None, method="cg",
-                       single_precision=False):
+def assemble_and_solve(model, density, mat, bcs, problem, rtol=1e-8,
+                       method="cg", single_precision=False):
     """Assemble K(rho) on the model and solve one analysis problem.
 
     density is None for a plain unit-modulus analysis, or any object with
     `level` and `rho` (num_cells x 8^level densities in [0, 1]).
     """
     level = density.level if density is not None else 0
-    asm = Assembly(model, problem, mat, level=level, quad_order=quad_order)
+    asm = Assembly(model, problem, mat, level=level)
     factors = density_factors(density, mat)
     if factors is None:
         factors = np.ones((asm.num_cells, asm.nsub))
     op = StiffnessOperator(asm, asm.aggregate(factors), bcs,
                            single_precision=single_precision)
-    return solve_system(op, rtol=rtol, max_iter=max_iter, method=method)
+    return solve_system(op, rtol=rtol, method=method)
 
 
 def _single_cell_model(vol):
@@ -963,26 +960,25 @@ def _sub_index(level, sub):
     return (i * m + j) * m + k
 
 
-def element_stiffness_heat(vol, quad_order=4):
+def element_stiffness_heat(vol):
     """64x64 conduction stiffness of one patch (unit conductivity)."""
-    return subelement_stiffness_heat(vol, 0, (0, 0, 0), quad_order)
+    return subelement_stiffness_heat(vol, 0, (0, 0, 0))
 
 
-def subelement_stiffness_heat(vol, level, sub, quad_order=4):
+def subelement_stiffness_heat(vol, level, sub):
     """Heat stiffness integrated over one dyadic parametric sub-cube using
     the parent basis; level 0 is the whole element."""
-    asm = Assembly(_single_cell_model(vol), "heat", None, level, quad_order)
+    asm = Assembly(_single_cell_model(vol), "heat", None, level)
     return asm.sub_stiffness([0], [_sub_index(level, sub)])[0]
 
 
-def element_stiffness_elastic(vol, mat, quad_order=4):
+def element_stiffness_elastic(vol, mat):
     """192x192 elasticity stiffness of one patch (dofs interleaved xyz)."""
-    return subelement_stiffness(vol, 0, (0, 0, 0), mat, quad_order)
+    return subelement_stiffness(vol, 0, (0, 0, 0), mat)
 
 
-def subelement_stiffness(vol, level, sub, mat, quad_order=4):
+def subelement_stiffness(vol, level, sub, mat):
     """Elasticity stiffness over one dyadic parametric sub-cube of the
     patch, integrated with the parent basis."""
-    asm = Assembly(_single_cell_model(vol), "elasticity", mat, level,
-                   quad_order)
+    asm = Assembly(_single_cell_model(vol), "elasticity", mat, level)
     return asm.sub_stiffness([0], [_sub_index(level, sub)])[0]

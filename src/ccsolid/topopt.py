@@ -102,9 +102,9 @@ def _parametric_centers(model, level):
     return evaluate_cells(model.points, model.cell_nodes, params)
 
 
-def density_field(model, level, rho_min=1e-4, quad_order=4):
+def density_field(model, level, rho_min=1e-4):
     """All-solid density field on a spline model at the given dyadic level."""
-    asm = Assembly(model, "heat", None, level=level, quad_order=quad_order)
+    asm = Assembly(model, "heat", None, level=level)
     nc, nsub = asm.num_cells, asm.nsub
     return DensityField(level=level, rho=np.ones((nc, nsub)),
                         volumes=asm.sub_volumes.copy(),
@@ -267,10 +267,7 @@ class BesoConfig:
 
     v_star: target volume fraction; er: evolutionary rate of the volume
     schedule; level: dyadic density resolution per cell.  p and mu_min
-    default to the material's own values when left as None.  level_up_at
-    runs the first iterations at level 0 and raises the density level by
-    one every that many iterations until `level` is reached, with children
-    inheriting their parent's density and sensitivity history.
+    default to the material's own values when left as None.
 
     single_precision runs the CG sweeps on a float32 mirror of the
     stiffness, half the memory traffic, under float64 restarts; it suits
@@ -278,10 +275,9 @@ class BesoConfig:
     is preconditioned by the two-level stack of inverted per-cell stiffness
     blocks plus a Galerkin coarse correction on the cells' corner control
     points (see TwoLevelPreconditioner; its float32 block stack is as large
-    as the float32 stiffness mirror).  Each density level's
-    StiffnessOperator builds the mirror and the preconditioner and owns the
-    rebuild schedule.  rtol, the relative residual the solves must reach,
-    lies in (0, 1).
+    as the float32 stiffness mirror).  The run's StiffnessOperator builds
+    the mirror and the preconditioner and owns the rebuild schedule.  rtol,
+    the relative residual the solves must reach, lies in (0, 1).
 
     precond chooses nothing: "twolevel" is its only accepted value.  It is
     kept so that callers written when a second preconditioner existed, and
@@ -298,7 +294,6 @@ class BesoConfig:
     max_iterations: int = 200
     rtol: float = 1e-8
     paper_exact_sensitivity: bool = False
-    level_up_at: int = None
     precond: str = "twolevel"
     single_precision: bool = False
 
@@ -320,8 +315,6 @@ class BesoConfig:
             raise ValueError("rtol must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.level_up_at is not None and self.level_up_at < 1:
-            raise ValueError("level_up_at must be >= 1")
 
     def material(self, base):
         """Material with this config's penalization applied."""
@@ -381,24 +374,8 @@ def beso_iterate(state, alpha, cfg):
 # driver
 
 
-def _child_parent_subs(level):
-    """Map each row-major sub index at `level` to its parent at level - 1."""
-    m = 1 << level
-    s = np.arange(m ** 3)
-    i, j, k = s // (m * m), (s // m) % m, s % m
-    h = m // 2
-    return ((i // 2) * h + j // 2) * h + k // 2
-
-
-def _refine_field(values, new_level):
-    """Children inherit their parent's per-element value one level down;
-    `values` holds 8**(new_level - 1) entries per cell, flat or per cell."""
-    parent = np.reshape(values, (-1, 8 ** (new_level - 1)))
-    return parent[:, _child_parent_subs(new_level)]
-
-
 def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
-             quad_order=4, out_dir=None, callback=None):
+             out_dir=None, callback=None):
     """Run the full compliance-minimisation loop on a hexahedral mesh.
 
     The mesh is subdivided `subdivide` times, turned into a spline model,
@@ -417,62 +394,32 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         mesh, _ = subdivide_mesh(mesh)
     model = build_spline_model(mesh)
     eff = cfg.material(mat)
-    level = 0 if cfg.level_up_at is not None else cfg.level
-
-    def setup(level, rho, version=0):
-        """Analysis, design field, filter and stiffness operator of one
-        density level."""
-        asm = Assembly(model, problem, eff, level=level, quad_order=quad_order)
-        dens = DensityField(level=level, rho=rho,
-                            volumes=asm.sub_volumes.copy(),
-                            centroids=_parametric_centers(model, level),
-                            rho_min=cfg.rho_min, version=version)
-        filt = SensitivityFilter(dens.centroids,
-                                 density_adjacency(mesh, level)) \
-            if cfg.filter else None
-        fac = density_factors(dens, eff)
-        op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
-                               single_precision=cfg.single_precision)
-        return asm, dens, filt, op
-
-    asm, dens, filt, op = setup(level, np.ones((model.num_cells, 8 ** level)))
+    asm = Assembly(model, problem, eff, level=cfg.level)
+    dens = DensityField(level=cfg.level,
+                        rho=np.ones((model.num_cells, asm.nsub)),
+                        volumes=asm.sub_volumes.copy(),
+                        centroids=_parametric_centers(model, cfg.level),
+                        rho_min=cfg.rho_min)
+    filt = SensitivityFilter(dens.centroids,
+                             density_adjacency(mesh, cfg.level)) \
+        if cfg.filter else None
+    fac = density_factors(dens, eff)
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                           single_precision=cfg.single_precision)
     state = OptState(iteration=0, target_volume=dens.total_volume,
                      density=dens)
 
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        points, hexes = vtkio.sample_model(model, 1 << cfg.level)
         csv = open(os.path.join(out_dir, "history.csv"), "w")
         csv.write("iter,compliance,volume_fraction,killed_count\n")
-    grid = None  # sampled visualisation grid, rebuilt on level changes
-
-    def snapshot(name):
-        nonlocal grid
-        if out_dir is None:
-            return
-        if grid is None:
-            grid = vtkio.sample_model(model, 1 << dens.level)
-        vtkio.write_vtk(os.path.join(out_dir, name), grid[0], grid[1],
-                        cell_data={"density": dens.rho.reshape(-1)},
-                        title="density iteration")
 
     u0 = None
     history = state.compliance_history
     try:
         while state.iteration < cfg.max_iterations:
-            # dyadic refinement of the design on schedule
-            if cfg.level_up_at is not None and dens.level < cfg.level and \
-                    state.iteration and state.iteration % cfg.level_up_at == 0:
-                level = dens.level + 1
-                asm, dens, filt, op = setup(
-                    level, _refine_field(dens.rho, level), dens.version)
-                hist = state.history_alpha
-                state = replace(
-                    state, density=dens,
-                    history_alpha=None if hist is None
-                    else _refine_field(hist, level).reshape(-1))
-                grid = None
-
             sol = solve_system(op, rtol=cfg.rtol, x0=u0)
             sol.density_version = dens.version
             u0 = sol.u.reshape(-1)
@@ -497,14 +444,16 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             if csv is not None:
                 csv.write("%d,%.17g,%.17g,%d\n" % row)
                 csv.flush()
-            snapshot("iter_%04d.vtk" % state.iteration)
+                vtkio.write_vtk(
+                    os.path.join(out_dir, "iter_%04d.vtk" % state.iteration),
+                    points, hexes, cell_data={"density": dens.rho.reshape(-1)},
+                    title="density iteration")
             if callback is not None:
                 callback(state, sol)
 
             at_target = state.target_volume <= \
                 cfg.v_star * dens.total_volume * (1.0 + 1e-12)
-            done_refining = cfg.level_up_at is None or dens.level >= cfg.level
-            if at_target and done_refining and not len(killed):
+            if at_target and not len(killed):
                 break
         else:
             warnings.warn("reached max_iterations before the volume schedule "

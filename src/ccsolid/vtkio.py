@@ -110,12 +110,6 @@ def sample_field(model, values, d):
         -1, values.shape[1])
 
 
-def write_mesh_vtk(path, mesh, cell_data=None, point_data=None,
-                   title="hexahedral mesh"):
-    write_vtk(path, mesh.vertices, mesh.cells, VTK_HEXAHEDRON,
-              cell_data=cell_data, point_data=point_data, title=title)
-
-
 def write_point_cloud(path, points, point_data=None, title="point cloud"):
     cells = np.arange(len(points), dtype=int)[:, None]
     write_vtk(path, points, cells, VTK_VERTEX,

@@ -80,7 +80,8 @@ def _check_vtk(text):
 
 def test_single_cell_mesh_layout(tmp_path):
     path = tmp_path / "cube.vtk"
-    vtkio.write_mesh_vtk(str(path), unit_cube())
+    cube = unit_cube()
+    vtkio.write_vtk(str(path), cube.vertices, cube.cells)
     text = path.read_text()
     assert "CELLS 1 9" in text
     npoints, ncells, ctype = _check_vtk(text)
@@ -90,8 +91,8 @@ def test_single_cell_mesh_layout(tmp_path):
 def test_cell_data_block(tmp_path):
     mesh, _ = lattice(2, 2, 2)
     path = tmp_path / "dens.vtk"
-    vtkio.write_mesh_vtk(str(path), mesh,
-                         cell_data={"density": np.linspace(0, 1, 8)})
+    vtkio.write_vtk(str(path), mesh.vertices, mesh.cells,
+                    cell_data={"density": np.linspace(0, 1, 8)})
     text = path.read_text()
     assert "CELL_DATA 8" in text
     _check_vtk(text)
@@ -106,9 +107,10 @@ def test_point_cloud_and_vectors(tmp_path):
 
 
 def test_field_size_mismatch(tmp_path):
+    cube = unit_cube()
     with pytest.raises(ValueError, match="values"):
-        vtkio.write_mesh_vtk(str(tmp_path / "x.vtk"), unit_cube(),
-                             cell_data={"density": np.zeros(3)})
+        vtkio.write_vtk(str(tmp_path / "x.vtk"), cube.vertices, cube.cells,
+                        cell_data={"density": np.zeros(3)})
 
 
 def test_sample_model_grid():
@@ -148,7 +150,7 @@ def test_vtk_roundtrip_precision(tmp_path):
     from ccsolid.hexmesh import HexMesh
     mesh = HexMesh(pts[np.argsort(pts[:, 0])][:8] * 0 + pts, unit_cube().cells)
     path = tmp_path / "p.vtk"
-    vtkio.write_mesh_vtk(str(path), mesh)
+    vtkio.write_vtk(str(path), mesh.vertices, mesh.cells)
     lines = path.read_text().splitlines()
     got = np.array([[float(v) for v in ln.split()] for ln in lines[5:13]])
     assert np.array_equal(got, pts)  # 17 significant digits round-trip

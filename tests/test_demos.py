@@ -1,6 +1,7 @@
-"""The quick demos run to completion (the slow ones are left out: the
-bracket evolution takes about two minutes, and the command-line tour
-writes its files into the working directory)."""
+"""The quick demos run to completion (the bracket evolution is left out:
+it takes about two minutes).  The command-line tour exits non-zero at the
+first failing command, so it is the end-to-end test of every subcommand,
+`ccsolid optimize` on a subdivided mesh included."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("demo", ["subdivision_basics", "spline_from_subdivision",
-                                  "cantilever_analysis"])
+                                  "cantilever_analysis", "files_and_commands"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

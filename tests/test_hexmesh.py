@@ -164,14 +164,6 @@ def test_constructor_rejects_non_finite_vertices():
         HexMesh(verts, mesh.cells)
 
 
-def test_edge_index_lookup():
-    mesh = unit_cube()
-    e = mesh.edge_index(0, 1)
-    assert e >= 0
-    assert sorted(mesh.edges[e].tolist()) == [0, 1]
-    assert mesh.edge_index(0, 6) == -1       # cell diagonal is not an edge
-
-
 def test_tet_split_star():
     mesh, vid = tet_split()
     star = vertex_star(mesh, vid[("c",)])

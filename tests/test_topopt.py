@@ -12,8 +12,7 @@ from ccsolid.spline import build_spline_model, jacobian, regular_box_model
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
                             SensitivityFilter, average_history, beso_iterate,
                             density_adjacency, density_field,
-                            filter_sensitivities, optimize, sensitivities,
-                            _refine_field)
+                            filter_sensitivities, optimize, sensitivities)
 from meshes import jittered_lattice, lattice, tet_split
 
 BIG = 1e9
@@ -134,6 +133,18 @@ def test_density_field_bookkeeping():
     assert np.isclose(dens.retained_volume, 14 * 0.125)
     assert np.isclose(dens.volume_fraction, 14 / 16)
     assert np.isclose(dens.total_volume, 2.0)  # volumes never change
+
+
+def test_density_field_kills_through_noncontiguous_rho():
+    # kill() writes through a flat view of rho; a Fortran-ordered or
+    # strided input must not turn that into a write to a discarded copy
+    ones = np.ones((3, 8))
+    cen = np.zeros((3, 8, 3))
+    for rho in (np.asfortranarray(ones), np.ones((3, 16))[:, ::2]):
+        dens = DensityField(1, rho, ones, cen)
+        dens.kill([10])
+        assert dens.rho[1, 2] == dens.rho_min
+        assert dens.alive.sum() == 23
 
 
 def test_density_field_validation():
@@ -318,17 +329,6 @@ def test_beso_kill_set_is_monotone():
     assert np.isclose(state.density.retained_volume, 0.3)
 
 
-def test_refine_field_children_inherit_parent_values():
-    rng = np.random.default_rng(9)
-    vals = rng.standard_normal((3, 8))
-    fine = _refine_field(vals, 2)
-    assert fine.shape == (3, 64)
-    for s in range(64):
-        i, j, k = s // 16, (s // 4) % 4, s % 4
-        parent = (i // 2) * 4 + (j // 2) * 2 + k // 2
-        assert np.array_equal(fine[:, s], vals[:, parent])
-
-
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -445,48 +445,6 @@ def test_optimize_heat_smoke():
     assert all(np.isfinite(row[1]) for row in history)
 
 
-def test_optimize_level_up_inherits_state():
-    mesh, _ = lattice(2, 1, 1)
-    mat = Material(1.0, 0.3)
-    bcs = _clamp_and_pull(2.0)
-    cfg = BesoConfig(v_star=0.4, er=0.2, level=1, level_up_at=2, rtol=1e-10)
-    levels, fracs = [], []
-    dens, history = optimize(
-        mesh, cfg, mat, bcs,
-        callback=lambda s, sol: (levels.append(s.density.level),
-                                 fracs.append(s.density.volume_fraction)))
-    assert levels[0] == 0 and levels[1] == 0
-    assert dens.level == 1 and 1 in levels
-    # refining alone moves no volume: fractions stay on the kill schedule
-    # (across the level change the volumes are re-quadratured, hence the
-    # loose tolerance)
-    for k in range(1, len(fracs)):
-        assert fracs[k] <= fracs[k - 1] + 1e-9
-    assert dens.volume_fraction <= 0.4 + 1e-9
-    assert dens.volume_fraction > 0.4 - dens.volumes.max() / dens.total_volume
-
-
-def test_optimize_level_up_reaches_level_two():
-    # the second level-up refines a sensitivity history that holds 8
-    # values per cell; the refined field must keep deleting material
-    mesh, _ = lattice(3, 2, 1)
-    bcs = _clamp_and_pull(3.0)
-    cfg = BesoConfig(v_star=0.6, er=0.05, level=2, level_up_at=3,
-                     max_iterations=8)
-    levels = []
-    with pytest.warns(UserWarning, match="max_iterations"):
-        dens, history = optimize(
-            mesh, cfg, Material(1.0, 0.3), bcs,
-            callback=lambda s, sol: levels.append(s.density.level))
-    assert levels == [0, 0, 0, 1, 1, 1, 2, 2]
-    assert dens.rho.shape == (mesh.num_cells, 64)
-    assert all(row[3] > 0 for row in history[6:])
-    # a level change re-quadratures the volumes, hence the tolerance
-    fracs = [row[2] for row in history]
-    for k in range(1, len(fracs)):
-        assert fracs[k] <= fracs[k - 1] + 1e-6
-
-
 def test_optimize_solver_stack_equivalence(tmp_path):
     # float32 sweeps at rtol 1e-6 must reproduce the kill decisions of
     # float64 sweeps at rtol 1e-10; jittered geometry keeps the sensitivity
@@ -524,8 +482,6 @@ def test_beso_config_validation():
         BesoConfig(v_star=1.5)
     with pytest.raises(ValueError, match="er"):
         BesoConfig(v_star=0.5, er=0.0)
-    with pytest.raises(ValueError, match="level_up_at"):
-        BesoConfig(v_star=0.5, level_up_at=0)
     # precond accepts its one value only
     assert BesoConfig(v_star=0.5, precond="twolevel").precond == "twolevel"
     for other in ("amg", "jacobi"):
@@ -571,19 +527,20 @@ def test_twolevel_runs_without_vertex_constraint():
     # the box holds control points (x >= 0.248) but no vertex of the
     # subdivided mesh (x = 0, 0.125, 0.222, 0.5, ...): the Galerkin coarse
     # level needs no fixed coarse dof, so the two-level preconditioner
-    # runs at both density levels without a solver downgrade
+    # runs at either density level and the run settles without a warning
     mesh, _ = lattice(3, 1, 1)
     bcs = BoundaryConditions(
         dirichlet=[DirichletSpec((0.23, -BIG, -BIG), (0.45, BIG, BIG),
                                  (0, 1, 2))],
         loads=[LoadSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
-    cfg = BesoConfig(v_star=0.8, er=0.05, level=1, level_up_at=2,
-                     max_iterations=5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dens, history = optimize(mesh, cfg, Material(1.0, 0.3), bcs,
-                                 subdivide=1)
-    assert not [w for w in caught if "Jacobi" in str(w.message)]
-    assert dens.level == 1 and len(history) == 5
-    assert all(row[3] > 0 for row in history)
-    assert all(np.isfinite(row[1]) for row in history)
+    for level in (0, 1):
+        cfg = BesoConfig(v_star=0.8, er=0.05, level=level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens, history = optimize(mesh, cfg, Material(1.0, 0.3), bcs,
+                                     subdivide=1)
+        assert dens.level == level and len(history) > 3
+        assert history[0][3] > 0 and history[-1][3] == 0
+        assert all(np.isfinite(row[1]) for row in history)
+        assert abs(dens.volume_fraction - 0.8) \
+            <= dens.volumes.max() / dens.total_volume
