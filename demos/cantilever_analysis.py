@@ -49,7 +49,7 @@ bcs = BoundaryConditions(
                     vector=(0.0, 0.0, -1.0))])
 
 mat = Material(e0=200.0, nu=0.3)
-sol = assemble_and_solve(model, None, mat, bcs, "elasticity")
+sol = assemble_and_solve(model, mat, bcs, "elasticity")
 tip = np.abs(sol.u[:, 2]).max()
 
 # beam theory for a unit-square section: delta = P L^3 / (3 E I),
@@ -73,8 +73,7 @@ bcs2 = BoundaryConditions(
                              components=(0,), value=0.0)],
     heat_source=1.0)
 
-sol2 = assemble_and_solve(model2, None, Material(e0=1.0, nu=0.0), bcs2,
-                          "heat")
+sol2 = assemble_and_solve(model2, Material(e0=1.0, nu=0.0), bcs2, "heat")
 print("heated block: %d dofs, T in [%.4f, %.4f]"
       % (model2.num_control_points, sol2.u.min(), sol2.u.max()))
 # hottest far from the cooled bottom face, as expected

@@ -12,13 +12,10 @@ from .spline import (BezierVolume, SplineModel, ErrorStats,
                      parse_model, serialize_model, regular_box_model)
 from .iga import (Assembly, Material, DirichletSpec, LoadSpec,
                   BoundaryConditions, Solution, StiffnessOperator,
-                  TwoLevelPreconditioner, assemble_and_solve, solve_system, element_stiffness_heat,
-                  element_stiffness_elastic, subelement_stiffness,
-                  subelement_stiffness_heat)
+                  TwoLevelPreconditioner, assemble_and_solve, solve_system)
 from .topopt import (BesoConfig, DensityField, OptState, SensitivityFilter,
                      average_history, beso_iterate, density_adjacency,
-                     density_field, filter_sensitivities, optimize,
-                     sensitivities)
+                     optimize, sensitivities)
 from .cli import RunConfig, parse_config, serialize_config, run_command
 
 __all__ = [
@@ -33,11 +30,9 @@ __all__ = [
     "Assembly", "Material", "DirichletSpec", "LoadSpec",
     "BoundaryConditions", "Solution", "StiffnessOperator",
     "TwoLevelPreconditioner", "assemble_and_solve", "solve_system",
-    "element_stiffness_heat", "element_stiffness_elastic",
-    "subelement_stiffness", "subelement_stiffness_heat",
     "BesoConfig", "DensityField", "OptState", "SensitivityFilter",
-    "average_history", "beso_iterate", "density_adjacency", "density_field",
-    "filter_sensitivities", "optimize", "sensitivities",
+    "average_history", "beso_iterate", "density_adjacency", "optimize",
+    "sensitivities",
     "RunConfig", "parse_config", "serialize_config", "run_command",
 ]
 

@@ -42,8 +42,6 @@ _KEYS = {
     ("beso", "rho_min"): ("rho_min", float, "rho_min"),
     ("beso", "filter"): ("filter", bool, "filter"),
     ("beso", "max_iters"): ("max_iters", at_least(1), "max_iterations"),
-    ("beso", "paper_exact_sensitivity"): ("paper_exact_sensitivity", bool,
-                                          "paper_exact_sensitivity"),
     ("solver", "rtol"): ("rtol", float, "rtol"),
     ("solver", "single_precision"): ("single_precision", bool,
                                      "single_precision"),
@@ -167,8 +165,8 @@ def parse_config(text):
     `[section]` headers with `key = value` lines; `#` comments.  The
     scalar keys, in order: [problem] type (heat or elasticity);
     [material] E0, nu, p, mu_min; [mesh] subdivide, density_level;
-    [beso] v_star, er, rho_min, filter, max_iters,
-    paper_exact_sensitivity; [solver] rtol, single_precision.
+    [beso] v_star, er, rho_min, filter, max_iters; [solver] rtol,
+    single_precision.
     Numbers must be finite, counts whole and non-negative (max_iters
     positive).  A key left out takes its default from Material (p,
     mu_min), BesoConfig (density_level and the [beso] and [solver] keys)
@@ -338,9 +336,8 @@ def _cmd_solve(args):
     for _ in range(cfg.subdivide):
         mesh, _ = subdivide(mesh)
     model = build_spline_model(mesh)
-    sol = assemble_and_solve(model, None, cfg.material,
-                             cfg.boundary_conditions(), cfg.problem,
-                             rtol=cfg.rtol,
+    sol = assemble_and_solve(model, cfg.material, cfg.boundary_conditions(),
+                             cfg.problem, rtol=cfg.rtol,
                              single_precision=cfg.single_precision)
     print("compliance %.17g (%d iterations, residual %.3e)"
           % (sol.compliance, sol.iterations, sol.residual))

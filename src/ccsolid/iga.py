@@ -4,8 +4,8 @@ The solution space is the model's own tricubic Bernstein basis (64 nodes
 per cell, shared across faces).  Element integrals use tensor-product
 Gauss-Legendre quadrature; sub-element stiffness matrices integrate the
 *parent* basis over a dyadic parametric sub-cube [i,i+1]x[j,j+1]x[k,k+1]
-/ 2^level so that densities can live on a finer grid than the analysis
-mesh.  Per quadrature point the elasticity integrand factors as
+/ 2^level, and a cell's stiffness is their sum weighted by one factor per
+(cell, sub-cube).  Per quadrature point the elasticity integrand factors as
 
     B_i^T D B_j = lam g_i g_j^T + mu (g_j g_i^T + (g_i . g_j) I)
 
@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .hexmesh import CORNER_OFFSETS
-from .spline import SplineModel, _bernstein, _bernstein_deriv
+from .spline import _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
 # working-set bound of one batch of the Jacobians, the stiffness Gram
@@ -141,6 +141,33 @@ class Solution:
     restarts: int = 0
 
 
+def _row_batches(n, row_bytes):
+    """Consecutive slices of range(n) whose rows of `row_bytes` each hold
+    at most _GRAM_BATCH_BYTES together, or one row if a row is larger."""
+    step = max(1, _GRAM_BATCH_BYTES // row_bytes)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+def _check_pairs(cells, subs, num_cells, nsub, distinct=False):
+    """Raise a ValueError naming the first (cell, sub) pair outside
+    num_cells x nsub, or, with `distinct`, the first repeated pair."""
+    bad = (cells < 0) | (cells >= num_cells) | (subs < 0) | (subs >= nsub)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError("(cell, sub) pair (%d, %d) out of range for %d "
+                         "cells of %d sub-cubes"
+                         % (cells[i], subs[i], num_cells, nsub))
+    if distinct:
+        flat = cells * nsub + subs
+        _, first, count = np.unique(flat, return_index=True,
+                                    return_counts=True)
+        if (count > 1).any():
+            i = first[np.argmax(count > 1)]
+            raise ValueError("(cell, sub) pair (%d, %d) is listed more than "
+                             "once" % (cells[i], subs[i]))
+
+
 def _box_mask(points, lo, hi, tol=1e-9):
     return ((points >= lo - tol) & (points <= hi + tol)).all(axis=1)
 
@@ -182,12 +209,12 @@ def _quad_tables(level, order):
 
 
 class Assembly:
-    """Precomputed quadrature data of a model at one density level.
+    """Precomputed quadrature data of a model at one sub-cube level.
 
     Holds |det J| and J^{-1} at every (cell, sub-cube, point), the
-    cell-to-dof map, and batched routines for unit-density sub-element
-    stiffness, aggregation over density factors, matvec, and strain-energy
-    evaluation.  All reductions run in a fixed order, so repeated
+    cell-to-dof map, and batched routines for sub-element stiffness,
+    aggregation over per-(cell, sub) stiffness factors, matvec, and
+    sub-element energies.  All reductions run in a fixed order, so repeated
     assemblies are bit-identical.  The stiffness integrals (sub_stiffness,
     aggregate, add_increment) share one Gram kernel; it and sub_energies
     form gradients as J^{-T} X on the component-major table.  Their
@@ -221,9 +248,7 @@ class Assembly:
         self.detJ = np.empty((len(nets), self.nsub, len(self._w)))
         self.invJ = np.empty(self.detJ.shape + (3, 3))
         # per cell: J, its inverse and det J
-        step = max(1, _GRAM_BATCH_BYTES // (19 * self.detJ[0].nbytes))
-        for lo in range(0, len(nets), step):
-            rows = slice(lo, lo + step)
+        for rows in _row_batches(len(nets), 19 * self.detJ[0].nbytes):
             # one 3x64 @ 64x3 product per (cell, sub, point): each item is
             # summed on its own, so no batching changes the bits
             J = np.matmul(nets[rows, None, None].swapaxes(-1, -2),
@@ -308,10 +333,12 @@ class Assembly:
 
     def sub_stiffness(self, cells, subs, factors=None):
         """Stiffness of the given (cell, sub-cube) pairs, optionally scaled
-        by per-pair density factors (negative factors allowed, e.g. for
-        incremental stiffness removal)."""
+        by per-pair factors (negative factors allowed, e.g. for incremental
+        stiffness removal).  A pair outside the model raises a ValueError
+        naming it."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
+        _check_pairs(cells, subs, self.num_cells, self.nsub)
         scale = (np.ones(len(cells)) if factors is None
                  else np.asarray(factors, dtype=float))
         out = np.empty((len(cells), self.nd, self.nd))
@@ -379,7 +406,7 @@ class Assembly:
         return self.matvec(K_cells, u)[free]
 
     def sub_energies(self, u):
-        """Unit-density energies u_e^T K0_{c,s} u_e for every (cell, sub).
+        """Energies u_e^T K0_{c,s} u_e of every (cell, sub), factor 1.
 
         The nodes are contracted in one GEMM with the component-major
         gradient table and J^{-T} is applied per point, in batches of cells
@@ -389,12 +416,9 @@ class Assembly:
         Gt = self._Ghat.reshape(-1, 64).T
         k0 = self.mat.e0 if self.mat is not None else 1.0
         nc = self.num_cells
-        # gradient tensors, their products and the einsum temporaries
-        per_cell = 6 * nsub * npts * 3 * self.dpn * 8
-        step = max(1, _GRAM_BATCH_BYTES // per_cell)
         out = np.empty((nc, nsub))
-        for lo in range(0, nc, step):
-            rows = slice(lo, min(lo + step, nc))
+        # gradient tensors, their products and the einsum temporaries
+        for rows in _row_batches(nc, 6 * nsub * npts * 3 * self.dpn * 8):
             un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
             # T[c, d, s, p, e] = sum_n Ghat[s, p, e, n] u[c, n, d], one 2-D
             # GEMM, and H[..., f, d] = sum_e invJ[..., e, f] T[..., e, d]
@@ -598,15 +622,6 @@ def solve_system(op, rtol=1e-8, method="cg", x0=None):
                     iterations=iters, residual=float(res), restarts=restarts)
 
 
-def density_factors(density, mat):
-    """Penalized modulus factors mu_min + (1 - mu_min) rho^p per sub-element;
-    all-ones (no floor) when density is None."""
-    if density is None:
-        return None
-    rho = np.asarray(density.rho, dtype=float)
-    return mat.mu_min + (1.0 - mat.mu_min) * rho ** mat.p
-
-
 def _cell_overlaps(cell_nodes):
     """Control points shared by ordered pairs of distinct cells.
 
@@ -721,7 +736,7 @@ class TwoLevelPreconditioner:
     `update`.  Blocks and the coarse products are built in batches of
     cells whose index arrays, float64 blocks and temporaries stay within
     _GRAM_BATCH_BYTES.  Stale blocks and the coarse factors tolerate a few
-    density updates; the StiffnessOperator that owns it builds it on its
+    stiffness updates; the StiffnessOperator that owns it builds it on its
     mask `free` of unfixed dofs, refreshes it every _REFRESH_EVERY solves
     and reports the cells its increments touched before every solve.  It
     is the preconditioner of every CG solve.
@@ -838,9 +853,7 @@ class TwoLevelPreconditioner:
         A = np.empty((nc, m, m))
         # per cell: the masked table, its product with the block, a copy
         # of either for the GEMM and the gathered dof indices
-        step = max(1, _GRAM_BATCH_BYTES // (8 * (3 * nd * m + nd)))
-        for lo in range(0, nc, step):
-            sel = slice(lo, min(lo + step, nc))
+        for sel in _row_batches(nc, 8 * (3 * nd * m + nd)):
             # T_c = kron(T, I) with the rows of fixed dofs zeroed
             Tc = self._T * self.free[asm.dofmap[sel]][:, :, None]
             np.matmul(Tc.transpose(0, 2, 1), K_cells[sel] @ Tc, out=A[sel])
@@ -869,9 +882,9 @@ class StiffnessOperator:
     (dense solves never use it).  Before every CG solve, `prepare` has the
     preconditioner rebuild the blocks of the cells touched since the last
     solve and, every _REFRESH_EVERY solves, its stale blocks and coarse
-    matrix, all from K.  `factors` are the per-(cell, sub) density factors
-    K was aggregated from (None: unit density); `set_factors` keeps K, K32
-    and the factors in step.
+    matrix, all from K.  `factors` are the per-(cell, sub) stiffness
+    factors K was aggregated from (None: no factors to change);
+    `set_factors` keeps K, K32 and the factors in step.
     """
 
     def __init__(self, assembly, K_cells, bcs, factors=None,
@@ -898,22 +911,22 @@ class StiffnessOperator:
         return TwoLevelPreconditioner(self.assembly, self.free)
 
     def set_factors(self, cells, subs, values):
-        """Change the density factors of the listed (cell, sub) pairs
-        (distinct pairs) and patch K and its mirror incrementally."""
+        """Change the stiffness factors of the listed (cell, sub) pairs and
+        patch K and its mirror incrementally.  A pair outside the model, or
+        one listed twice, raises a ValueError naming it."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if self.factors is None:
-            raise ValueError("operator was built without density factors")
+            raise ValueError("operator was built without stiffness factors")
+        _check_pairs(cells, subs, *self.factors.shape, distinct=True)
         self.assembly.add_increment(self.K, cells, subs,
                                     values - self.factors[cells, subs])
         self.factors[cells, subs] = values
         touched = np.unique(cells)
         if self.K32 is not None:
-            step = max(1, _GRAM_BATCH_BYTES // self.K[0].nbytes)
-            for lo in range(0, len(touched), step):
-                sel = touched[lo:lo + step]
-                self.K32[sel] = self.K[sel]
+            for rows in _row_batches(len(touched), self.K[0].nbytes):
+                self.K32[touched[rows]] = self.K[touched[rows]]
         self._touched.append(touched)
 
     def prepare(self):
@@ -928,57 +941,11 @@ class StiffnessOperator:
         self._age += 1
 
 
-def assemble_and_solve(model, density, mat, bcs, problem, rtol=1e-8,
-                       method="cg", single_precision=False):
-    """Assemble K(rho) on the model and solve one analysis problem.
-
-    density is None for a plain unit-modulus analysis, or any object with
-    `level` and `rho` (num_cells x 8^level densities in [0, 1]).
-    """
-    level = density.level if density is not None else 0
-    asm = Assembly(model, problem, mat, level=level)
-    factors = density_factors(density, mat)
-    if factors is None:
-        factors = np.ones((asm.num_cells, asm.nsub))
-    op = StiffnessOperator(asm, asm.aggregate(factors), bcs,
-                           single_precision=single_precision)
+def assemble_and_solve(model, mat, bcs, problem, rtol=1e-8, method="cg",
+                       single_precision=False):
+    """Assemble the model's stiffness (every cell whole, factor 1) and
+    solve one analysis problem."""
+    asm = Assembly(model, problem, mat)
+    op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
+                           bcs, single_precision=single_precision)
     return solve_system(op, rtol=rtol, method=method)
-
-
-def _single_cell_model(vol):
-    return SplineModel(points=vol.points.reshape(64, 3),
-                       cell_nodes=np.arange(64, dtype=np.int64)[None, :])
-
-
-def _sub_index(level, sub):
-    m = 2 ** level
-    i, j, k = sub
-    for t in (i, j, k):
-        if not 0 <= t < m:
-            raise ValueError("sub-cube %s out of range for level %d"
-                             % (sub, level))
-    return (i * m + j) * m + k
-
-
-def element_stiffness_heat(vol):
-    """64x64 conduction stiffness of one patch (unit conductivity)."""
-    return subelement_stiffness_heat(vol, 0, (0, 0, 0))
-
-
-def subelement_stiffness_heat(vol, level, sub):
-    """Heat stiffness integrated over one dyadic parametric sub-cube using
-    the parent basis; level 0 is the whole element."""
-    asm = Assembly(_single_cell_model(vol), "heat", None, level)
-    return asm.sub_stiffness([0], [_sub_index(level, sub)])[0]
-
-
-def element_stiffness_elastic(vol, mat):
-    """192x192 elasticity stiffness of one patch (dofs interleaved xyz)."""
-    return subelement_stiffness(vol, 0, (0, 0, 0), mat)
-
-
-def subelement_stiffness(vol, level, sub, mat):
-    """Elasticity stiffness over one dyadic parametric sub-cube of the
-    patch, integrated with the parent basis."""
-    asm = Assembly(_single_cell_model(vol), "elasticity", mat, level)
-    return asm.sub_stiffness([0], [_sub_index(level, sub)])[0]

@@ -23,8 +23,7 @@ from scipy.spatial import cKDTree
 from .hexmesh import CORNER_OFFSETS, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import (Assembly, Material, StiffnessOperator, density_factors,
-                  solve_system)
+from .iga import Assembly, Material, StiffnessOperator, solve_system
 from . import vtkio
 
 
@@ -102,16 +101,6 @@ def _parametric_centers(model, level):
     return evaluate_cells(model.points, model.cell_nodes, params)
 
 
-def density_field(model, level, rho_min=1e-4):
-    """All-solid density field on a spline model at the given dyadic level."""
-    asm = Assembly(model, "heat", None, level=level)
-    nc, nsub = asm.num_cells, asm.nsub
-    return DensityField(level=level, rho=np.ones((nc, nsub)),
-                        volumes=asm.sub_volumes.copy(),
-                        centroids=_parametric_centers(model, level),
-                        rho_min=rho_min)
-
-
 # ---------------------------------------------------------------------------
 # face adjacency of sub-elements
 
@@ -162,17 +151,22 @@ def density_adjacency(mesh, level):
 
 
 # ---------------------------------------------------------------------------
-# sensitivities, filtering, history
+# density policy: stiffness factors, sensitivities, filtering, history
 
 
-def sensitivities(solution, assembly, density, paper_exact_sensitivity=False):
+def density_factors(rho, mat):
+    """Stiffness factors mu_min + (1 - mu_min) rho^p of the densities rho,
+    one per sub-element."""
+    rho = np.asarray(rho, dtype=float)
+    return mat.mu_min + (1.0 - mat.mu_min) * rho ** mat.p
+
+
+def sensitivities(solution, assembly, density):
     """Raw element sensitivities (flat, one per sub-element).
 
     alpha_i = (p/2) (1 - mu_min) rho_i^(p-1) u_e^T K0_i u_e, the compliance
-    change per unit density under the penalized modulus factor.  With
-    `paper_exact_sensitivity` the (1 - mu_min) derivative factor is dropped
-    (an O(mu_min) difference).  Raises if the densities changed since the
-    solution was computed.
+    change per unit density under density_factors.  Raises if the densities
+    changed since the solution was computed.
     """
     stamp = getattr(solution, "density_version", None)
     if stamp is not None and stamp != density.version:
@@ -184,8 +178,8 @@ def sensitivities(solution, assembly, density, paper_exact_sensitivity=False):
     if mat is None:
         raise ValueError("sensitivities need a material (p, mu_min)")
     energies = assembly.sub_energies(solution.u.reshape(-1))
-    fac = 1.0 if paper_exact_sensitivity else (1.0 - mat.mu_min)
-    alpha = 0.5 * mat.p * fac * density.rho ** (mat.p - 1.0) * energies
+    alpha = (0.5 * mat.p * (1.0 - mat.mu_min) * density.rho ** (mat.p - 1.0)
+             * energies)
     return alpha.reshape(-1)
 
 
@@ -200,19 +194,12 @@ class SensitivityFilter:
     """
 
     def __init__(self, centroids, adjacency):
-        """`adjacency` is an Incidence (see density_adjacency) or a list
-        holding every element's face-neighbour ids."""
+        """`adjacency` is the Incidence of face neighbours (see
+        density_adjacency)."""
         centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
         n = len(centroids)
         if len(adjacency) != n:
-            raise ValueError("adjacency lists do not match centroids")
-        if not isinstance(adjacency, Incidence):
-            counts = [len(nbrs) for nbrs in adjacency]
-            adjacency = Incidence(
-                np.repeat(np.arange(n), counts),
-                np.concatenate([np.asarray(nbrs, dtype=np.int64).reshape(-1)
-                                for nbrs in adjacency]
-                               + [np.empty(0, dtype=np.int64)]), n)
+            raise ValueError("adjacency rows do not match centroids")
         i, j = adjacency.rows, adjacency.items
         d = np.linalg.norm(centroids[j] - centroids[i], axis=1)
         counts = adjacency.counts
@@ -237,11 +224,6 @@ class SensitivityFilter:
     def apply(self, alpha):
         alpha = np.asarray(alpha, dtype=float).reshape(-1)
         return (self.weights @ alpha) / self._norm
-
-
-def filter_sensitivities(alpha, centroids, adjacency):
-    """One-shot filtering; see SensitivityFilter for the weighting."""
-    return SensitivityFilter(centroids, adjacency).apply(alpha)
 
 
 def average_history(previous, current):
@@ -271,13 +253,9 @@ class BesoConfig:
 
     single_precision runs the CG sweeps on a float32 mirror of the
     stiffness, half the memory traffic, under float64 restarts; it suits
-    moderate contrasts (mu_min of about 1e-2) and tolerances.  Every solve
-    is preconditioned by the two-level stack of inverted per-cell stiffness
-    blocks plus a Galerkin coarse correction on the cells' corner control
-    points (see TwoLevelPreconditioner; its float32 block stack is as large
-    as the float32 stiffness mirror).  The run's StiffnessOperator builds
-    the mirror and the preconditioner and owns the rebuild schedule.  rtol,
-    the relative residual the solves must reach, lies in (0, 1).
+    moderate contrasts (mu_min of about 1e-2) and tolerances.  rtol, the
+    relative residual the solves must reach, lies in (0, 1).  The run's
+    StiffnessOperator owns the mirror and the preconditioner.
 
     precond chooses nothing: "twolevel" is its only accepted value.  It is
     kept so that callers written when a second preconditioner existed, and
@@ -293,7 +271,6 @@ class BesoConfig:
     filter: bool = True
     max_iterations: int = 200
     rtol: float = 1e-8
-    paper_exact_sensitivity: bool = False
     precond: str = "twolevel"
     single_precision: bool = False
 
@@ -403,7 +380,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     filt = SensitivityFilter(dens.centroids,
                              density_adjacency(mesh, cfg.level)) \
         if cfg.filter else None
-    fac = density_factors(dens, eff)
+    fac = density_factors(dens.rho, eff)
     op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
                            single_precision=cfg.single_precision)
     state = OptState(iteration=0, target_volume=dens.total_volume,
@@ -424,8 +401,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             sol.density_version = dens.version
             u0 = sol.u.reshape(-1)
 
-            alpha = sensitivities(sol, asm, dens,
-                                  cfg.paper_exact_sensitivity)
+            alpha = sensitivities(sol, asm, dens)
             ahat = filt.apply(alpha) if filt is not None else alpha
             atil = average_history(state.history_alpha, ahat)
             state = replace(state, history_alpha=atil)
@@ -434,7 +410,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
             state = beso_iterate(state, atil, cfg)
             killed = np.flatnonzero(before & ~dens.alive.reshape(-1))
             if len(killed):
-                fac = density_factors(dens, eff).reshape(-1)
+                fac = density_factors(dens.rho, eff).reshape(-1)
                 op.set_factors(killed // asm.nsub, killed % asm.nsub,
                                fac[killed])
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from ccsolid.hexmesh import HexMesh
+from ccsolid.spline import SplineModel
 
 
 def lattice(nx, ny, nz, spacing=1.0, origin=(0.0, 0.0, 0.0)):
@@ -32,6 +33,13 @@ def lattice(nx, ny, nz, spacing=1.0, origin=(0.0, 0.0, 0.0)):
                               vid[(i, j, k + 1)], vid[(i + 1, j, k + 1)],
                               vid[(i + 1, j + 1, k + 1)], vid[(i, j + 1, k + 1)]])
     return HexMesh(verts, cells), vid
+
+
+def one_cell_model(net):
+    """Spline model of one tricubic patch with the (4, 4, 4, 3) control
+    net `net`."""
+    return SplineModel(points=np.asarray(net, dtype=float).reshape(64, 3),
+                       cell_nodes=np.arange(64, dtype=np.int64)[None, :])
 
 
 def unit_cube():

@@ -177,7 +177,6 @@ er = 0.02
 rho_min = 0.0001
 filter = true
 max_iters = 50
-paper_exact_sensitivity = false
 [solver]
 rtol = 1e-09
 [dirichlet]
@@ -397,7 +396,7 @@ def test_cli_solve_elastic(tmp_path, capsys):
     # Jacobi about 170 and no preconditioner 232
     assert 0 < int(found.group(2)) <= 60
     cfg = parse_config(SOLVE_CFG)
-    ref = assemble_and_solve(build_spline_model(mesh), None, cfg.material,
+    ref = assemble_and_solve(build_spline_model(mesh), cfg.material,
                              cfg.boundary_conditions(), cfg.problem,
                              method="dense")
     assert (abs(float(found.group(1)) - ref.compliance)

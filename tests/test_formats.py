@@ -210,8 +210,7 @@ def configs(draw):
         # parse_config enforces
         v_star=draw(st.none() | UNIT), er=draw(UNIT),
         rho_min=draw(UNIT), filter=draw(st.booleans()),
-        max_iters=draw(st.integers(1, 10 ** 9)),
-        paper_exact_sensitivity=draw(st.booleans()), rtol=draw(UNIT),
+        max_iters=draw(st.integers(1, 10 ** 9)), rtol=draw(UNIT),
         single_precision=draw(st.booleans()),
         dirichlet=dirichlet, loads=loads,
         # bounded so that the sum of two stays finite, as parse_config
@@ -246,7 +245,7 @@ def test_config_round_trip_is_exact(data):
 
 _SCALAR_BAD = {
     "type": ["HEAT", "fluid", "1"],
-    "filter": ["yes", "1", "True"], "paper_exact_sensitivity": ["no", "0"],
+    "filter": ["yes", "1", "True"],
     "single_precision": ["on"], "subdivide": NOT_COUNT,
     "density_level": NOT_COUNT, "max_iters": NOT_COUNT + ["0"],
 }

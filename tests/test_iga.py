@@ -12,13 +12,11 @@ from ccsolid.hexmesh import CORNER_OFFSETS, HexMesh
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, Solution, StiffnessOperator,
                          TwoLevelPreconditioner, assemble_and_solve,
-                         density_factors, element_stiffness_elastic,
-                         element_stiffness_heat, solve_system,
-                         subelement_stiffness, subelement_stiffness_heat)
-from ccsolid.spline import (BezierVolume, SplineModel, build_spline_model,
-                            regular_box_model)
+                         solve_system)
+from ccsolid.spline import SplineModel, build_spline_model, regular_box_model
 from ccsolid.subdivision import subdivide
-from meshes import lattice
+from ccsolid.topopt import density_factors
+from meshes import lattice, one_cell_model
 
 EVERYWHERE = dict(lo=(-1e9, -1e9, -1e9), hi=(1e9, 1e9, 1e9))
 BIG = 1e9
@@ -27,6 +25,12 @@ BIG = 1e9
 def _greville_net(scale=1.0):
     g = np.arange(4) / 3.0
     return scale * np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
+
+
+def _patch_stiffness(net, problem, mat=None, level=0, sub=0):
+    """Stiffness of sub-cube `sub` of the patch with control net `net`."""
+    asm = Assembly(one_cell_model(net), problem, mat, level)
+    return asm.sub_stiffness([0], [sub])[0]
 
 
 # ---------------------------------------------------------------- oracles
@@ -145,22 +149,22 @@ def test_heat_identity_cube_tensor_structure():
     assert abs(M[0, 0] - 1.0 / 7.0) <= 1e-13
     expect = (np.kron(np.kron(S, M), M) + np.kron(np.kron(M, S), M)
               + np.kron(np.kron(M, M), S))
-    K = element_stiffness_heat(BezierVolume(_greville_net()))
+    K = _patch_stiffness(_greville_net(), "heat")
     assert np.abs(K - expect).max() <= 1e-13
 
 
 def test_heat_row_sums_zero():
     rng = np.random.default_rng(8)
     net = _greville_net() + 0.03 * rng.normal(size=(4, 4, 4, 3))
-    K = element_stiffness_heat(BezierVolume(net))
+    K = _patch_stiffness(net, "heat")
     assert np.abs(K.sum(axis=1)).max() <= 1e-12
 
 
 def test_heat_scaling():
     rng = np.random.default_rng(12)
     net = _greville_net() + 0.02 * rng.normal(size=(4, 4, 4, 3))
-    K1 = element_stiffness_heat(BezierVolume(net))
-    K2 = element_stiffness_heat(BezierVolume(2.0 * net))
+    K1 = _patch_stiffness(net, "heat")
+    K2 = _patch_stiffness(2.0 * net, "heat")
     assert np.abs(K2 - 2.0 * K1).max() <= 1e-12 * np.abs(K1).max()
 
 
@@ -170,7 +174,7 @@ def test_elastic_matches_brute_force_identity():
     # polynomial integrand: raising the order must change nothing
     mat = Material(e0=1.0, nu=0.3)
     net = _greville_net()
-    K = element_stiffness_elastic(BezierVolume(net), mat)
+    K = _patch_stiffness(net, "elasticity", mat)
     brute = _brute_elastic(net, mat.lam, mat.mu, order=6)
     assert np.abs(K - brute).max() <= 1e-12 * np.abs(brute).max()
 
@@ -180,7 +184,7 @@ def test_elastic_matches_brute_force_curved():
     mat = Material(e0=1.0, nu=0.3)
     rng = np.random.default_rng(23)
     net = _greville_net() + 0.03 * rng.normal(size=(4, 4, 4, 3))
-    K = element_stiffness_elastic(BezierVolume(net), mat)
+    K = _patch_stiffness(net, "elasticity", mat)
     brute = _brute_elastic(net, mat.lam, mat.mu, order=4)
     assert np.abs(K - brute).max() <= 1e-12 * np.abs(brute).max()
 
@@ -190,7 +194,7 @@ def test_elastic_symmetry_and_rigid_modes():
     rng = np.random.default_rng(31)
     for net in (_greville_net(),
                 _greville_net() + 0.04 * rng.normal(size=(4, 4, 4, 3))):
-        K = element_stiffness_elastic(BezierVolume(net), mat)
+        K = _patch_stiffness(net, "elasticity", mat)
         norm = np.abs(K).max()
         assert np.abs(K - K.T).max() <= 1e-12 * norm
         ev = np.linalg.eigvalsh(K)
@@ -244,7 +248,7 @@ def test_nonpositive_jacobian_rejected():
     bad = np.array(net)
     bad[..., 0] *= -1.0
     with pytest.raises(ValueError, match="Jacobian"):
-        element_stiffness_heat(BezierVolume(bad))
+        _patch_stiffness(bad, "heat")
 
 
 def test_nonpositive_jacobian_named_whatever_the_batches(monkeypatch):
@@ -295,35 +299,42 @@ def test_subelement_additivity():
     if np.linalg.det(A) < 0:
         A[:, 0] *= -1
         net = _greville_net() @ A.T
-    vol = BezierVolume(net)
-    total = sum(subelement_stiffness(vol, 1, (i, j, k), mat)
-                for i in range(2) for j in range(2) for k in range(2))
-    K = element_stiffness_elastic(vol, mat)
+    total = sum(_patch_stiffness(net, "elasticity", mat, 1, s)
+                for s in range(8))
+    K = _patch_stiffness(net, "elasticity", mat)
     assert (np.linalg.norm(total - K) <= 1e-10 * np.linalg.norm(K))
-    total_h = sum(subelement_stiffness_heat(vol, 1, s)
-                  for s in np.ndindex(2, 2, 2))
-    Kh = element_stiffness_heat(vol)
+    total_h = sum(_patch_stiffness(net, "heat", None, 1, s) for s in range(8))
+    Kh = _patch_stiffness(net, "heat")
     assert np.linalg.norm(total_h - Kh) <= 1e-10 * np.linalg.norm(Kh)
 
 
 def test_subelement_level0_identical():
     mat = Material(e0=1.0, nu=0.3)
-    vol = BezierVolume(_greville_net())
-    assert np.array_equal(subelement_stiffness(vol, 0, (0, 0, 0), mat),
-                          element_stiffness_elastic(vol, mat))
+    asm = Assembly(one_cell_model(_greville_net()), "elasticity", mat)
+    assert np.array_equal(asm.sub_stiffness([0], [0])[0],
+                          asm.aggregate(np.ones((1, 1)))[0])
 
 
 def test_subelement_trace_oracle():
-    vol = BezierVolume(_greville_net())
-    K = subelement_stiffness_heat(vol, 1, (0, 1, 1))
-    brute = _brute_heat_trace(vol.points, 6,
-                              lo=(0, 0.5, 0.5), hi=(0.5, 1, 1))
+    net = _greville_net()
+    # sub-cube (i, j, k) = (0, 1, 1) of level 1 has index (2 i + j) 2 + k
+    K = _patch_stiffness(net, "heat", None, 1, 3)
+    brute = _brute_heat_trace(net, 6, lo=(0, 0.5, 0.5), hi=(0.5, 1, 1))
     assert abs(np.trace(K) - brute) <= 1e-12 * abs(brute)
 
 
 def test_subelement_bad_sub():
     with pytest.raises(ValueError):
-        subelement_stiffness_heat(BezierVolume(_greville_net()), 1, (0, 0, 2))
+        _patch_stiffness(_greville_net(), "heat", None, 1, 8)
+
+
+@pytest.mark.parametrize("cell, sub", [(0, -1), (-1, 0), (2, 0), (1, 8)])
+def test_sub_stiffness_names_a_pair_outside_the_model(cell, sub):
+    # a negative id used to wrap around: sub -1 gave sub 7's stiffness
+    asm = Assembly(regular_box_model((2, 1, 1)), "heat", None, level=1)
+    with pytest.raises(ValueError, match=r"pair \(%d, %d\) out of range"
+                       % (cell, sub)):
+        asm.sub_stiffness([0, cell], [0, sub])
 
 
 # ------------------------------------------------------------ patch tests
@@ -336,7 +347,7 @@ def test_heat_patch_linear_field():
                                  components=(0,), value=0.0),
                    DirichletSpec(lo=(1, -9, -9), hi=(1, 9, 9),
                                  components=(0,), value=1.0)])
-    sol = assemble_and_solve(model, None, mat, bcs, "heat", rtol=1e-12)
+    sol = assemble_and_solve(model, mat, bcs, "heat", rtol=1e-12)
     assert np.abs(sol.u[:, 0] - model.points[:, 0]).max() <= 1e-10
 
 
@@ -368,7 +379,7 @@ def test_elastic_patch_linear_field():
                                  components=(0,), value=0.0),
                    DirichletSpec(lo=(1, -9, -9), hi=(1, 9, 9),
                                  components=(0,), value=0.1)])
-    sol = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-12)
+    sol = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-12)
     assert np.abs(sol.u[:, 0] - 0.1 * model.points[:, 0]).max() <= 1e-9
     assert np.abs(sol.u[:, 1:]).max() <= 1e-10
 
@@ -483,12 +494,11 @@ def test_level3_aggregate_matches_element(problem):
     # sub-cubes of level 3 must add up to the level-0 element
     rng = np.random.default_rng(8)
     A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-    vol = BezierVolume(_greville_net() @ A.T)
+    net = _greville_net() @ A.T
     mat = Material(e0=1.0, nu=0.3)
-    asm = Assembly(iga._single_cell_model(vol), problem, mat, level=3)
+    asm = Assembly(one_cell_model(net), problem, mat, level=3)
     K = asm.aggregate(np.ones((1, asm.nsub)))[0]
-    ref = (element_stiffness_elastic(vol, mat) if problem == "elasticity"
-           else element_stiffness_heat(vol))
+    ref = _patch_stiffness(net, problem, mat)
     assert _rel(K, ref) <= 1e-10
 
 
@@ -506,8 +516,8 @@ def _cantilever_setup():
 
 def test_cantilever_cg_matches_dense():
     model, mat, bcs = _cantilever_setup()
-    cg = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-12)
-    lu = assemble_and_solve(model, None, mat, bcs, "elasticity",
+    cg = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-12)
+    lu = assemble_and_solve(model, mat, bcs, "elasticity",
                             method="dense")
     assert cg.compliance > 0
     assert abs(cg.compliance - lu.compliance) <= 1e-9 * lu.compliance
@@ -534,24 +544,23 @@ def test_assembly_deterministic():
 def test_density_softening():
     model = regular_box_model((2, 1, 1), spacing=0.5)
     mat = Material(e0=1.0, nu=0.3, p=3.0, mu_min=1e-9)
-
-    class Density:
-        level = 1
-        rho = np.ones((2, 8))
-
-    full = Density()
-    weak = Density()
-    weak.rho = np.array(full.rho)
-    weak.rho[1, :] = 0.3
+    full = np.ones((2, 8))
+    weak = full.copy()
+    weak[1, :] = 0.3
     bcs = BoundaryConditions(
         dirichlet=[DirichletSpec(lo=(0, -9, -9), hi=(0, 9, 9),
                                  components=(0, 1, 2), value=0.0)],
         loads=[LoadSpec(lo=(1, 0.5, 0.5), hi=(1, 0.5, 0.5),
                         vector=(0, 0, -1.0))])
-    c_full = assemble_and_solve(model, full, mat, bcs, "elasticity",
-                                rtol=1e-10).compliance
-    c_weak = assemble_and_solve(model, weak, mat, bcs, "elasticity",
-                                rtol=1e-10).compliance
+    asm = Assembly(model, "elasticity", mat, level=1)
+
+    def compliance(rho):
+        K = asm.aggregate(density_factors(rho, mat))
+        return solve_system(StiffnessOperator(asm, K, bcs),
+                            rtol=1e-10).compliance
+
+    c_full = compliance(full)
+    c_weak = compliance(weak)
     assert c_weak > c_full
     f = density_factors(weak, mat)
     assert abs(f[1, 0] - (1e-9 + (1 - 1e-9) * 0.3 ** 3)) <= 1e-15
@@ -561,17 +570,17 @@ def test_density_softening():
 def test_bc_validation():
     model, mat, _ = _cantilever_setup()
     with pytest.raises(ValueError, match="insufficient constraints"):
-        assemble_and_solve(model, None, mat, BoundaryConditions(),
+        assemble_and_solve(model, mat, BoundaryConditions(),
                            "elasticity")
     bad = BoundaryConditions(
         dirichlet=[DirichletSpec(components=(1,), value=0.0, **EVERYWHERE)])
     with pytest.raises(ValueError, match="component"):
-        assemble_and_solve(model, None, mat, bad, "heat")
+        assemble_and_solve(model, mat, bad, "heat")
     bad2 = BoundaryConditions(
         dirichlet=[DirichletSpec(components=(0,), value=0.0, **EVERYWHERE)],
         loads=[LoadSpec(lo=(0, 0, 0), hi=(1, 1, 1), vector=(1.0, 0.0))])
     with pytest.raises(ValueError, match="load vector"):
-        assemble_and_solve(model, None, mat, bad2, "heat")
+        assemble_and_solve(model, mat, bad2, "heat")
 
 
 @pytest.mark.parametrize("make, name", [
@@ -606,7 +615,7 @@ def test_heat_source_load():
     # a later call with another source strength on the same assembly
     F3 = asm.load_vector(replace(bcs, heat_source=3.0))
     assert np.allclose(F3, 1.5 * F, rtol=1e-14, atol=0.0)
-    sol = assemble_and_solve(model, None, mat, bcs, "heat", rtol=1e-10)
+    sol = assemble_and_solve(model, mat, bcs, "heat", rtol=1e-10)
     assert sol.compliance > 0
 
 
@@ -666,12 +675,8 @@ def test_two_level_refresh_with_density_factors_solves():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat)
     rng = np.random.default_rng(3)
-
-    class Rho:
-        level = 0
-        rho = rng.uniform(0.2, 1.0, (asm.num_cells, 1))
-
-    K = asm.aggregate(density_factors(Rho(), mat))
+    K = asm.aggregate(density_factors(
+        rng.uniform(0.2, 1.0, (asm.num_cells, 1)), mat))
     op = StiffnessOperator(asm, K, bcs)
     pc = op.precond
     pc.refresh(K)
@@ -743,11 +748,9 @@ def test_two_level_coarse_matrix_is_galerkin_product(problem):
 
 
 def _random_factors(asm, mat, seed):
-    class Rho:
-        level = asm.level
-        rho = np.random.default_rng(seed).uniform(0.2, 1.0,
-                                                  (asm.num_cells, asm.nsub))
-    return density_factors(Rho(), mat)
+    rho = np.random.default_rng(seed).uniform(0.2, 1.0,
+                                              (asm.num_cells, asm.nsub))
+    return density_factors(rho, mat)
 
 
 def test_two_level_preconditioner_symmetric():
@@ -914,14 +917,14 @@ def test_solve_rejects_rtol_outside_unit_interval(rtol):
 
 def test_single_precision_solve():
     model, mat, bcs = _cantilever_setup()
-    ref = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-12)
-    f32 = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-6,
+    ref = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-12)
+    f32 = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-6,
                              single_precision=True)
     assert f32.u.dtype == np.float64
     assert f32.residual <= 1e-6  # float64-verified, not the f32 recurrence
     assert abs(f32.compliance - ref.compliance) <= 1e-4 * ref.compliance
     # float64 restarts recover tolerances far below the float32 floor
-    deep = assemble_and_solve(model, None, mat, bcs, "elasticity", rtol=1e-10,
+    deep = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-10,
                               single_precision=True)
     assert deep.residual <= 1e-10
     assert abs(deep.compliance - ref.compliance) <= 1e-8 * ref.compliance
@@ -968,6 +971,52 @@ def test_operator_follows_kills():
     fac.reshape(-1)[~alive] = 0.05
     assert np.array_equal(op.factors, fac)
     assert _rel(op.K, asm.aggregate(fac)) <= 1e-12
+
+
+def test_operator_rejects_bad_pairs_before_patching():
+    # a negative id used to wrap around, and a repeated pair left K off
+    # the aggregate of the stored factors
+    _, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = _random_factors(asm, mat, 59)
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                           single_precision=True)
+    K, K32 = op.K.copy(), op.K32.copy()
+    n = asm.num_cells
+    for cells, subs, msg in (
+            ([0, -1], [2, -1], r"\(-1, -1\) out of range"),
+            ([1, n], [0, 0], r"\(%d, 0\) out of range" % n),
+            ([2, 0], [1, 8], r"\(0, 8\) out of range"),
+            ([0, 5, 0], [3, 1, 3], r"\(0, 3\) is listed more than once")):
+        with pytest.raises(ValueError, match=r"^\(cell, sub\) pair " + msg):
+            op.set_factors(cells, subs, np.full(len(cells), 0.5))
+    assert np.array_equal(op.K, K) and np.array_equal(op.K32, K32)
+    assert np.array_equal(op.factors, fac) and not op._touched
+
+
+def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
+    # at a budget of one byte the coarse products of refresh and the
+    # float32 recast of set_factors run one cell per batch; one pair per
+    # cell keeps the increments themselves batch-free
+    _, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = _random_factors(asm, mat, 61)
+    K = asm.aggregate(fac)
+    cells, subs = np.array([17, 0, 9, 5, 23]), np.array([7, 3, 6, 0, 2])
+    runs = []
+    for budget in (iga._GRAM_BATCH_BYTES, 1):
+        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+        op = StiffnessOperator(asm, K.copy(), bcs, fac.copy(),
+                               single_precision=True)
+        op.set_factors(cells, subs, np.full(len(cells), mat.mu_min))
+        pc = op.precond
+        pc.refresh(op.K)
+        rhs = np.random.default_rng(67).standard_normal(pc.lu.shape[0])
+        runs.append((op.K, op.K32, pc.blocks, pc.lu.solve(rhs)))
+    for ref, small in zip(*runs):
+        assert np.array_equal(small, ref)
 
 
 def test_operator_refresh_rebuilds_only_stale_blocks():

@@ -31,3 +31,9 @@ def test_no_module_imports_scipy_linalg():
            for name in _imported_modules(ast.parse(path.read_text()))
            if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
     assert not bad, bad
+
+
+def test_every_exported_name_resolves():
+    # `from ccsolid import *` fails on the first name that no longer exists
+    missing = [name for name in ccsolid.__all__ if not hasattr(ccsolid, name)]
+    assert not missing, missing

@@ -4,16 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ccsolid.hexmesh import Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
-                         LoadSpec, Material, StiffnessOperator,
-                         density_factors, element_stiffness_elastic,
-                         solve_system)
+                         LoadSpec, Material, StiffnessOperator, solve_system)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
-                            SensitivityFilter, average_history, beso_iterate,
-                            density_adjacency, density_field,
-                            filter_sensitivities, optimize, sensitivities)
-from meshes import jittered_lattice, lattice, tet_split
+                            SensitivityFilter, _parametric_centers,
+                            average_history, beso_iterate, density_adjacency,
+                            density_factors, optimize, sensitivities)
+from meshes import jittered_lattice, lattice, one_cell_model, tet_split
 
 BIG = 1e9
 
@@ -39,8 +38,23 @@ class _Rho:
         self.rho = np.asarray(rho, dtype=float)
 
 
+def _solid(model, level, rho_min=1e-4):
+    """All-solid density field on the model, as optimize builds it."""
+    asm = Assembly(model, "heat", None, level=level)
+    return DensityField(level=level, rho=np.ones((asm.num_cells, asm.nsub)),
+                        volumes=asm.sub_volumes.copy(),
+                        centroids=_parametric_centers(model, level),
+                        rho_min=rho_min)
+
+
+def _adjacency(rows, items, n):
+    """Hand-made face adjacency: element rows[i] neighbours items[i]."""
+    return Incidence(np.array(rows, dtype=np.int64),
+                     np.array(items, dtype=np.int64), n)
+
+
 def _compliance(asm, rho, mat, bcs):
-    K = asm.aggregate(density_factors(_Rho(asm.level, rho), mat))
+    K = asm.aggregate(density_factors(rho, mat))
     return solve_system(StiffnessOperator(asm, K, bcs),
                         method="dense").compliance
 
@@ -75,11 +89,9 @@ def test_sensitivity_matches_finite_differences():
     rng = np.random.default_rng(11)
     rho = 0.3 + 0.7 * rng.random((1, 8))
 
-    K = asm.aggregate(density_factors(_Rho(1, rho), mat))
+    K = asm.aggregate(density_factors(rho, mat))
     sol = solve_system(StiffnessOperator(asm, K, bcs), method="dense")
     alpha = sensitivities(sol, asm, _Rho(1, rho))
-    alpha_pe = sensitivities(sol, asm, _Rho(1, rho),
-                             paper_exact_sensitivity=True)
 
     h = 1e-6
     for i in range(8):
@@ -90,17 +102,14 @@ def test_sensitivity_matches_finite_differences():
         fd = -(_compliance(asm, dp, mat, bcs)
                - _compliance(asm, dm, mat, bcs)) / (2 * h)
         assert abs(alpha[i] - fd) <= 1e-5 * abs(fd)
-    # dropping the (1 - mu_min) derivative factor drifts by exactly mu_min
-    drift = np.abs(alpha_pe / alpha - 1.0)
-    assert np.allclose(drift, mat.mu_min / (1 - mat.mu_min), rtol=1e-6)
 
 
 def test_sensitivities_reject_stale_solution():
     model = regular_box_model((2, 1, 1))
     mat = Material(1.0, 0.3)
     asm = Assembly(model, "elasticity", mat, level=0)
-    dens = density_field(model, 0)
-    K = asm.aggregate(density_factors(dens, mat))
+    dens = _solid(model, 0)
+    K = asm.aggregate(density_factors(dens.rho, mat))
     sol = solve_system(StiffnessOperator(asm, K, _clamp_and_pull(2.0)),
                        method="dense")
     sol.density_version = dens.version
@@ -110,7 +119,7 @@ def test_sensitivities_reject_stale_solution():
         sensitivities(sol, asm, dens)
     with pytest.raises(ValueError, match="level"):
         sensitivities(sol, Assembly(model, "elasticity", mat, level=1),
-                      density_field(model, 0))
+                      _solid(model, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +128,7 @@ def test_sensitivities_reject_stale_solution():
 
 def test_density_field_bookkeeping():
     model = regular_box_model((2, 1, 1))
-    dens = density_field(model, 1, rho_min=1e-3)
+    dens = _solid(model, 1, rho_min=1e-3)
     assert dens.rho.shape == (2, 8)
     assert np.allclose(dens.volumes, 0.125)
     assert np.isclose(dens.total_volume, 2.0)
@@ -192,9 +201,8 @@ def test_density_adjacency_level0_and_symmetry():
 
 def test_filter_three_collinear_elements():
     centroids = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [2.5, 0.5, 0.5]])
-    adjacency = [np.array([1]), np.array([0, 2]), np.array([1])]
-    ahat = filter_sensitivities(np.array([0.0, 1.0, 0.0]), centroids,
-                                adjacency)
+    adjacency = _adjacency([0, 1, 1, 2], [1, 0, 2, 1], 3)
+    ahat = SensitivityFilter(centroids, adjacency).apply([0.0, 1.0, 0.0])
     # middle radius 2, weights (1, 2, 1); the ends exclude the far element
     # because the support is open (r_ij < r_i)
     assert ahat[1] == 0.5
@@ -204,9 +212,9 @@ def test_filter_three_collinear_elements():
 def test_filter_support_is_geometric_not_adjacency():
     # elements 1 and 2 are not face-neighbours but fall in each other's radius
     centroids = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    adjacency = [np.array([1, 2]), np.array([0]), np.array([0])]
+    adjacency = _adjacency([0, 0, 1, 2], [1, 2, 0, 0], 3)
     alpha = np.array([0.0, 1.0, 4.0])
-    ahat = filter_sensitivities(alpha, centroids, adjacency)
+    ahat = SensitivityFilter(centroids, adjacency).apply(alpha)
     s = np.sqrt(2.0)
     w = np.array([2 - 1, 2.0, 2 - s])  # element 1: self weight r = 2
     assert np.isclose(ahat[1], w @ alpha[[0, 1, 2]] / w.sum())
@@ -215,22 +223,22 @@ def test_filter_support_is_geometric_not_adjacency():
 def test_filter_uniform_fixed_point_and_isolated_element():
     mesh, _ = lattice(2, 2, 2)
     model = build_spline_model(mesh)
-    dens = density_field(model, 0)
-    filt = SensitivityFilter(dens.centroids, density_adjacency(mesh, 0))
+    filt = SensitivityFilter(_parametric_centers(model, 0),
+                             density_adjacency(mesh, 0))
     assert np.allclose(filt.apply(np.full(8, 3.5)), 3.5, atol=1e-14)
     # a single element has no face-neighbours: values pass through
-    alone = filter_sensitivities(np.array([2.75]), np.zeros((1, 3)),
-                                 [np.array([], dtype=int)])
+    alone = SensitivityFilter(np.zeros((1, 3)),
+                              _adjacency([], [], 1)).apply([2.75])
     assert alone[0] == 2.75
 
 
 def test_filter_range_and_ranking_invariants():
     mesh, _ = lattice(3, 3, 3)
     model = build_spline_model(mesh)
-    dens = density_field(model, 1)
-    filt = SensitivityFilter(dens.centroids, density_adjacency(mesh, 1))
+    centroids = _parametric_centers(model, 1)
+    filt = SensitivityFilter(centroids, density_adjacency(mesh, 1))
     rng = np.random.default_rng(23)
-    n = dens.num_elements
+    n = centroids.size // 3
     for _ in range(1000):
         a = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         ah = filt.apply(a)
@@ -386,7 +394,8 @@ def test_optimize_matches_reference_single_resolution_loop():
     # independent reference: per-cell element matrices, dense solves
     model = build_spline_model(mesh)
     nets = [model.bezier_volume(c) for c in range(model.num_cells)]
-    K0 = [element_stiffness_elastic(v, mat) for v in nets]
+    K0 = [Assembly(one_cell_model(v.points), "elasticity",
+                   mat).sub_stiffness([0], [0])[0] for v in nets]
     gx, gw = np.polynomial.legendre.leggauss(4)
     gx, gw = (gx + 1) / 2, gw / 2
     pts3 = np.array([(a, b, c) for a in gx for b in gx for c in gx])
@@ -517,7 +526,7 @@ def test_heat_level2_design_is_stable_under_a_tighter_solve():
     model = build_spline_model(mesh)
     eff = cfg.material(mat)
     asm = Assembly(model, "heat", eff, level=da.level)
-    fac = density_factors(da, eff)
+    fac = density_factors(da.rho, eff)
     ref = solve_system(StiffnessOperator(asm, asm.aggregate(fac), bcs, fac),
                        method="dense")
     assert abs(ha[-1][1] - ref.compliance) <= 1e-7 * ref.compliance
