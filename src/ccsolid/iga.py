@@ -12,8 +12,11 @@ Gauss-Legendre quadrature; sub-element stiffness matrices integrate the
 with g_i the physical shape gradients, so each element matrix is one
 Gram product of the gradient vectors plus cheap reshuffles; assembly and
 the conjugate-gradient matvec stay allocation-light and deterministic.
-The basis gradients are tabulated component-major, (3, 64) per point, so
-Grams and energies share one gradient step J^{-T} X on that table.
+The basis gradients are tabulated component-major, (3, 64) per point.
+The geometry is stored as one scaled inverse S = sqrt(w det J) J^{-1} per
+quadrature point, formed from closed-form cofactors of J, so the Grams and
+the energies share one gradient step S^T X on that table and carry the
+quadrature weight w det J inside it.
 """
 
 from dataclasses import dataclass, field
@@ -27,9 +30,14 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-# working-set bound of one batch of the Jacobians, the stiffness Gram
+# working-set bound of one batch of the geometry, the stiffness Gram
 # kernel, the sub-element energies and the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
+# tighter bound of one batch of the whole-array arithmetic on per-point
+# planes (the geometry and the energies), which then stays in cache: on a
+# 2-core VM the energies of a 1 024-cell level-1 model took 0.07 s, against
+# 0.17 s in 32 MiB batches
+_PLANE_BATCH_BYTES = 1 << 20
 # solves between full rebuilds of a StiffnessOperator's preconditioner
 _REFRESH_EVERY = 8
 # rows of a pivot block of the block inversion sweep
@@ -141,10 +149,11 @@ class Solution:
     restarts: int = 0
 
 
-def _row_batches(n, row_bytes):
+def _row_batches(n, row_bytes, budget=None):
     """Consecutive slices of range(n) whose rows of `row_bytes` each hold
-    at most _GRAM_BATCH_BYTES together, or one row if a row is larger."""
-    step = max(1, _GRAM_BATCH_BYTES // row_bytes)
+    at most `budget` (default _GRAM_BATCH_BYTES) together, or one row if a
+    row is larger."""
+    step = max(1, (budget or _GRAM_BATCH_BYTES) // row_bytes)
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
 
@@ -211,15 +220,21 @@ def _quad_tables(level, order):
 class Assembly:
     """Precomputed quadrature data of a model at one sub-cube level.
 
-    Holds |det J| and J^{-1} at every (cell, sub-cube, point), the
-    cell-to-dof map, and batched routines for sub-element stiffness,
-    aggregation over per-(cell, sub) stiffness factors, matvec, and
-    sub-element energies.  All reductions run in a fixed order, so repeated
-    assemblies are bit-identical.  The stiffness integrals (sub_stiffness,
-    aggregate, add_increment) share one Gram kernel; it and sub_energies
-    form gradients as J^{-T} X on the component-major table.  Their
-    batches, and those forming J^{-1}, hold at most _GRAM_BATCH_BYTES
-    (32 MiB): memory beside the results grows with neither mesh nor level.
+    Holds S = sqrt(w det J) J^{-1}, nine floats at every (cell, sub-cube,
+    point) as `S[c, s, p]` (3, 3); the sub-cube volumes; the load of a
+    unit heat source; the cell-to-dof map; and batched routines for
+    sub-element stiffness, aggregation over per-(cell, sub) stiffness
+    factors, matvec, and sub-element energies.  The constructor forms J by
+    one GEMM per cell of its control net with the gradient table, and det J
+    and the adjugate by whole-array cofactor arithmetic over batches of
+    cells; a det J that is not positive raises a ValueError naming the
+    (cell, sub-cube, point) of the least one in the model.  All reductions
+    run in a fixed order, so repeated assemblies are bit-identical.  The
+    stiffness integrals (sub_stiffness, aggregate, add_increment) share one
+    Gram kernel; it and sub_energies form weighted physical gradients as
+    S^T X on the component-major table.  Their batches, and those forming
+    S, hold at most _GRAM_BATCH_BYTES (32 MiB): memory beside the results
+    grows with neither mesh nor level.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -245,24 +260,51 @@ class Assembly:
                              % np.argmin(finite))
         self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
-        self.detJ = np.empty((len(nets), self.nsub, len(self._w)))
-        self.invJ = np.empty(self.detJ.shape + (3, 3))
-        # per cell: J, its inverse and det J
-        for rows in _row_batches(len(nets), 19 * self.detJ[0].nbytes):
-            # one 3x64 @ 64x3 product per (cell, sub, point): each item is
-            # summed on its own, so no batching changes the bits
-            J = np.matmul(nets[rows, None, None].swapaxes(-1, -2),
-                          self._Ghat.swapaxes(-1, -2))
-            self.detJ[rows] = np.linalg.det(J)
-            if (self.detJ[rows] > 0).all():   # a NaN fails the test too
-                self.invJ[rows] = np.linalg.inv(J)
-        if not (self.detJ > 0).all():
-            c, s, p = np.unravel_index(np.argmin(self.detJ), self.detJ.shape)
+        nc, npts = len(nets), len(self._w)
+        self.S = np.empty((nc, self.nsub, npts, 3, 3))
+        self.sub_volumes = np.empty((nc, self.nsub))
+        source = np.empty((nc, 64))
+        Gt = self._Ghat.reshape(-1, 64).T
+        worst = (np.inf, 0)        # least det J and its flat index
+        # R, two cofactor products, then det J, w det J, its root and the
+        # scale: at most 13 floats per point beside S
+        for rows in _row_batches(nc, 13 * self.nsub * npts * 8,
+                                 min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
+            # J[a, e] = R[:, a, ..., e] = sum_n x_a(n) dN_n/dxi_e, one GEMM
+            # of the same shape per cell: no batching changes the bits
+            R = np.matmul(nets[rows].swapaxes(1, 2), Gt).reshape(
+                -1, 3, self.nsub, npts, 3)
+            J = [[R[:, a, ..., e] for e in range(3)] for a in range(3)]
+            S = self.S[rows]
+            # S[e, a] = cofactor (a, e) of J, so S = adj J = det J J^{-1}
+            for a in range(3):
+                b, c = (a + 1) % 3, (a + 2) % 3
+                for e in range(3):
+                    f, g = (e + 1) % 3, (e + 2) % 3
+                    np.subtract(J[b][f] * J[c][g], J[b][g] * J[c][f],
+                                out=S[..., e, a])
+            det = (J[0][0] * S[..., 0, 0] + J[0][1] * S[..., 1, 0]
+                   + J[0][2] * S[..., 2, 0])
+            i = np.argmin(det)      # the first NaN, if there is one
+            least = det.flat[i]
+            if least < worst[0] or (np.isnan(least)
+                                    and not np.isnan(worst[0])):
+                worst = (least, rows.start * det[0].size + i)
+            if not (worst[0] > 0):            # a NaN fails the test too
+                continue
+            wdet = self._w * det
+            self.sub_volumes[rows] = wdet.sum(axis=-1)
+            source[rows] = wdet.reshape(len(det), -1) @ self._N.reshape(-1, 64)
+            S *= (np.sqrt(wdet) / det)[..., None, None]
+        if not (worst[0] > 0):
+            c, s, p = np.unravel_index(worst[1], (nc, self.nsub, npts))
             raise ValueError(
                 "non-positive Jacobian in cell %d (sub-element %d, "
-                "quadrature point %d): det J = %g" % (c, s, p, self.detJ[c, s, p]))
-        self.sub_volumes = np.einsum("csp,p->cs", self.detJ, self._w)
-        self._unit_source = None    # load of a unit heat source, on first use
+                "quadrature point %d): det J = %g" % (c, s, p, worst[0]))
+        # load of a unit heat source, per control point
+        self._unit_source = np.bincount(model.cell_nodes.ravel(),
+                                        weights=source.ravel(),
+                                        minlength=model.num_control_points)
 
         nodes = model.cell_nodes
         self.dofmap = (self.dpn * nodes[:, :, None]
@@ -278,19 +320,24 @@ class Assembly:
 
         cells (n,), subs and scale (n, k), scale >= 0.  Yields (rows, W)
         for consecutive slices `rows` of the n rows, with
-        W[i] = sum_j sum_pt w detJ scale q q^T over the pairs
-        (cells[r], subs[r, j]), r = rows[i], and q the physical gradients
-        J^{-T} Ghat flattened component-major, (d, node); for heat the sum
+        W[i] = sum_j sum_pt q q^T over the pairs (cells[r], subs[r, j]),
+        r = rows[i], and q = sqrt(scale) S^T Ghat the weighted physical
+        gradients flattened component-major, (d, node); for heat the sum
         runs over d too, giving the stiffness itself.  A row's subs are
         folded into the inner dimension of its GEMM, in equal slices of at
         most `span` subs whose Grams are summed.  A batch holds at most
         `cap` rows and _GRAM_BATCH_BYTES of gradients and Grams, or one
-        row's slice if that is larger.  The slices depend on k alone and
-        every row is its own GEMM, so W does not depend on the batch size.
+        row's slice if that is larger.  Every row is its own GEMM, so the
+        rows per batch change no bits.  The slices depend on k and on
+        _GRAM_BATCH_BYTES: from the default budget up, k <= 64 (level 2 or
+        coarser) at the default quadrature order is one slice and W the
+        same bit for bit.  A smaller budget, or a larger k, may cut the
+        subs into other slices, whose Grams then sum in another order and
+        change W by rounding only.
         """
         n, k = subs.shape
         # per pair: gathered Ghat, gradients and the previous slice's, bound
-        # until replaced (J^{-1} and scale temporaries add under 5 % of one)
+        # until replaced (the gathered S adds under 5 % of one)
         pair = 3 * self._Ghat[0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
         span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
@@ -305,9 +352,9 @@ class Assembly:
             W = None
             for s0 in range(0, k, span):
                 s = subs[rows, s0:s0 + span]
-                G = np.matmul(self.invJ[c, s].swapaxes(-1, -2), self._Ghat[s])
-                G *= np.sqrt(self._w * self.detJ[c, s]
-                             * scale[rows, s0:s0 + span, None])[..., None, None]
+                St = self.S[c, s].swapaxes(-1, -2)
+                St *= np.sqrt(scale[rows, s0:s0 + span])[..., None, None, None]
+                G = np.matmul(St, self._Ghat[s])
                 Q = G.reshape(len(G), -1, self.nd)
                 part = Q.transpose(0, 2, 1) @ Q
                 if W is None:
@@ -374,13 +421,17 @@ class Assembly:
 
         Pairs are sorted by cell and their signed Grams summed per cell
         before the expansion, batch by batch, so each touched cell is
-        written once per batch."""
+        written once per batch.  A pair may be listed more than once; one
+        outside the model raises a ValueError naming it, before K_cells
+        changes."""
         cells = np.asarray(cells, dtype=np.int64)
+        subs = np.asarray(subs, dtype=np.int64)
+        _check_pairs(cells, subs, self.num_cells, self.nsub)
         if not len(cells):
             return
         order = np.argsort(cells, kind="stable")
         cells = cells[order]
-        subs = np.asarray(subs, dtype=np.int64)[order]
+        subs = subs[order]
         df = np.asarray(dfactors, dtype=float)[order]
         for rows, W in self._gram_batches(cells, subs[:, None],
                                           np.abs(df)[:, None]):
@@ -409,33 +460,43 @@ class Assembly:
         """Energies u_e^T K0_{c,s} u_e of every (cell, sub), factor 1.
 
         The nodes are contracted in one GEMM with the component-major
-        gradient table and J^{-T} is applied per point, in batches of cells
-        whose gradient tensors stay within _GRAM_BATCH_BYTES, so the memory
-        beside the (nc, nsub) result does not grow with the design."""
+        gradient table, and S^T is applied by 3 * dpn whole-array
+        multiply-adds over (cells, sub, point) planes; S carries w det J,
+        so the energy density summed over the points is the energy.  The
+        batches of cells hold their gradient tensors within
+        _PLANE_BATCH_BYTES, so the memory beside the (nc, nsub) result does
+        not grow with the design."""
         nsub, npts = self._Ghat.shape[:2]
         Gt = self._Ghat.reshape(-1, 64).T
         k0 = self.mat.e0 if self.mat is not None else 1.0
         nc = self.num_cells
         out = np.empty((nc, nsub))
-        # gradient tensors, their products and the einsum temporaries
-        for rows in _row_batches(nc, 6 * nsub * npts * 3 * self.dpn * 8):
+        # T and H, 3 * dpn floats per point each, and three temporaries
+        for rows in _row_batches(nc, (6 * self.dpn + 3) * nsub * npts * 8,
+                                 min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
             un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
             # T[c, d, s, p, e] = sum_n Ghat[s, p, e, n] u[c, n, d], one 2-D
-            # GEMM, and H[..., f, d] = sum_e invJ[..., e, f] T[..., e, d]
+            # GEMM, and H[f][d] = sum_e S[..., e, f] T[:, d, ..., e]
             T = (un.swapaxes(1, 2).reshape(-1, 64) @ Gt).reshape(
                 len(un), self.dpn, nsub, npts, 3)
-            H = np.matmul(self.invJ[rows].swapaxes(-1, -2),
-                          T.transpose(0, 2, 3, 4, 1))
-            sq = (H ** 2).sum(axis=(-2, -1))
+            S = self.S[rows]
+            H = [[S[..., 0, f] * T[:, d, ..., 0]
+                  + S[..., 1, f] * T[:, d, ..., 1]
+                  + S[..., 2, f] * T[:, d, ..., 2] for d in range(self.dpn)]
+                 for f in range(3)]
             if self.dpn == 1:
-                dens = k0 * sq
+                dens = k0 * (H[0][0] ** 2 + H[1][0] ** 2 + H[2][0] ** 2)
             else:
+                # lam tr(H)^2 + mu sum_fd H_fd (H_fd + H_df), each pair of
+                # off-diagonal terms folded into one square
                 lam, mu = self.mat.lam, self.mat.mu
-                tr = np.einsum("cspdd->csp", H)
-                dens = (lam * tr ** 2
-                        + mu * (np.einsum("cspfd,cspdf->csp", H, H) + sq))
-            out[rows] = np.einsum("p,csp,csp->cs", self._w, self.detJ[rows],
-                                  dens)
+                tr = H[0][0] + H[1][1] + H[2][2]
+                dens = lam * tr ** 2
+                for f in range(3):
+                    dens += 2 * mu * H[f][f] ** 2
+                    for d in range(f):
+                        dens += mu * (H[f][d] + H[d][f]) ** 2
+            out[rows] = dens.sum(axis=-1)
         return out
 
     def load_vector(self, bcs):
@@ -451,10 +512,6 @@ class Assembly:
             idx = np.flatnonzero(_box_mask(self.model.points, load.lo, load.hi))
             F.reshape(-1, self.dpn)[idx] += vec
         if bcs.heat_source:
-            if self._unit_source is None:
-                fe = np.einsum("p,csp,spn->cn", self._w, self.detJ, self._N)
-                self._unit_source = np.bincount(
-                    self.dofmap.ravel(), weights=fe.ravel(), minlength=self.ndof)
             F += bcs.heat_source * self._unit_source
         return F
 

@@ -271,6 +271,7 @@ def test_nonpositive_jacobian_named_whatever_the_batches(monkeypatch):
 
 def test_assembly_jacobian_memory_is_bounded(monkeypatch):
     model = _curved_model()
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", 1)    # a cell per batch
     ref = Assembly(model, "elasticity", Material(1.0, 0.3), level=2)
     budget = 1 << 20
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
@@ -281,10 +282,30 @@ def test_assembly_jacobian_memory_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the whole J beside its inverse would take another 4.7 MB
-    assert peak <= asm.detJ.nbytes + asm.invJ.nbytes + 2 * budget
-    assert np.array_equal(asm.detJ, ref.detJ)
-    assert np.array_equal(asm.invJ, ref.invJ)
+    # the whole J beside its cofactors would take another 9.4 MB
+    assert peak <= asm.S.nbytes + asm.sub_volumes.nbytes + 2 * budget
+    assert asm.S.shape == (16, 64, 64, 3, 3)
+    # every cell's J is its own GEMM of one shape: batches change no bits
+    assert np.array_equal(asm.S, ref.S)
+    assert np.array_equal(asm.sub_volumes, ref.sub_volumes)
+
+
+@pytest.mark.parametrize("problem", ["heat", "elasticity"])
+def test_scaled_inverse_jacobian_matches_lapack(problem):
+    # the cofactor S = sqrt(w det J) J^{-1} against LAPACK's det and inv of
+    # a J built here from the control nets and the parameter gradients
+    model = _curved_model()
+    asm = Assembly(model, problem, Material(1.0, 0.3), level=2)
+    w, _, Ghat = iga._quad_tables(2, 4)
+    J = np.einsum("cna,spen->cspae", model.points[model.cell_nodes], Ghat)
+    wdet = w * np.linalg.det(J)
+    ref = np.sqrt(wdet)[..., None, None] * np.linalg.inv(J)
+    assert _rel(asm.S, ref) <= 1e-14
+    # near the solid's corners J shrinks to under 2 % of its median size,
+    # and either sum for it cancels to about 2e-13 relative
+    err = np.abs(asm.S - ref).max(axis=(-2, -1))
+    assert (err <= 1e-12 * np.abs(ref).max(axis=(-2, -1))).all()
+    assert _rel(asm.sub_volumes, wdet.sum(axis=-1)) <= 1e-14
 
 
 # ------------------------------------------------------------ subelements
@@ -416,6 +437,11 @@ def test_aggregate_independent_of_batch_size(monkeypatch, problem, level):
         monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
         for chunk in (1, 5, 16, 128):
             assert np.array_equal(asm.aggregate(fac, chunk=chunk), ref)
+    # a budget too small for a row's sub-cubes cuts them into more
+    # slices, whose Grams sum in another order: rounding only
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", 1)
+    small = asm.aggregate(fac)
+    assert np.abs(small - ref).max() <= 1e-14 * np.abs(ref).max()
     with pytest.raises(ValueError, match="chunk"):
         asm.aggregate(fac, chunk=0)
 
@@ -459,6 +485,26 @@ def test_add_increment_matches_fresh_aggregate(monkeypatch, problem, level,
     before = K.copy()
     asm.add_increment(K, [], [], [])
     assert np.array_equal(K, before)
+
+
+def test_add_increment_rejects_pairs_outside_the_model():
+    # a negative id once wrapped round to the last cell or sub-cube; a
+    # pair listed twice stays legal here
+    asm = Assembly(build_spline_model(lattice(2, 1, 1)[0]), "elasticity",
+                   Material(1.0, 0.3), level=1)
+    K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
+    before = K.copy()
+    for cells, subs, msg in (([-1], [-1], r"\(-1, -1\)"),
+                             ([0, 2], [1, 0], r"\(2, 0\)"),
+                             ([1, 1], [3, 8], r"\(1, 8\)")):
+        with pytest.raises(ValueError, match=r"^\(cell, sub\) pair " + msg
+                           + " out of range for 2 cells of 8 sub-cubes"):
+            asm.add_increment(K, cells, subs, np.full(len(cells), -0.5))
+        assert np.array_equal(K, before)
+    asm.add_increment(K, [1, 1], [3, 3], [-0.25, -0.25])
+    fac = np.ones((2, 8))
+    fac[1, 3] = 0.5
+    assert _rel(K, asm.aggregate(fac)) <= 1e-12
 
 
 def test_gram_kernel_memory_is_bounded():

@@ -1,13 +1,16 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ccsolid import iga
 from ccsolid.hexmesh import Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, StiffnessOperator, solve_system)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
+from ccsolid.subdivision import subdivide
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
                             SensitivityFilter, _parametric_centers,
                             average_history, beso_iterate, density_adjacency,
@@ -530,6 +533,54 @@ def test_heat_level2_design_is_stable_under_a_tighter_solve():
     ref = solve_system(StiffnessOperator(asm, asm.aggregate(fac), bcs, fac),
                        method="dense")
     assert abs(ha[-1][1] - ref.compliance) <= 1e-7 * ref.compliance
+
+
+def test_level3_heat_design_runs_end_to_end(monkeypatch):
+    # 16 analysis cells of 512 sub-cubes each: 8 192 design elements,
+    # three iterations of the volume schedule
+    mesh, _ = lattice(2, 1, 1)
+    mat = Material(1.0, 0.0)
+    bcs = BoundaryConditions(
+        dirichlet=[DirichletSpec((-BIG,) * 3, (0.3, BIG, BIG), (0,))],
+        heat_source=1.0)
+    cfg = BesoConfig(v_star=0.5, er=0.05, level=3, mu_min=1e-2,
+                     max_iterations=3)
+    with pytest.warns(UserWarning, match="max_iterations"):
+        dens, history = optimize(mesh, cfg, mat, bcs, problem="heat",
+                                 subdivide=1)
+    assert dens.rho.shape == (16, 512) and len(history) == 3
+    for k, (it, comp, frac, killed) in enumerate(history, 1):
+        assert it == k and killed > 0 and np.isfinite(comp)
+        assert 0.95 ** k - dens.volumes.max() / dens.total_volume \
+            <= frac <= 0.95 ** k + 1e-12
+    # removing material can only raise the thermal compliance
+    assert history[0][1] < history[1][1] < history[2][1]
+
+    # the transients of the level-3 geometry and energies stay within the
+    # batch budget beside their outputs
+    model = build_spline_model(subdivide(mesh)[0])
+    budget = 4 << 20
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        asm = Assembly(model, "heat", mat, level=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= asm.S.nbytes + asm.sub_volumes.nbytes + 2 * budget
+        u = np.random.default_rng(13).standard_normal(asm.ndof)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        E = asm.sub_energies(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= E.nbytes + 2 * budget
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dens.volumes, asm.sub_volumes)
+    # a cell's energies add up to its whole stiffness' quadratic form
+    K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
+    ue = u[asm.dofmap]
+    whole = np.einsum("ci,cij,cj->c", ue, K, ue)
+    assert np.abs(E.sum(axis=1) - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 def test_twolevel_runs_without_vertex_constraint():
