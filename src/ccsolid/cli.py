@@ -283,6 +283,8 @@ def _cmd_validate(args):
 
 
 def _cmd_subdivide(args):
+    if args.steps < 0:
+        raise ValueError("steps must be >= 0, got %d" % args.steps)
     mesh = _read_mesh(args.mesh)
     for _ in range(args.steps):
         mesh, _ = subdivide(mesh)

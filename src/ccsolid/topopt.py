@@ -20,10 +20,10 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .hexmesh import CORNER_OFFSETS, Incidence
+from .hexmesh import CORNER_OFFSETS, LOCAL_FACES, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import Assembly, Material, StiffnessOperator, solve_system
+from .iga import Assembly, StiffnessOperator, solve_system
 from . import vtkio
 
 
@@ -104,50 +104,49 @@ def _parametric_centers(model, level):
 # ---------------------------------------------------------------------------
 # face adjacency of sub-elements
 
-_CORNER_INDEX = {tuple(off): idx for idx, off in enumerate(CORNER_OFFSETS)}
-
-
-def _octant_offsets(level):
-    """Cell-local fine-cell offset for each row-major sub index.
-
-    Subdividing a cell `level` times numbers the children in base 8 by
-    octant corner; this maps the (i, j, k) row-major sub index onto that
-    numbering.
-    """
-    m = 1 << level
-    out = np.empty(m ** 3, dtype=np.int64)
-    for s in range(m ** 3):
-        i, j, k = s // (m * m), (s // m) % m, s % m
-        off = 0
-        for t in range(level - 1, -1, -1):
-            off = off * 8 + _CORNER_INDEX[
-                ((i >> t) & 1, (j >> t) & 1, (k >> t) & 1)]
-        out[s] = off
-    return out
-
 
 def density_adjacency(mesh, level):
     """Face-neighbour lists of the density elements of `mesh` at `level`.
 
-    Realised by subdividing the mesh itself `level` times, which handles
-    neighbours across coarse faces (including around extraordinary edges)
-    without any orientation bookkeeping.  Element ids follow the flat
-    DensityField order; returns an Incidence whose row e lists the face
-    neighbours of element e in ascending order.
+    Element cell * m**3 + (i m + j) m + k is sub-cube (i, j, k) of the
+    cell's (m, m, m) grid, m = 2**level.  Inside a cell, each sub-cube
+    neighbours the next one along each axis.  Across a face with exactly
+    two cells (not a boundary face, nor one of three or more cells), both
+    cells walk its m x m sub-faces in one frame fixed by vertex ids alone:
+    from the corner of least id, first towards the lesser id of that
+    corner's two neighbours on the face; sub-face (s, t) of one side
+    neighbours sub-face (s, t) of the other.  This is index arithmetic on
+    the coarse mesh: no finer mesh is built.  Returns an Incidence whose
+    row e lists the face neighbours of element e in ascending order.
     """
-    fine = mesh
-    for _ in range(level):
-        fine, _ = subdivide_mesh(fine)
-    nsub = 8 ** level
-    perm = _octant_offsets(level)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(nsub)
-    fc = fine.face_cells
-    pairs = fc.items[(fc.counts == 2)[fc.rows]].reshape(-1, 2)
-    pairs = (pairs // nsub) * nsub + inv[pairs % nsub]
+    m = 1 << level
+    ids = np.arange(mesh.num_cells * m ** 3).reshape(-1, m, m, m)
+    inner = [np.stack([lo.ravel(), hi.ravel()], axis=1) for lo, hi in (
+        (ids[:, :-1], ids[:, 1:]), (ids[:, :, :-1], ids[:, :, 1:]),
+        (ids[..., :-1], ids[..., 1:]))]
+
+    fc = mesh.face_cells
+    two = (fc.counts == 2)[fc.rows]
+    face, cell = fc.rows[two], fc.items[two]   # the two sides of each face
+    local = np.argmax(mesh.cell_faces[cell] == face[:, None], axis=1)
+    corners = np.array(LOCAL_FACES)[local]     # each side's corner cycle
+    side = np.arange(len(cell))[:, None]
+    vids = mesh.cells[cell[:, None], corners]
+    r0 = np.argmin(vids, axis=1)[:, None]
+    nxt, prv = (r0 + 1) % 4, (r0 + 3) % 4
+    r1, r3 = np.where(vids[side, nxt] < vids[side, prv], (nxt, prv),
+                      (prv, nxt))
+    # a sub id is linear in the corner offsets, so the walk is too
+    o0, o1, o3 = (CORNER_OFFSETS @ [m * m, m, 1])[
+        corners[side, np.stack([r0, r1, r3])]][..., None]
+    s = np.arange(m)
+    across = (cell[:, None, None] * m ** 3 + o0 * (m - 1)
+              + (o1 - o0) * s[:, None] + (o3 - o0) * s).reshape(-1, 2, m * m)
+
+    pairs = np.concatenate(inner + [across.transpose(0, 2, 1).reshape(-1, 2)])
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
     order = np.argsort(dst, kind="stable")
-    return Incidence(src[order], dst[order], fine.num_cells)
+    return Incidence(src[order], dst[order], ids.size)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +247,9 @@ class BesoConfig:
     """Evolutionary optimisation parameters.
 
     v_star: target volume fraction; er: evolutionary rate of the volume
-    schedule; level: dyadic density resolution per cell.  p and mu_min
-    default to the material's own values when left as None.
+    schedule; level: dyadic density resolution per cell.  mu_min defaults
+    to the material's own value when left as None; the penalization
+    exponent is the material's p.
 
     single_precision runs the CG sweeps on a float32 mirror of the
     stiffness, half the memory traffic, under float64 restarts; it suits
@@ -264,7 +264,6 @@ class BesoConfig:
 
     v_star: float
     er: float = 0.02
-    p: float = None
     rho_min: float = 1e-4
     mu_min: float = None
     level: int = 1
@@ -286,20 +285,16 @@ class BesoConfig:
             raise ValueError("rho_min must lie in (0, 1)")
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if self.p is not None and self.p < 1.0:
-            raise ValueError("p must be >= 1")
         if not 0.0 < self.rtol < 1.0:      # a NaN fails the test too
             raise ValueError("rtol must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
     def material(self, base):
-        """Material with this config's penalization applied."""
-        p = base.p if self.p is None else self.p
-        mu = base.mu_min if self.mu_min is None else self.mu_min
-        if p == base.p and mu == base.mu_min:
+        """Material with this config's mu_min applied."""
+        if self.mu_min is None or self.mu_min == base.mu_min:
             return base
-        return Material(base.e0, base.nu, p=p, mu_min=mu)
+        return replace(base, mu_min=self.mu_min)
 
 
 @dataclass
@@ -367,6 +362,8 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     killed_count).  Returns (DensityField, history rows).  A solver failure
     aborts with the state saved to out_dir.
     """
+    if subdivide < 0:
+        raise ValueError("subdivide must be >= 0, got %d" % subdivide)
     for _ in range(subdivide):
         mesh, _ = subdivide_mesh(mesh)
     model = build_spline_model(mesh)

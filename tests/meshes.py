@@ -78,6 +78,17 @@ def two_cubes_sharing_edge():
     return HexMesh(np.array(verts, dtype=float), cells)
 
 
+def three_cells_on_one_face():
+    """A unit cube's bottom quad shared by three cells: the cube, one cell
+    below it and one taller cell above it (a non-manifold face)."""
+    quad = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    verts = [(x, y, z) for z in (0.0, 1.0, -1.0, 2.0) for x, y in quad]
+    cells = [[0, 1, 2, 3, 4, 5, 6, 7],
+             [8, 9, 10, 11, 0, 1, 2, 3],
+             [0, 1, 2, 3, 12, 13, 14, 15]]
+    return HexMesh(np.array(verts), np.array(cells))
+
+
 def wheel(k, layers=2):
     """k hexahedra per layer around a central vertical axis, `layers` layers.
 

@@ -325,11 +325,17 @@ def test_cli_validate(cube_file, tmp_path, capsys):
     assert "edge" in capsys.readouterr().out
 
 
-def test_cli_subdivide(cube_file, tmp_path):
+def test_cli_subdivide(cube_file, tmp_path, capsys):
     out = str(tmp_path / "fine.mesh")
     assert run_command(["subdivide", cube_file, "-n", "1", "-o", out]) == 0
     mesh = parse_mesh(open(out).read())
     assert mesh.num_vertices == 27 and mesh.num_cells == 8
+    # a negative count once wrote the unrefined mesh and exited 0
+    bad = tmp_path / "bad.mesh"
+    assert run_command(["subdivide", cube_file, "-n", "-2", "-o",
+                        str(bad)]) == 1
+    assert "steps must be >= 0, got -2" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_cli_limit(tmp_path, capsys):

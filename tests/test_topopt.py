@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccsolid import iga
-from ccsolid.hexmesh import Incidence
+from ccsolid.hexmesh import CORNER_OFFSETS, Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, StiffnessOperator, solve_system)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
@@ -15,7 +15,9 @@ from ccsolid.topopt import (BesoConfig, DensityField, OptState,
                             SensitivityFilter, _parametric_centers,
                             average_history, beso_iterate, density_adjacency,
                             density_factors, optimize, sensitivities)
-from meshes import jittered_lattice, lattice, one_cell_model, tet_split
+from meshes import (icosa_split, jittered_lattice, lattice, one_cell_model,
+                    tet_split, three_cells_on_one_face,
+                    two_cubes_sharing_edge, wheel)
 
 BIG = 1e9
 
@@ -184,6 +186,65 @@ def test_density_adjacency_matches_integer_grid():
         expect = sorted(f for f in range(16)
                         if np.abs(coords(e) - coords(f)).sum() == 1)
         assert list(adj[e]) == expect
+
+
+def _subdivided_adjacency(mesh, level):
+    """Reference face adjacency of the density elements, read off the mesh
+    itself subdivided `level` times.
+
+    Subdividing a cell `level` times numbers its children in base 8 by
+    octant corner, so each fine cell is renumbered to the row-major (i, j,
+    k) sub id of the DensityField order.
+    """
+    fine = mesh
+    for _ in range(level):
+        fine, _ = subdivide(fine)
+    m, nsub = 1 << level, 8 ** level
+    corner = {tuple(off): idx for idx, off in enumerate(CORNER_OFFSETS)}
+    perm = np.empty(nsub, dtype=np.int64)
+    for s in range(nsub):
+        i, j, k = s // (m * m), (s // m) % m, s % m
+        off = 0
+        for t in range(level - 1, -1, -1):
+            off = off * 8 + corner[(i >> t) & 1, (j >> t) & 1, (k >> t) & 1]
+        perm[s] = off
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(nsub)
+    fc = fine.face_cells
+    pairs = fc.items[(fc.counts == 2)[fc.rows]].reshape(-1, 2)
+    pairs = (pairs // nsub) * nsub + inv[pairs % nsub]
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.argsort(dst, kind="stable")
+    return Incidence(src[order], dst[order], fine.num_cells)
+
+
+# name: (mesh builder, density levels)
+_ADJACENCY_MESHES = {
+    "lattice": (lambda: lattice(3, 2, 2)[0], range(4)),
+    "jittered_lattice": (lambda: jittered_lattice(2, 2, 1, seed=3)[0],
+                         range(4)),
+    "wheel": (lambda: wheel(5, 3)[0], range(4)),
+    "tet_split": (lambda: tet_split()[0], range(4)),
+    "icosa_split": (lambda: icosa_split()[0], range(4)),
+    "two_cubes_sharing_edge": (two_cubes_sharing_edge, range(4)),
+    "three_cells_on_one_face": (three_cells_on_one_face, range(3)),
+    # the cell tables of the benchmark's cantilever and heat meshes
+    "cantilever": (lambda: subdivide(subdivide(lattice(4, 2, 2)[0])[0])[0],
+                   (1, 2)),
+    "heat": (lambda: subdivide(wheel(5, 3)[0])[0], (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADJACENCY_MESHES))
+def test_density_adjacency_matches_subdivided_mesh(name):
+    build, levels = _ADJACENCY_MESHES[name]
+    mesh = build()
+    for level in levels:
+        got = density_adjacency(mesh, level)
+        ref = _subdivided_adjacency(mesh, level)
+        for attr in ("rows", "items", "counts"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr)), \
+                (level, attr)
 
 
 def test_density_adjacency_level0_and_symmetry():
@@ -501,8 +562,10 @@ def test_beso_config_validation():
             BesoConfig(v_star=0.5, precond=other)
     base = Material(2.0, 0.25, p=3.0, mu_min=1e-9)
     assert BesoConfig(v_star=0.5).material(base) is base
-    eff = BesoConfig(v_star=0.5, p=4.0, mu_min=1e-6).material(base)
-    assert eff.p == 4.0 and eff.mu_min == 1e-6 and eff.e0 == 2.0
+    eff = BesoConfig(v_star=0.5, mu_min=1e-6).material(base)
+    assert eff.p == 3.0 and eff.mu_min == 1e-6 and eff.e0 == 2.0
+    with pytest.raises(TypeError):
+        BesoConfig(v_star=0.5, p=4.0)
 
 
 def test_heat_level2_design_is_stable_under_a_tighter_solve():
@@ -557,12 +620,22 @@ def test_level3_heat_design_runs_end_to_end(monkeypatch):
     assert history[0][1] < history[1][1] < history[2][1]
 
     # the transients of the level-3 geometry and energies stay within the
-    # batch budget beside their outputs
-    model = build_spline_model(subdivide(mesh)[0])
+    # batch budget beside their outputs, and those of the design grid's
+    # adjacency within a fixed multiple of it (4.9x measured; building the
+    # subdivided mesh instead took 31x)
+    fine = subdivide(mesh)[0]
+    model = build_spline_model(fine)
     budget = 4 << 20
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        adj = density_adjacency(fine, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= 6 * (adj.rows.nbytes + adj.items.nbytes
+                            + adj.counts.nbytes)
+        del adj
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         asm = Assembly(model, "heat", mat, level=3)
         peak = tracemalloc.get_traced_memory()[1] - base
@@ -581,6 +654,14 @@ def test_level3_heat_design_runs_end_to_end(monkeypatch):
     ue = u[asm.dofmap]
     whole = np.einsum("ci,cij,cj->c", ue, K, ue)
     assert np.abs(E.sum(axis=1) - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_optimize_rejects_negative_subdivide():
+    mesh, _ = lattice(2, 1, 1)
+    with pytest.raises(ValueError, match="subdivide must be >= 0, got -1"):
+        optimize(mesh, BesoConfig(v_star=0.5), Material(1.0, 0.0),
+                 BoundaryConditions(heat_source=1.0), problem="heat",
+                 subdivide=-1)
 
 
 def test_twolevel_runs_without_vertex_constraint():
