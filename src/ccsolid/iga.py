@@ -12,11 +12,13 @@ Gauss-Legendre quadrature; sub-element stiffness matrices integrate the
 with g_i the physical shape gradients, so each element matrix is one
 Gram product of the gradient vectors plus cheap reshuffles; assembly and
 the conjugate-gradient matvec stay allocation-light and deterministic.
-The basis gradients are tabulated component-major, (3, 64) per point.
-The geometry is stored as one scaled inverse S = sqrt(w det J) J^{-1} per
-quadrature point, formed from closed-form cofactors of J, so the Grams and
-the energies share one gradient step S^T X on that table and carry the
-quadrature weight w det J inside it.
+The basis gradients are tabulated as one contiguous (sub, point, node)
+plane per parameter direction.  The geometry is stored as one scaled
+inverse S = sqrt(w det J) J^{-1} per quadrature point, formed from
+closed-form cofactors of J and kept as one contiguous (sub, point) plane
+per entry of S in each cell, so the Grams and the energies share one
+gradient step S^T X on that table and carry the quadrature weight w det J
+inside it.
 """
 
 from dataclasses import dataclass, field
@@ -34,10 +36,13 @@ _PROBLEMS = ("heat", "elasticity")
 # kernel, the sub-element energies and the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
 # tighter bound of one batch of the whole-array arithmetic on per-point
-# planes (the geometry and the energies), which then stays in cache: on a
-# 2-core VM the energies of a 1 024-cell level-1 model took 0.07 s, against
-# 0.17 s in 32 MiB batches
-_PLANE_BATCH_BYTES = 1 << 20
+# planes (the geometry and the energies), which then stays in cache.  On a
+# 2-core VM the energies took, at 1 / 2 / 4 / 8 / 16 MiB: 34 / 24 / 17.5 /
+# 17 / 17 ms on a 120-cell level-2 heat model, 66 / 56 / 58 / 58 / 71 ms on
+# a 1 024-cell level-1 elasticity one.  The batch's rows set the node
+# GEMM's shape and so its rounding: at 4 MiB both equal the 1 MiB energies
+# bit for bit, at 2 MiB the heat ones do not.
+_PLANE_BATCH_BYTES = 4 << 20
 # solves between full rebuilds of a StiffnessOperator's preconditioner
 _REFRESH_EVERY = 8
 # rows of a pivot block of the block inversion sweep
@@ -189,15 +194,16 @@ def _gauss01(order):
 @lru_cache(maxsize=32)
 def _quad_tables(level, order):
     """Per sub-cube: quadrature weights (with the 1/8^level measure),
-    parent-basis values N and component-major parameter gradients
-    Ghat[s, p, e, n] (basis n along parameter e) at the mapped points.
-    Sub-cube (i, j, k) has index (i*2^level + j)*2^level + k."""
+    parent-basis values N[s, p, n] and parameter gradients
+    Ghat[e, s, p, n] (basis n along parameter e) at the mapped points, one
+    contiguous (sub, point, node) plane per parameter.  Sub-cube (i, j, k)
+    has index (i*2^level + j)*2^level + k."""
     x, w = _gauss01(order)
     m = 2 ** level
     npts = order ** 3
     wts = (np.einsum("i,j,k->ijk", w, w, w).reshape(npts) / m ** 3)
     N = np.empty((m ** 3, npts, 64))
-    Ghat = np.empty((m ** 3, npts, 3, 64))
+    Ghat = np.empty((3, m ** 3, npts, 64))
     for i in range(m):
         for j in range(m):
             for k in range(m):
@@ -210,7 +216,7 @@ def _quad_tables(level, order):
                 for ax in range(3):
                     F = list(B)
                     F[ax] = D[ax]
-                    Ghat[s, :, ax] = np.einsum(
+                    Ghat[ax, s] = np.einsum(
                         "ia,jb,kc->ijkabc", *F).reshape(npts, 64)
     for a in (wts, N, Ghat):
         a.setflags(write=False)
@@ -221,20 +227,22 @@ class Assembly:
     """Precomputed quadrature data of a model at one sub-cube level.
 
     Holds S = sqrt(w det J) J^{-1}, nine floats at every (cell, sub-cube,
-    point) as `S[c, s, p]` (3, 3); the sub-cube volumes; the load of a
-    unit heat source; the cell-to-dof map; and batched routines for
-    sub-element stiffness, aggregation over per-(cell, sub) stiffness
-    factors, matvec, and sub-element energies.  The constructor forms J by
-    one GEMM per cell of its control net with the gradient table, and det J
-    and the adjugate by whole-array cofactor arithmetic over batches of
-    cells; a det J that is not positive raises a ValueError naming the
-    (cell, sub-cube, point) of the least one in the model.  All reductions
-    run in a fixed order, so repeated assemblies are bit-identical.  The
-    stiffness integrals (sub_stiffness, aggregate, add_increment) share one
-    Gram kernel; it and sub_energies form weighted physical gradients as
-    S^T X on the component-major table.  Their batches, and those forming
-    S, hold at most _GRAM_BATCH_BYTES (32 MiB): memory beside the results
-    grows with neither mesh nor level.
+    point), as S[c, e, a, s * npts + p] for entry (e, a): (nc, 3, 3,
+    nsub * npts), one contiguous plane per cell and entry; the sub-cube
+    volumes; the load of a unit heat source; the cell-to-dof map; and
+    batched routines for sub-element stiffness, aggregation over
+    per-(cell, sub) stiffness factors, matvec, and sub-element energies.
+    The constructor forms J by one GEMM per cell of its control net with
+    the gradient table, and det J and the adjugate by whole-array cofactor
+    arithmetic on the planes over batches of cells; a det J that is not
+    positive raises a ValueError naming the (cell, sub-cube, point) of the
+    least one in the model.  All reductions run in a fixed order, so
+    repeated assemblies are bit-identical.  The stiffness integrals
+    (sub_stiffness, aggregate, add_increment) share one Gram kernel; it and
+    sub_energies form weighted physical gradients as S^T X on the gradient
+    table.  Their batches, and those forming S, hold at most
+    _GRAM_BATCH_BYTES (32 MiB): memory beside the results grows with
+    neither mesh nor level.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -261,20 +269,21 @@ class Assembly:
         self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
         nc, npts = len(nets), len(self._w)
-        self.S = np.empty((nc, self.nsub, npts, 3, 3))
+        nsp = self.nsub * npts
+        self.S = np.empty((nc, 3, 3, nsp))
         self.sub_volumes = np.empty((nc, self.nsub))
         source = np.empty((nc, 64))
         Gt = self._Ghat.reshape(-1, 64).T
         worst = (np.inf, 0)        # least det J and its flat index
         # R, two cofactor products, then det J, w det J, its root and the
         # scale: at most 13 floats per point beside S
-        for rows in _row_batches(nc, 13 * self.nsub * npts * 8,
+        for rows in _row_batches(nc, 13 * nsp * 8,
                                  min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
-            # J[a, e] = R[:, a, ..., e] = sum_n x_a(n) dN_n/dxi_e, one GEMM
-            # of the same shape per cell: no batching changes the bits
+            # J[a, e] = R[:, a, e] = sum_n x_a(n) dN_n/dxi_e, one GEMM of
+            # the same shape per cell: no batching changes the bits
             R = np.matmul(nets[rows].swapaxes(1, 2), Gt).reshape(
-                -1, 3, self.nsub, npts, 3)
-            J = [[R[:, a, ..., e] for e in range(3)] for a in range(3)]
+                -1, 3, 3, nsp)
+            J = [[R[:, a, e] for e in range(3)] for a in range(3)]
             S = self.S[rows]
             # S[e, a] = cofactor (a, e) of J, so S = adj J = det J J^{-1}
             for a in range(3):
@@ -282,20 +291,20 @@ class Assembly:
                 for e in range(3):
                     f, g = (e + 1) % 3, (e + 2) % 3
                     np.subtract(J[b][f] * J[c][g], J[b][g] * J[c][f],
-                                out=S[..., e, a])
-            det = (J[0][0] * S[..., 0, 0] + J[0][1] * S[..., 1, 0]
-                   + J[0][2] * S[..., 2, 0])
+                                out=S[:, e, a])
+            det = (J[0][0] * S[:, 0, 0] + J[0][1] * S[:, 1, 0]
+                   + J[0][2] * S[:, 2, 0])
             i = np.argmin(det)      # the first NaN, if there is one
             least = det.flat[i]
             if least < worst[0] or (np.isnan(least)
                                     and not np.isnan(worst[0])):
-                worst = (least, rows.start * det[0].size + i)
+                worst = (least, rows.start * nsp + i)
             if not (worst[0] > 0):            # a NaN fails the test too
                 continue
-            wdet = self._w * det
+            wdet = self._w * det.reshape(-1, self.nsub, npts)
             self.sub_volumes[rows] = wdet.sum(axis=-1)
             source[rows] = wdet.reshape(len(det), -1) @ self._N.reshape(-1, 64)
-            S *= (np.sqrt(wdet) / det)[..., None, None]
+            S *= (np.sqrt(wdet).reshape(det.shape) / det)[:, None, None]
         if not (worst[0] > 0):
             c, s, p = np.unravel_index(worst[1], (nc, self.nsub, npts))
             raise ValueError(
@@ -318,27 +327,32 @@ class Assembly:
         """Weighted gradient Grams summed over the subs of each row, in
         batches of bounded size.
 
-        cells (n,), subs and scale (n, k), scale >= 0.  Yields (rows, W)
-        for consecutive slices `rows` of the n rows, with
-        W[i] = sum_j sum_pt q q^T over the pairs (cells[r], subs[r, j]),
-        r = rows[i], and q = sqrt(scale) S^T Ghat the weighted physical
-        gradients flattened component-major, (d, node); for heat the sum
-        runs over d too, giving the stiffness itself.  A row's subs are
-        folded into the inner dimension of its GEMM, in equal slices of at
-        most `span` subs whose Grams are summed.  A batch holds at most
-        `cap` rows and _GRAM_BATCH_BYTES of gradients and Grams, or one
-        row's slice if that is larger.  Every row is its own GEMM, so the
-        rows per batch change no bits.  The slices depend on k and on
+        cells (n,), scale (n, k) >= 0, and subs (n, k), or None for the k
+        subs of every cell in order.  Yields (rows, W) for consecutive
+        slices `rows` of the n rows, with W[i] = sum_j sum_pt q q^T over
+        the pairs (cells[r], subs[r, j]), r = rows[i], and
+        q = sqrt(scale) S^T Ghat the weighted physical gradients flattened
+        component-major, (d, node); for heat the sum runs over d too,
+        giving the stiffness itself.  S and Ghat are read through
+        (cell, sub, point, e, a) and (sub, point, e, node) views of their
+        plane layouts; with subs None every row reads the same view of the
+        table, which is not gathered per row.  A row's subs are folded
+        into the inner dimension of its GEMM, in equal slices of at most
+        `span` subs whose Grams are summed.  A batch holds at most `cap`
+        rows and _GRAM_BATCH_BYTES of gradients and Grams, or one row's
+        slice if that is larger.  Every row is its own GEMM, so the rows
+        per batch change no bits.  The slices depend on k and on
         _GRAM_BATCH_BYTES: from the default budget up, k <= 64 (level 2 or
         coarser) at the default quadrature order is one slice and W the
         same bit for bit.  A smaller budget, or a larger k, may cut the
         subs into other slices, whose Grams then sum in another order and
         change W by rounding only.
         """
-        n, k = subs.shape
-        # per pair: gathered Ghat, gradients and the previous slice's, bound
-        # until replaced (the gathered S adds under 5 % of one)
-        pair = 3 * self._Ghat[0].nbytes
+        n, k = scale.shape
+        # per pair: gathered Ghat (none with subs None), gradients and the
+        # previous slice's, bound until replaced (the gathered S adds under
+        # 5 % of one)
+        pair = 3 * self._Ghat[:, 0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
         span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
         nslice = -(-k // span)
@@ -346,15 +360,20 @@ class Assembly:
         nrow = max(1, _GRAM_BATCH_BYTES // (span * pair + gram))
         if cap is not None:
             nrow = min(nrow, cap)
+        S = self.S.reshape(len(self.S), 3, 3, self.nsub, -1).transpose(
+            0, 3, 4, 1, 2)
+        Ghat = self._Ghat.transpose(1, 2, 0, 3)
         for lo in range(0, n, nrow):
             rows = slice(lo, min(lo + nrow, n))
-            c = cells[rows, None]
             W = None
             for s0 in range(0, k, span):
-                s = subs[rows, s0:s0 + span]
-                St = self.S[c, s].swapaxes(-1, -2)
+                if subs is None:
+                    c, s = cells[rows], slice(s0, s0 + span)
+                else:
+                    c, s = cells[rows, None], subs[rows, s0:s0 + span]
+                St = S[c, s].swapaxes(-1, -2)
                 St *= np.sqrt(scale[rows, s0:s0 + span])[..., None, None, None]
-                G = np.matmul(St, self._Ghat[s])
+                G = np.matmul(St, Ghat[s])
                 Q = G.reshape(len(G), -1, self.nd)
                 part = Q.transpose(0, 2, 1) @ Q
                 if W is None:
@@ -409,8 +428,7 @@ class Assembly:
         factors = np.asarray(factors, dtype=float)
         nc = self.num_cells
         out = np.empty((nc, self.nd, self.nd))
-        subs = np.broadcast_to(np.arange(self.nsub), (nc, self.nsub))
-        for rows, W in self._gram_batches(np.arange(nc), subs,
+        for rows, W in self._gram_batches(np.arange(nc), None,
                                           factors.reshape(nc, self.nsub),
                                           cap=chunk):
             out[rows] = self._expand(W)
@@ -421,9 +439,10 @@ class Assembly:
 
         Pairs are sorted by cell and their signed Grams summed per cell
         before the expansion, batch by batch, so each touched cell is
-        written once per batch.  A pair may be listed more than once; one
-        outside the model raises a ValueError naming it, before K_cells
-        changes."""
+        written once per batch.  The j-th pair of every cell's run is
+        added in one step, left to right, and each cell's block in place.
+        A pair may be listed more than once; one outside the model raises a
+        ValueError naming it, before K_cells changes."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         _check_pairs(cells, subs, self.num_cells, self.nsub)
@@ -438,7 +457,13 @@ class Assembly:
             W *= np.sign(df[rows])[:, None, None]
             c = cells[rows]
             first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            K_cells[c[first]] += self._expand(np.add.reduceat(W, first))
+            runs = np.diff(np.r_[first, len(c)])
+            R = W[first]
+            for j in range(1, runs.max()):
+                sel = np.flatnonzero(runs > j)
+                R[sel] += W[first[sel] + j]
+            for cell, block in zip(c[first], self._expand(R)):
+                K_cells[cell] += block
 
     def matvec(self, K_cells, u):
         ue = u[self.dofmap]
@@ -459,30 +484,29 @@ class Assembly:
     def sub_energies(self, u):
         """Energies u_e^T K0_{c,s} u_e of every (cell, sub), factor 1.
 
-        The nodes are contracted in one GEMM with the component-major
-        gradient table, and S^T is applied by 3 * dpn whole-array
-        multiply-adds over (cells, sub, point) planes; S carries w det J,
-        so the energy density summed over the points is the energy.  The
-        batches of cells hold their gradient tensors within
-        _PLANE_BATCH_BYTES, so the memory beside the (nc, nsub) result does
-        not grow with the design."""
-        nsub, npts = self._Ghat.shape[:2]
+        The nodes are contracted in one GEMM with the gradient table, and
+        S^T is applied by 3 * dpn whole-array multiply-adds over the
+        contiguous (cells, sub * point) planes of S and of the GEMM's
+        result; S carries w det J, so the energy density summed over the
+        points is the energy.  The batches of cells hold their gradient
+        tensors within _PLANE_BATCH_BYTES, so the memory beside the
+        (nc, nsub) result does not grow with the design."""
+        nsub, nsp = self.nsub, self.S.shape[-1]
         Gt = self._Ghat.reshape(-1, 64).T
         k0 = self.mat.e0 if self.mat is not None else 1.0
         nc = self.num_cells
         out = np.empty((nc, nsub))
         # T and H, 3 * dpn floats per point each, and three temporaries
-        for rows in _row_batches(nc, (6 * self.dpn + 3) * nsub * npts * 8,
+        for rows in _row_batches(nc, (6 * self.dpn + 3) * nsp * 8,
                                  min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
             un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
-            # T[c, d, s, p, e] = sum_n Ghat[s, p, e, n] u[c, n, d], one 2-D
-            # GEMM, and H[f][d] = sum_e S[..., e, f] T[:, d, ..., e]
+            # T[c, d, e, sp] = sum_n Ghat[e, sp, n] u[c, n, d], one 2-D
+            # GEMM, and H[f][d] = sum_e S[:, e, f] T[:, d, e]
             T = (un.swapaxes(1, 2).reshape(-1, 64) @ Gt).reshape(
-                len(un), self.dpn, nsub, npts, 3)
+                len(un), self.dpn, 3, nsp)
             S = self.S[rows]
-            H = [[S[..., 0, f] * T[:, d, ..., 0]
-                  + S[..., 1, f] * T[:, d, ..., 1]
-                  + S[..., 2, f] * T[:, d, ..., 2] for d in range(self.dpn)]
+            H = [[S[:, 0, f] * T[:, d, 0] + S[:, 1, f] * T[:, d, 1]
+                  + S[:, 2, f] * T[:, d, 2] for d in range(self.dpn)]
                  for f in range(3)]
             if self.dpn == 1:
                 dens = k0 * (H[0][0] ** 2 + H[1][0] ** 2 + H[2][0] ** 2)
@@ -496,7 +520,7 @@ class Assembly:
                     dens += 2 * mu * H[f][f] ** 2
                     for d in range(f):
                         dens += mu * (H[f][d] + H[d][f]) ** 2
-            out[rows] = dens.sum(axis=-1)
+            out[rows] = dens.reshape(len(dens), nsub, -1).sum(axis=-1)
         return out
 
     def load_vector(self, bcs):

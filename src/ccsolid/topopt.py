@@ -314,12 +314,18 @@ def beso_iterate(state, alpha, cfg):
     """One hard-kill update: lower the volume target along the schedule and
     delete the lowest-sensitivity elements until the retained volume first
     drops to the target.  Ties rank by element id (stable sort); elements
-    are only ever removed."""
+    are only ever removed.  A non-finite sensitivity raises a ValueError
+    naming the first such element."""
     dens = state.density
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
     if alpha.size != dens.num_elements:
         raise ValueError("expected %d sensitivities, got %d"
                          % (dens.num_elements, alpha.size))
+    finite = np.isfinite(alpha)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError("sensitivity of element %d is not finite: %r"
+                         % (i, alpha[i]))
     total = dens.total_volume
     retained = dens.retained_volume
     target = max(cfg.v_star * total, state.target_volume * (1.0 - cfg.er))

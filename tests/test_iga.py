@@ -284,7 +284,7 @@ def test_assembly_jacobian_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     # the whole J beside its cofactors would take another 9.4 MB
     assert peak <= asm.S.nbytes + asm.sub_volumes.nbytes + 2 * budget
-    assert asm.S.shape == (16, 64, 64, 3, 3)
+    assert asm.S.shape == (16, 3, 3, 64 * 64)
     # every cell's J is its own GEMM of one shape: batches change no bits
     assert np.array_equal(asm.S, ref.S)
     assert np.array_equal(asm.sub_volumes, ref.sub_volumes)
@@ -297,13 +297,16 @@ def test_scaled_inverse_jacobian_matches_lapack(problem):
     model = _curved_model()
     asm = Assembly(model, problem, Material(1.0, 0.3), level=2)
     w, _, Ghat = iga._quad_tables(2, 4)
-    J = np.einsum("cna,spen->cspae", model.points[model.cell_nodes], Ghat)
+    J = np.einsum("cna,espn->cspae", model.points[model.cell_nodes], Ghat)
     wdet = w * np.linalg.det(J)
     ref = np.sqrt(wdet)[..., None, None] * np.linalg.inv(J)
-    assert _rel(asm.S, ref) <= 1e-14
+    # S[c, e, a] is the plane of entry (e, a) over the (sub, point) pairs
+    S = asm.S.reshape(ref.shape[:1] + (3, 3) + ref.shape[1:3])
+    S = S.transpose(0, 3, 4, 1, 2)
+    assert _rel(S, ref) <= 1e-14
     # near the solid's corners J shrinks to under 2 % of its median size,
     # and either sum for it cancels to about 2e-13 relative
-    err = np.abs(asm.S - ref).max(axis=(-2, -1))
+    err = np.abs(S - ref).max(axis=(-2, -1))
     assert (err <= 1e-12 * np.abs(ref).max(axis=(-2, -1))).all()
     assert _rel(asm.sub_volumes, wdet.sum(axis=-1)) <= 1e-14
 
@@ -485,6 +488,28 @@ def test_add_increment_matches_fresh_aggregate(monkeypatch, problem, level,
     before = K.copy()
     asm.add_increment(K, [], [], [])
     assert np.array_equal(K, before)
+
+
+@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
+def test_add_increment_sums_long_runs_per_cell(problem, level):
+    # one call gives cell 9 all 8 subs of a level-1 cell plus a repeat of
+    # sub 3, 10 pairs in all, and cell 4 a run of 3: each cell's run is
+    # summed in one batch, step by step along the run
+    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
+    fac = _mixed_factors(asm, 7) + 0.5
+    K = asm.aggregate(fac)
+    cells = np.array([9, 4, 9, 9, 9, 4, 9, 9, 9, 13, 9, 9, 4, 9])
+    subs = np.array([0, 2, 1, 2, 3, 6, 4, 5, 6, 1, 7, 3, 0, 3])
+    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, -0.35, 1.5, -0.45, 0.05,
+                   -0.3, 0.6, -0.15, 0.2, -0.1])
+    new = fac.copy()
+    np.add.at(new, (cells, subs), df)
+    assert (new >= 0).all()
+    asm.add_increment(K, cells, subs, df)
+    ref = asm.aggregate(new)
+    assert _rel(K, ref) <= 1e-12
+    for c in (4, 9, 13):
+        assert _rel(K[c], ref[c]) <= 1e-12
 
 
 def test_add_increment_rejects_pairs_outside_the_model():

@@ -388,6 +388,21 @@ def test_beso_infeasible_target_warns_and_noop():
     assert not record
 
 
+def test_beso_rejects_non_finite_sensitivity():
+    # argsort ranks NaN last, so a NaN element once survived while the
+    # next-lowest ones were killed
+    cfg = BesoConfig(v_star=0.5, er=0.2)
+    for i, bad in ((0, np.nan), (7, np.inf), (3, -np.inf)):
+        state = _hand_state(np.full(10, 0.1))
+        alpha = np.arange(10.0)
+        alpha[i] = bad
+        with pytest.raises(ValueError,
+                           match=r"^sensitivity of element %d is not finite"
+                           % i):
+            beso_iterate(state, alpha, cfg)
+        assert state.density.alive.all()
+
+
 def test_beso_kill_set_is_monotone():
     rng = np.random.default_rng(3)
     state = _hand_state(np.full(10, 0.1))
