@@ -45,8 +45,11 @@ _GRAM_BATCH_BYTES = 32 << 20
 _PLANE_BATCH_BYTES = 4 << 20
 # solves between full rebuilds of a StiffnessOperator's preconditioner
 _REFRESH_EVERY = 8
-# rows of a pivot block of the block inversion sweep
+# rows of a top-level pivot block of the block inversion sweep, whose
+# pivots are inverted by the same sweep over halves of their rows, down to
+# Cholesky-checked leaves of at most _LEAF rows
 _PIVOT = 64
+_LEAF = 16
 
 
 @dataclass
@@ -180,6 +183,20 @@ def _check_pairs(cells, subs, num_cells, nsub, distinct=False):
             i = first[np.argmax(count > 1)]
             raise ValueError("(cell, sub) pair (%d, %d) is listed more than "
                              "once" % (cells[i], subs[i]))
+
+
+def _check_factors(values, cells, subs, what, least=-np.inf):
+    """Raise a ValueError naming the first (cell, sub) pair whose value, of
+    `values` broadcast with cells and subs, is not finite or below
+    `least`."""
+    bad = ~np.isfinite(values) | (values < least)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        cell, sub = (np.broadcast_to(a, bad.shape)[i] for a in (cells, subs))
+        raise ValueError("%s of (cell, sub) pair (%d, %d) is %g; it must be "
+                         "finite%s" % (what, cell, sub, values[i],
+                                       "" if least == -np.inf
+                                       else " and >= %g" % least))
 
 
 def _box_mask(points, lo, hi, tol=1e-9):
@@ -324,55 +341,64 @@ class Assembly:
         return self.model.num_cells
 
     def _gram_batches(self, cells, subs, scale, cap=None):
-        """Weighted gradient Grams summed over the subs of each row, in
-        batches of bounded size.
+        """Weighted gradient Grams summed over the (cell, sub) pairs of each
+        row, in batches of bounded size.
 
-        cells (n,), scale (n, k) >= 0, and subs (n, k), or None for the k
-        subs of every cell in order.  Yields (rows, W) for consecutive
-        slices `rows` of the n rows, with W[i] = sum_j sum_pt q q^T over
-        the pairs (cells[r], subs[r, j]), r = rows[i], and
-        q = sqrt(scale) S^T Ghat the weighted physical gradients flattened
-        component-major, (d, node); for heat the sum runs over d too,
-        giving the stiffness itself.  S and Ghat are read through
-        (cell, sub, point, e, a) and (sub, point, e, node) views of their
-        plane layouts; with subs None every row reads the same view of the
-        table, which is not gathered per row.  A row's subs are folded
-        into the inner dimension of its GEMM, in equal slices of at most
-        `span` subs whose Grams are summed.  A batch holds at most `cap`
-        rows and _GRAM_BATCH_BYTES of gradients and Grams, or one row's
-        slice if that is larger.  Every row is its own GEMM, so the rows
-        per batch change no bits.  The slices depend on k and on
-        _GRAM_BATCH_BYTES: from the default budget up, k <= 64 (level 2 or
-        coarser) at the default quadrature order is one slice and W the
-        same bit for bit.  A smaller budget, or a larger k, may cut the
-        subs into other slices, whose Grams then sum in another order and
-        change W by rounding only.
+        A row's Gram is W = sum over its pairs and points of q q^T, with
+        q = sqrt(|scale|) S^T Ghat the weighted physical gradients of the
+        pair flattened component-major, (d, node), negated where the scale
+        is negative; for heat the sum runs over d too, giving the stiffness
+        itself.  S and Ghat are read through (cell, sub, point, e, a) and
+        (sub, point, e, node) views of their plane layouts.  A row's pairs
+        are folded into the inner dimension of one GEMM per batch; where a
+        row is cut into slices, their Grams are summed, in another order
+        than one GEMM would, which changes W by rounding only.
+
+        With subs None, cells (n,) and scale (n, k) >= 0: row i holds the k
+        subs of cells[i] in order, every row reads the same view of the
+        table, which is not gathered per row, and the slices are equal,
+        of at most `span` subs.  Yields (rows, W) for consecutive slices
+        `rows` of the n rows; a batch holds at most `cap` rows and
+        _GRAM_BATCH_BYTES of gradients and Grams, or one row's slice if
+        that is larger.  Every row is its own GEMM, so the rows per batch
+        change no bits.  The slices depend on k and on _GRAM_BATCH_BYTES:
+        from the default budget up, k <= 64 (level 2 or coarser) at the
+        default quadrature order is one slice and W the same bit for bit.
+
+        Otherwise cells, subs and scale are (n,) over pairs, and a row is a
+        maximal run of consecutive pairs of one cell and one sign of scale.
+        Yields (first, W) with `first` the index of each row's first pair.
+        The batches are consecutive slices of pairs within
+        _GRAM_BATCH_BYTES of gradients and Grams, whatever the rows; a row
+        that straddles batches is yielded once, its slices' Grams summed.
         """
-        n, k = scale.shape
         # per pair: gathered Ghat (none with subs None), gradients and the
         # previous slice's, bound until replaced (the gathered S adds under
         # 5 % of one)
         pair = 3 * self._Ghat[:, 0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
+        S = self.S.reshape(len(self.S), 3, 3, self.nsub, -1).transpose(
+            0, 3, 4, 1, 2)
+        Ghat = self._Ghat.transpose(1, 2, 0, 3)
+        if subs is not None:
+            yield from self._run_grams(S, Ghat, cells, subs, scale,
+                                       max(1, _GRAM_BATCH_BYTES
+                                           // (pair + gram)))
+            return
+        n, k = scale.shape
         span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
         nslice = -(-k // span)
         span = -(-k // nslice)
         nrow = max(1, _GRAM_BATCH_BYTES // (span * pair + gram))
         if cap is not None:
             nrow = min(nrow, cap)
-        S = self.S.reshape(len(self.S), 3, 3, self.nsub, -1).transpose(
-            0, 3, 4, 1, 2)
-        Ghat = self._Ghat.transpose(1, 2, 0, 3)
         for lo in range(0, n, nrow):
             rows = slice(lo, min(lo + nrow, n))
             W = None
             for s0 in range(0, k, span):
-                if subs is None:
-                    c, s = cells[rows], slice(s0, s0 + span)
-                else:
-                    c, s = cells[rows, None], subs[rows, s0:s0 + span]
-                St = S[c, s].swapaxes(-1, -2)
-                St *= np.sqrt(scale[rows, s0:s0 + span])[..., None, None, None]
+                s = slice(s0, s0 + span)
+                St = S[cells[rows], s].swapaxes(-1, -2)
+                St *= np.sqrt(scale[rows, s])[..., None, None, None]
                 G = np.matmul(St, Ghat[s])
                 Q = G.reshape(len(G), -1, self.nd)
                 part = Q.transpose(0, 2, 1) @ Q
@@ -381,6 +407,37 @@ class Assembly:
                 else:
                     W += part
             yield rows, W
+
+    def _run_grams(self, S, Ghat, cells, subs, scale, step):
+        """The pair form of _gram_batches, over batches of `step` pairs; a
+        row that straddles batches is carried into the next one."""
+        neg = scale < 0
+        root = np.sqrt(np.abs(scale))
+        bounds = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1])
+                                      | (neg[1:] != neg[:-1]), True])
+        carry = None
+        for q0 in range(0, len(cells), step):
+            q1 = min(q0 + step, len(cells))
+            St = S[cells[q0:q1], subs[q0:q1]].swapaxes(-1, -2)
+            St *= root[q0:q1, None, None, None]
+            G = np.matmul(St, Ghat[subs[q0:q1]])
+            # the runs starting before q1, from the one holding pair q0
+            r0 = np.searchsorted(bounds, q0, "right") - 1
+            r1 = np.searchsorted(bounds, q1)
+            W = np.empty((r1 - r0, self.nd, self.nd))
+            for r in range(r0, r1):
+                lo, hi = max(bounds[r], q0), min(bounds[r + 1], q1)
+                Q = G[lo - q0:hi - q0].reshape(-1, self.nd)
+                np.matmul(Q.T, Q, out=W[r - r0])
+            if carry is not None:
+                W[0] += carry
+            carry = None
+            if bounds[r1] > q1:
+                carry, W = W[-1].copy(), W[:-1]
+            if len(W):
+                first = bounds[r0:r0 + len(W)]
+                np.negative(W, out=W, where=neg[first, None, None])
+                yield first, W
 
     def _expand(self, W):
         """Turn gradient Grams into stiffness matrices."""
@@ -400,19 +457,21 @@ class Assembly:
     def sub_stiffness(self, cells, subs, factors=None):
         """Stiffness of the given (cell, sub-cube) pairs, optionally scaled
         by per-pair factors (negative factors allowed, e.g. for incremental
-        stiffness removal).  A pair outside the model raises a ValueError
-        naming it."""
+        stiffness removal).  A pair outside the model, or a factor that is
+        not finite, raises a ValueError naming the pair."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         _check_pairs(cells, subs, self.num_cells, self.nsub)
         scale = (np.ones(len(cells)) if factors is None
                  else np.asarray(factors, dtype=float))
+        _check_factors(scale, cells, subs, "stiffness factor")
         out = np.empty((len(cells), self.nd, self.nd))
-        # the factor folds into the Gram under a square root; carry the
-        # sign outside
-        for rows, W in self._gram_batches(cells, subs[:, None],
-                                          np.abs(scale)[:, None]):
-            out[rows] = np.sign(scale[rows])[:, None, None] * self._expand(W)
+        # one call per pair: the kernel would sum neighbouring pairs of one
+        # cell and sign into one row
+        for i in range(len(cells)):
+            for _, W in self._gram_batches(cells[i:i + 1], subs[i:i + 1],
+                                           scale[i:i + 1]):
+                out[i] = self._expand(W)[0]
         return out
 
     def aggregate(self, factors, chunk=128):
@@ -422,14 +481,16 @@ class Assembly:
         working set stays within _GRAM_BATCH_BYTES beside the output;
         `chunk` caps the cells per batch.  The result does not depend on
         the batch size, and at level 0 it equals sub_stiffness bit for
-        bit."""
+        bit.  A factor that is negative or not finite raises a ValueError
+        naming its (cell, sub) pair."""
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        factors = np.asarray(factors, dtype=float)
         nc = self.num_cells
+        factors = np.asarray(factors, dtype=float).reshape(nc, self.nsub)
+        _check_factors(factors, np.arange(nc)[:, None],
+                       np.arange(self.nsub), "stiffness factor", 0.0)
         out = np.empty((nc, self.nd, self.nd))
-        for rows, W in self._gram_batches(np.arange(nc), None,
-                                          factors.reshape(nc, self.nsub),
+        for rows, W in self._gram_batches(np.arange(nc), None, factors,
                                           cap=chunk):
             out[rows] = self._expand(W)
         return out
@@ -437,32 +498,21 @@ class Assembly:
     def add_increment(self, K_cells, cells, subs, dfactors):
         """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place).
 
-        Pairs are sorted by cell and their signed Grams summed per cell
-        before the expansion, batch by batch, so each touched cell is
-        written once per batch.  The j-th pair of every cell's run is
-        added in one step, left to right, and each cell's block in place.
-        A pair may be listed more than once; one outside the model raises a
+        Pairs are sorted by cell and sign, and the Gram kernel folds each
+        run of one cell and one sign into the inner dimension of one GEMM,
+        so a touched cell costs one Gram and one expansion per sign, added
+        to its block in place.  A pair may be listed more than once; one
+        outside the model, or an increment that is not finite, raises a
         ValueError naming it, before K_cells changes."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
+        df = np.asarray(dfactors, dtype=float)
         _check_pairs(cells, subs, self.num_cells, self.nsub)
-        if not len(cells):
-            return
-        order = np.argsort(cells, kind="stable")
+        _check_factors(df, cells, subs, "stiffness factor increment")
+        order = np.lexsort((df < 0, cells))
         cells = cells[order]
-        subs = subs[order]
-        df = np.asarray(dfactors, dtype=float)[order]
-        for rows, W in self._gram_batches(cells, subs[:, None],
-                                          np.abs(df)[:, None]):
-            W *= np.sign(df[rows])[:, None, None]
-            c = cells[rows]
-            first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            runs = np.diff(np.r_[first, len(c)])
-            R = W[first]
-            for j in range(1, runs.max()):
-                sel = np.flatnonzero(runs > j)
-                R[sel] += W[first[sel] + j]
-            for cell, block in zip(c[first], self._expand(R)):
+        for first, W in self._gram_batches(cells, subs[order], df[order]):
+            for cell, block in zip(cells[first], self._expand(W)):
                 K_cells[cell] += block
 
     def matvec(self, K_cells, u):
@@ -736,36 +786,34 @@ def _cell_overlaps(cell_nodes):
     return groups
 
 
-def _sweep_inverse(A, cells):
-    """Invert a stack of symmetric matrices, overwriting A, by a block
-    Gauss-Jordan sweep over pivot blocks of _PIVOT rows.
+def _gauss_jordan(A, cells):
+    """Overwrite a stack of symmetric matrices by their inverses.
 
-    Each step factors its pivot blocks by batched Cholesky, inverts them
-    and updates the stack by batched GEMMs, all in numpy's own LAPACK and
-    BLAS.  The pivot block of step k is the Schur complement of the
-    leading k blocks, and a symmetric matrix is positive definite exactly
-    when every one of them is, so the factorizations check each matrix in
-    full: if A[i] is not positive definite the ValueError names cells[i].
-    Every matrix is swept on its own, so the result does not depend on
-    the batch.  Returns the exactly symmetric 0.5 (X + X^T) of the
-    inverse X.
-    """
+    A stack of at most _LEAF rows is Cholesky-checked and inverted by
+    LAPACK; a larger one by a block Gauss-Jordan sweep over pivot blocks
+    of min(_PIVOT, half its rows), each inverted in place by this same
+    function, so the leaves are the nested Schur complements of the
+    matrix."""
     n = A.shape[-1]
-    for p0 in range(0, n, _PIVOT):
-        p = slice(p0, p0 + _PIVOT)
+    if n <= _LEAF:
         try:
-            np.linalg.cholesky(A[:, p, p])
+            np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             for i, c in enumerate(cells):
                 try:
-                    np.linalg.cholesky(A[i, p, p])
+                    np.linalg.cholesky(A[i])
                 except np.linalg.LinAlgError:
                     raise ValueError("cell %d: assembled block is not "
                                      "positive definite" % c) from None
             raise
-        others = [s for s in (slice(0, p0), slice(p0 + _PIVOT, n))
+        A[...] = np.linalg.inv(A)
+        return
+    pivot = min(_PIVOT, -(-n // 2))
+    for p0 in range(0, n, pivot):
+        p = slice(p0, p0 + pivot)
+        others = [s for s in (slice(0, p0), slice(p0 + pivot, n))
                   if s.start < s.stop]
-        A[:, p, p] = np.linalg.inv(A[:, p, p])
+        _gauss_jordan(A[:, p, p], cells)
         # pivot rows become A_pp^-1 A_pj, the other rows A_ij - A_ip A_pp^-1
         # A_pj, and their pivot columns -A_ip A_pp^-1
         for s in others:
@@ -774,6 +822,25 @@ def _sweep_inverse(A, cells):
             D = A[:, s, p] @ A[:, p]
             A[:, s, p] = 0.0
             A[:, s] -= D
+
+
+def _sweep_inverse(A, cells):
+    """Invert a stack of symmetric matrices, overwriting A, by a recursive
+    block Gauss-Jordan sweep (_gauss_jordan).
+
+    The top-level pivot blocks have _PIVOT rows; each is inverted by the
+    same sweep over pivots of half its rows, down to leaves of at most
+    _LEAF rows, and only the leaves are factored by batched Cholesky and
+    inverted by LAPACK.  Everything else is batched GEMMs, all in numpy's
+    own LAPACK and BLAS.  A leaf is the Schur complement of the leaves
+    before it, and a symmetric matrix is positive definite exactly when
+    every one of them is, so the leaf factorizations check each matrix in
+    full: if A[i] is not positive definite the ValueError names cells[i].
+    Every matrix is swept on its own, so the result does not depend on
+    the batch.  Returns the exactly symmetric 0.5 (X + X^T) of the
+    inverse X.
+    """
+    _gauss_jordan(A, cells)
     for X in A:                 # one block at a time: the transpose stays
         X += X.T                # in cache
     A *= 0.5
@@ -803,10 +870,12 @@ class TwoLevelPreconditioner:
     and factorizes in milliseconds.
 
     Each batch of blocks is inverted in numpy's own LAPACK and BLAS by one
-    block Gauss-Jordan sweep (_sweep_inverse), whose Cholesky-factored
-    pivots check that every assembled block is positive definite; a block
-    that is not raises a ValueError naming its cell.  The inverses are
-    made exactly symmetric, as CG requires, before the float32 cast.
+    recursive block Gauss-Jordan sweep (_sweep_inverse): its pivots are
+    halved down to leaves of at most _LEAF rows, and the Cholesky
+    factorizations of the leaves, the nested Schur complements, check
+    that every assembled block is positive definite; a block that is not
+    raises a ValueError naming its cell.  The inverses are made exactly
+    symmetric, as CG requires, before the float32 cast.
 
     `update` is told the cells whose stiffness changed: it rebuilds their
     blocks at once and marks the blocks of the cells sharing a control
@@ -856,8 +925,8 @@ class TwoLevelPreconditioner:
         self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
         # bytes of building one cell's block: its float64 block and at
         # most three more of its size at once (the scattered neighbour
-        # sum; or the sweep's pivot factor, pivot inverse, updated pivot
-        # rows and update product; or the float32 cast), plus source
+        # sum; or the sweep's updated pivot rows and update product, and a
+        # leaf's factor and inverse; or the float32 cast), plus source
         # index, destination index and weight (each made and
         # concatenated) per shared-dof entry
         entries = np.zeros(assembly.num_cells)
@@ -993,14 +1062,16 @@ class StiffnessOperator:
 
     def set_factors(self, cells, subs, values):
         """Change the stiffness factors of the listed (cell, sub) pairs and
-        patch K and its mirror incrementally.  A pair outside the model, or
-        one listed twice, raises a ValueError naming it."""
+        patch K and its mirror incrementally.  A pair outside the model,
+        one listed twice, or a factor that is negative or not finite raises
+        a ValueError naming it, before K changes."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         if self.factors is None:
             raise ValueError("operator was built without stiffness factors")
         _check_pairs(cells, subs, *self.factors.shape, distinct=True)
+        _check_factors(values, cells, subs, "stiffness factor", 0.0)
         self.assembly.add_increment(self.K, cells, subs,
                                     values - self.factors[cells, subs])
         self.factors[cells, subs] = values

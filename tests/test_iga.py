@@ -493,8 +493,8 @@ def test_add_increment_matches_fresh_aggregate(monkeypatch, problem, level,
 @pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
 def test_add_increment_sums_long_runs_per_cell(problem, level):
     # one call gives cell 9 all 8 subs of a level-1 cell plus a repeat of
-    # sub 3, 10 pairs in all, and cell 4 a run of 3: each cell's run is
-    # summed in one batch, step by step along the run
+    # sub 3, 10 pairs in all, and cell 4 a run of 3: each cell's run of
+    # one sign is folded into one Gram
     asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
     fac = _mixed_factors(asm, 7) + 0.5
     K = asm.aggregate(fac)
@@ -530,6 +530,72 @@ def test_add_increment_rejects_pairs_outside_the_model():
     fac = np.ones((2, 8))
     fac[1, 3] = 0.5
     assert _rel(K, asm.aggregate(fac)) <= 1e-12
+
+
+def _two_cell_assembly():
+    return Assembly(build_spline_model(lattice(2, 1, 1)[0]), "elasticity",
+                    Material(1.0, 0.3), level=1)
+
+
+@pytest.mark.parametrize("value, shown", [(-0.5, "-0.5"), (np.nan, "nan"),
+                                          (np.inf, "inf")])
+def test_aggregate_rejects_bad_factors(value, shown):
+    # a negative factor gave a NaN stiffness under a RuntimeWarning, and a
+    # NaN one passed silently
+    asm = _two_cell_assembly()
+    fac = np.ones((2, 8))
+    fac[1, 3] = value
+    fac[1, 5] = -1.0
+    with pytest.raises(ValueError, match=r"^stiffness factor of \(cell, "
+                       r"sub\) pair \(1, 3\) is %s; it must be finite and "
+                       r">= 0$" % shown):
+        asm.aggregate(fac)
+    fac[1, 3] = fac[1, 5] = 0.0
+    assert np.isfinite(asm.aggregate(fac)).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_add_increment_rejects_non_finite_increments(value):
+    asm = _two_cell_assembly()
+    K = asm.aggregate(np.ones((2, 8)))
+    before = K.copy()
+    with pytest.raises(ValueError, match=r"^stiffness factor increment of "
+                       r"\(cell, sub\) pair \(0, 6\) is -?(nan|inf); it must "
+                       r"be finite$"):
+        asm.add_increment(K, [1, 0, 1], [2, 6, 4], [-0.5, value, -0.5])
+    assert np.array_equal(K, before)
+
+
+def test_sub_stiffness_rejects_non_finite_factors():
+    asm = _two_cell_assembly()
+    with pytest.raises(ValueError, match=r"^stiffness factor of \(cell, "
+                       r"sub\) pair \(1, 7\) is nan; it must be finite$"):
+        asm.sub_stiffness([0, 1], [2, 7], [-0.5, np.nan])
+
+
+def test_add_increment_makes_one_gram_per_cell_and_sign(monkeypatch):
+    # unsorted cells, one repeated pair, and cells 2 and 9 with increments
+    # of both signs: the kernel yields one Gram per (cell, sign)
+    asm = Assembly(_curved_model(), "elasticity", Material(1.0, 0.3), level=1)
+    fac = _mixed_factors(asm, 4) + 0.5
+    K = asm.aggregate(fac)
+    cells = np.array([9, 2, 9, 15, 2, 0, 9, 9, 2])
+    subs = np.array([1, 3, 0, 4, 3, 7, 5, 2, 6])
+    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, 1.5, -0.45, 0.05, -0.3])
+    kernel = Assembly._gram_batches
+    rows = []
+
+    def counted(self, *args, **kwargs):
+        for first, W in kernel(self, *args, **kwargs):
+            rows.append(len(W))
+            yield first, W
+
+    monkeypatch.setattr(Assembly, "_gram_batches", counted)
+    asm.add_increment(K, cells, subs, df)
+    assert sum(rows) == len(set(zip(cells, df < 0))) == 6
+    new = fac.copy()
+    np.add.at(new, (cells, subs), df)
+    assert _rel(K, asm.aggregate(new)) <= 1e-12
 
 
 def test_gram_kernel_memory_is_bounded():
@@ -887,10 +953,16 @@ def test_two_level_heat_blocks_match_dense_assembly():
     pc = op.precond
     pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 64, 64)
+    cells = np.arange(asm.num_cells)
+    # the float64 inverses before the cast: exactly symmetric
+    X = iga._sweep_inverse(pc._cell_blocks(K, cells), cells)
+    assert np.array_equal(X, X.transpose(0, 2, 1))
+    assert np.array_equal(pc.blocks, X.astype(np.float32))
     for c, block in enumerate(_assembled_blocks(asm, K, pc.free)):
         ref = np.linalg.inv(block)
         assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
                            atol=1e-6 * np.abs(ref).max())
+        assert np.abs(X[c] - ref).max() <= 1e-12 * np.abs(ref).max()
     ref = solve_system(op, method="dense")
     two = solve_system(op, rtol=1e-10)
     assert abs(two.compliance - ref.compliance) <= 1e-8 * ref.compliance
@@ -913,7 +985,8 @@ def _assembled_blocks(asm, K, free):
 
 def test_two_level_elastic_blocks_match_dense_assembly():
     # three dofs per node: 192x192 blocks, inverted by a sweep over three
-    # 64-row pivot blocks
+    # 64-row pivot blocks, each inverted by the same sweep down to 16-row
+    # leaves
     mesh, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
@@ -932,6 +1005,58 @@ def test_two_level_elastic_blocks_match_dense_assembly():
         assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
                            atol=1e-6 * np.abs(ref).max())
         assert np.abs(X[c] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _spd_stack(n, count, seed):
+    """`count` well-conditioned n x n matrices L D L^T, L unit lower
+    triangular, D positive."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.uniform(-1, 1, (count, n, n)), -1) / np.sqrt(n)
+    L += np.eye(n)
+    D = rng.uniform(0.5, 2.0, (count, n))
+    return L, D
+
+
+@pytest.mark.parametrize("n", [64, 192])
+@pytest.mark.parametrize("late", [20, -3])
+def test_sweep_checks_every_leaf(n, late):
+    # matrix 1 is positive definite on its leading rows up to `late` and
+    # indefinite there: only the Cholesky check of a later leaf (rows 16-31,
+    # or the last one) sees it
+    L, D = _spd_stack(n, 3, 43 + n)
+    D[1, late] = -0.5
+    A = L @ (D[:, :, None] * L.transpose(0, 2, 1))
+    k = late % n
+    assert np.linalg.eigvalsh(A[1, :k, :k]).min() > 0
+    assert np.linalg.eigvalsh(A[1]).min() < 0
+    with pytest.raises(ValueError, match=r"^cell 11: assembled block is not "
+                       r"positive definite$"):
+        iga._sweep_inverse(A.copy(), [7, 11, 13])
+    D[1, late] = 0.5
+    A = L @ (D[:, :, None] * L.transpose(0, 2, 1))
+    X = iga._sweep_inverse(A.copy(), [7, 11, 13])
+    assert _rel(X, np.linalg.inv(A)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 192])
+def test_sweep_inverts_no_pivot_larger_than_a_leaf(monkeypatch, n):
+    # LAPACK inverts only the 16-row leaves; everything above them is the
+    # sweep's GEMMs
+    L, D = _spd_stack(n, 4, 47)
+    A = L @ (D[:, :, None] * L.transpose(0, 2, 1))
+    ref = np.linalg.inv(A)
+    inv = np.linalg.inv
+    sizes = []
+
+    def recorded(a):
+        sizes.append(a.shape[-1])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    X = iga._sweep_inverse(A.copy(), np.arange(4))
+    assert sizes and max(sizes) <= 16
+    assert sum(sizes) == n
+    assert _rel(X, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("problem", ["heat", "elasticity"])
@@ -1064,6 +1189,28 @@ def test_operator_rejects_bad_pairs_before_patching():
             op.set_factors(cells, subs, np.full(len(cells), 0.5))
     assert np.array_equal(op.K, K) and np.array_equal(op.K32, K32)
     assert np.array_equal(op.factors, fac) and not op._touched
+
+
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (-0.25, "-0.25"),
+                                          (np.inf, "inf")])
+def test_operator_rejects_bad_factors_before_patching(value, shown):
+    # a NaN factor used to reach K, and the next solve died in the coarse
+    # factorization ("Factor is exactly singular")
+    _, model, bcs = _beam()
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "elasticity", mat, level=1)
+    fac = _random_factors(asm, mat, 61)
+    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+                           single_precision=True)
+    K, K32 = op.K.copy(), op.K32.copy()
+    with pytest.raises(ValueError, match=r"^stiffness factor of \(cell, sub\) "
+                       r"pair \(5, 1\) is %s; it must be finite and >= 0$"
+                       % shown):
+        op.set_factors([0, 5], [3, 1], [0.5, value])
+    assert np.array_equal(op.K, K) and np.array_equal(op.K32, K32)
+    assert np.array_equal(op.factors, fac) and not op._touched
+    op.set_factors([0, 5], [3, 1], [0.5, 0.0])
+    assert solve_system(op).residual <= 1e-8
 
 
 def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
