@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 # local coordinates of the 8 corners in the cell's unit frame
 CORNER_OFFSETS = np.array(
@@ -30,6 +31,10 @@ OPPOSITE_CORNER = (6, 7, 4, 5, 2, 3, 0, 1)
 
 _LOCAL_EDGES_ARR = np.array(LOCAL_EDGES)
 _LOCAL_FACES_ARR = np.array(LOCAL_FACES)
+# local edge of side k (corner k to corner k+1 of the cycle) of each face
+_LOCAL_FACE_EDGES = np.array(
+    [[[set(e) for e in LOCAL_EDGES].index({f[k], f[(k + 1) % 4]})
+      for k in range(4)] for f in LOCAL_FACES])
 
 
 class Incidence:
@@ -39,15 +44,21 @@ class Incidence:
     `inc[r]` returns that row as a read-only int64 array, `len(inc)` is
     the number of rows and `inc.counts` the length of every row.  The
     flat pair `inc.rows`, `inc.items` holds every (row, item) entry,
-    sorted by row and then by item, for vectorized sums over all rows.
+    sorted by row and then by item, and `inc.sum` adds up a value per
+    item over every row at once.
     """
 
     def __init__(self, rows, items, nrows):
-        """Group `items` by `rows` (flat arrays of equal length); items keep
-        their given order within a row, so pass them ascending."""
-        order = np.argsort(rows, kind="stable")
-        self.rows = rows[order]
-        self.items = items[order]
+        """Group the (row, item) pairs of the flat arrays `rows`, `items`
+        (equal length, any order) by row, items ascending in each row.
+
+        Each pair is the integer key row * span + item with span above
+        every item, so one plain sort of the keys orders the pairs and
+        divmod splits them again; equal keys are equal pairs, so the
+        sort needs no stability.
+        """
+        span = int(items.max()) + 1 if len(items) else 1
+        self.rows, self.items = np.divmod(np.sort(rows * span + items), span)
         self.counts = np.bincount(rows, minlength=nrows)
         self._offsets = np.concatenate([[0], np.cumsum(self.counts)])
         for a in (self.rows, self.items, self.counts, self._offsets):
@@ -66,6 +77,20 @@ class Incidence:
         r = range(len(self.counts))[r]     # list semantics for the row id
         return self.items[self._offsets[r]:self._offsets[r + 1]]
 
+    def sum(self, values):
+        """Per-row sum of the `values` rows (indexed by item) that each
+        row lists, shape (len(self),) + values.shape[1:].
+
+        One product with the all-ones CSR matrix of the relation: every
+        row adds its items in ascending order, starting from 0, the order
+        of a sequential scatter over `rows`, `items`.
+        """
+        values = np.asarray(values, dtype=float)
+        ones = sparse.csr_array(
+            (np.ones(len(self.items)), self.items, self._offsets),
+            shape=(len(self), len(values)))
+        return ones @ values
+
 
 class HexMesh:
     """Immutable hexahedral mesh with derived adjacency.
@@ -73,7 +98,8 @@ class HexMesh:
     Parameters
     ----------
     vertices : (nv, 3) array of finite floats
-    cells : (nc, 8) int array of vertex indices in the fixed corner order
+    cells : (nc, 8) array of whole-number vertex indices in the fixed
+        corner order
 
     Derived on construction: unique edges (sorted vertex pairs, in
     lexicographic order), unique faces (canonicalized by sorted vertex
@@ -91,11 +117,19 @@ class HexMesh:
 
     def __init__(self, vertices, cells):
         self.vertices = np.array(vertices, dtype=float)
-        self.cells = np.array(cells, dtype=np.int64)
+        cells = np.asarray(cells)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be an (nv, 3) array")
-        if self.cells.ndim != 2 or self.cells.shape[1] != 8:
+        if cells.ndim != 2 or cells.shape[1] != 8:
             raise ValueError("cells must be an (nc, 8) array")
+        if cells.dtype.kind not in "biu":
+            cells = cells.astype(float)
+            whole = (np.isfinite(cells) & (cells == np.floor(cells))).all(axis=1)
+            if not whole.all():
+                c = int(np.argmin(whole))
+                raise ValueError("cell %d has a non-integer vertex index: %s"
+                                 % (c, cells[c].tolist()))
+        self.cells = cells.astype(np.int64)
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             v = int(np.argmin(finite))
@@ -114,6 +148,15 @@ class HexMesh:
             a.setflags(write=False)
 
     def _build_derived(self):
+        """Number the edges and faces and derive every adjacency table.
+
+        Edges are numbered by their sorted vertex pair, lexicographically.
+        Faces are numbered by their sorted vertex quadruple (a, b, c, d),
+        lexicographically: one lexsort on the two integer keys a nv + b
+        and c nv + d, which keeps equal keys in input order, so the first
+        of every run of equal keys is the face's first occurrence in
+        `cells`; that occurrence gives its corner cycle and its edges.
+        """
         nc = len(self.cells)
         nv = len(self.vertices)
 
@@ -127,19 +170,24 @@ class HexMesh:
 
         quads = self.cells[:, _LOCAL_FACES_ARR]              # oriented cycles
         keys = np.sort(quads, axis=2).reshape(-1, 4)
-        self.faces, first, finv = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True)
+        k1 = keys[:, 0] * nv + keys[:, 1]
+        k2 = keys[:, 2] * nv + keys[:, 3]
+        order = np.lexsort((k2, k1))
+        k1, k2 = k1[order], k2[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+        first = order[new]
+        finv = np.empty_like(order)
+        finv[order] = np.cumsum(new) - 1
+        self.faces = keys[first]
         self.cell_faces = finv.reshape(nc, 6)
-        self.face_cycles = quads.reshape(-1, 4)[first].copy()
+        self.face_cycles = quads.reshape(-1, 4)[first]
+        # a face's 4 cycle edges, read off the cell of its first occurrence
+        cell, local = np.divmod(first, 6)
+        self.face_edges = self.cell_edges[cell[:, None],
+                                          _LOCAL_FACE_EDGES[local]]
 
-        # a face contributes its 4 cycle edges to edge->face incidence
         ne, nf = len(self.edges), len(self.faces)
-        nxt = np.roll(self.face_cycles, -1, axis=1)
-        self.face_edges = np.searchsorted(
-            edge_keys,
-            np.minimum(self.face_cycles, nxt) * nv
-            + np.maximum(self.face_cycles, nxt))
-
         self.edge_cells = Incidence.inverse(self.cell_edges, ne)
         self.face_cells = Incidence.inverse(self.cell_faces, nf)
         self.edge_faces = Incidence.inverse(self.face_edges, ne)

@@ -25,7 +25,7 @@ import numpy as np
 from .hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
                       OPPOSITE_CORNER, parse_counted_table,
                       serialize_counted_table)
-from .subdivision import limit_points, scatter_add, subdivide
+from .subdivision import limit_points, subdivide
 
 _CORNER_OF_BITS = {tuple(o): k for k, o in enumerate(CORNER_OFFSETS.tolist())}
 _LOCAL_EDGE_OF = {frozenset(e): i for i, e in enumerate(LOCAL_EDGES)}
@@ -182,10 +182,11 @@ def build_spline_model(mesh):
         cell_nodes[:, t] = idx
 
     # slot-major, then cell order: the summation order of a per-slot scatter
-    sums = scatter_add(cell_nodes.T.ravel(),
-                       ip[:, _TEMPLATE_CORNER].transpose(1, 0, 2).reshape(-1, 3),
-                       ncp)
-    counts = np.bincount(cell_nodes.ravel(), minlength=ncp)
+    index = cell_nodes.T.ravel()
+    values = ip[:, _TEMPLATE_CORNER].transpose(1, 0, 2).reshape(-1, 3)
+    sums = np.stack([np.bincount(index, weights=col, minlength=ncp)
+                     for col in values.T], axis=1)
+    counts = np.bincount(index, minlength=ncp)
     points = sums / np.maximum(counts, 1)[:, None]
     # vertices in no cell keep their mesh position
     orphan = counts[:nv] == 0

@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
-                      OPPOSITE_CORNER, HexMesh, vertex_star)
+                      OPPOSITE_CORNER, HexMesh, Incidence, vertex_star)
 
 
 def face_point_rule(c1, c2, centroid):
@@ -82,24 +82,9 @@ class Provenance:
     cell_octant: np.ndarray
 
 
-def scatter_add(index, values, n):
-    """Sum of the `values` rows by target row `index`, shape (n,) +
-    values.shape[1:]; each target accumulates in input order."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n)
-    return np.stack([np.bincount(index, weights=col, minlength=n)
-                     for col in values.T], axis=1)
-
-
-def _sum_over(inc, values):
-    """Per-row sum of the `values` rows listed by each row of `inc`."""
-    return scatter_add(inc.rows, values[inc.items], len(inc))
-
-
 def _mean_over(inc, values):
     """Per-row mean of the `values` rows listed by each row of `inc`."""
-    return _sum_over(inc, values) / np.maximum(inc.counts, 1)[:, None]
+    return inc.sum(values) / np.maximum(inc.counts, 1)[:, None]
 
 
 def _level1_points(mesh):
@@ -114,7 +99,7 @@ def _level1_points(mesh):
 
     # face points
     face_pts = np.where(mesh.boundary_face_mask[:, None], A,
-                        (_sum_over(mesh.face_cells, cell_pts) + 2.0 * A) / 4.0)
+                        (mesh.face_cells.sum(cell_pts) + 2.0 * A) / 4.0)
 
     # edge points
     ef = mesh.edge_faces
@@ -144,9 +129,8 @@ def _boundary_sums(inc, boundary, values):
     """Per-row sum of `values` over the boundary entities each row lists,
     and their number."""
     sel = boundary[inc.items]
-    rows = inc.rows[sel]
-    return (scatter_add(rows, values[inc.items[sel]], len(inc)),
-            np.bincount(rows, minlength=len(inc)))
+    sub = Incidence(inc.rows[sel], inc.items[sel], len(inc))
+    return sub.sum(values), sub.counts
 
 
 def _dyadic_tables():
@@ -355,10 +339,10 @@ def limit_points(mesh):
     ve, vf, vc = mesh.vertex_edges, mesh.vertex_faces, mesh.vertex_cells
     e_cnt, f_cnt, c_cnt = ve.counts, vf.counts, vc.counts
     edge_deg = mesh.edge_faces.counts.astype(float)
-    accE = _sum_over(ve, edge_deg[:, None] * edge_pts)
-    sum_m = _sum_over(ve, edge_deg)
-    accF = _sum_over(vf, face_pts)
-    accC = _sum_over(vc, cell_pts)
+    accE = ve.sum(edge_deg[:, None] * edge_pts)
+    sum_m = ve.sum(edge_deg)
+    accF = vf.sum(face_pts)
+    accC = vc.sum(cell_pts)
 
     n = e_cnt.astype(float)
     interior = ~mesh.boundary_vertex_mask

@@ -145,8 +145,7 @@ def density_adjacency(mesh, level):
 
     pairs = np.concatenate(inner + [across.transpose(0, 2, 1).reshape(-1, 2)])
     src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
-    order = np.argsort(dst, kind="stable")
-    return Incidence(src[order], dst[order], ids.size)
+    return Incidence(src, dst, ids.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ccsolid.hexmesh import (LOCAL_EDGES, LOCAL_FACES, HexMesh, parse_mesh,
-                             serialize_mesh, validate, vertex_star)
+from ccsolid.hexmesh import (LOCAL_EDGES, LOCAL_FACES, HexMesh, Incidence,
+                             parse_mesh, serialize_mesh, validate, vertex_star)
+from ccsolid.subdivision import subdivide
 
 from meshes import (CUBE_TEXT, icosa_split, lattice, tet_split,
                     two_cubes_sharing_edge, unit_cube, wheel)
@@ -151,6 +152,23 @@ def test_constructor_rejects_bad_cells():
         HexMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 6]])
 
 
+def test_constructor_rejects_non_integer_cells():
+    # a fractional index was once truncated to the vertex below it
+    mesh, _ = lattice(2, 1, 1)
+    cells = mesh.cells.astype(float)
+    cells[1, 3] += 0.5
+    with pytest.raises(ValueError, match="cell 1 has a non-integer vertex"):
+        HexMesh(mesh.vertices, cells)
+    with pytest.raises(ValueError, match="cell 0 has a non-integer vertex"):
+        HexMesh(mesh.vertices, mesh.cells + 0.5)
+    cells[1, 3] = np.nan
+    with pytest.raises(ValueError, match="cell 1"):
+        HexMesh(mesh.vertices, cells)
+    whole = HexMesh(mesh.vertices, mesh.cells.astype(float))
+    assert np.array_equal(whole.cells, mesh.cells)
+    assert whole.cells.dtype == np.int64
+
+
 def test_constructor_rejects_non_finite_vertices():
     # one NaN coordinate once spread through validate, the spline fit
     # and the analysis
@@ -242,3 +260,96 @@ def test_incidences_match_brute_force(build):
         assert inc[-1].tolist() == expect[-1]
         with pytest.raises(IndexError):
             inc[len(expect)]
+
+
+def _reference_incidence(rows, items, nrows):
+    """(rows, items, counts) grouped by a stable sort on the row."""
+    order = np.argsort(rows, kind="stable")
+    return rows[order], items[order], np.bincount(rows, minlength=nrows)
+
+
+def _reference_derived(vertices, cells):
+    """Entity numbering and adjacency as np.unique(axis=0), searchsorted
+    and stable argsort give them: the reference HexMesh must match."""
+    nc, nv = len(cells), len(vertices)
+    pairs = np.sort(cells[:, LOCAL_EDGES], axis=2).reshape(-1, 2)
+    edge_keys, einv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                                return_inverse=True)
+    quads = cells[:, LOCAL_FACES]
+    keys = np.sort(quads, axis=2).reshape(-1, 4)
+    faces, first, finv = np.unique(keys, axis=0, return_index=True,
+                                   return_inverse=True)
+    cycles = quads.reshape(-1, 4)[first]
+    nxt = np.roll(cycles, -1, axis=1)
+    ref = dict(edges=np.stack(np.divmod(edge_keys, nv), axis=1),
+               faces=faces, face_cycles=cycles,
+               cell_edges=einv.reshape(nc, 12),
+               cell_faces=finv.reshape(nc, 6),
+               face_edges=np.searchsorted(
+                   edge_keys, np.minimum(cycles, nxt) * nv
+                   + np.maximum(cycles, nxt)))
+    ne, nf = len(ref["edges"]), len(faces)
+    for name, table, nrows in (
+            ("edge_cells", ref["cell_edges"], ne),
+            ("face_cells", ref["cell_faces"], nf),
+            ("edge_faces", ref["face_edges"], ne),
+            ("vertex_edges", ref["edges"], nv),
+            ("vertex_faces", faces, nv),
+            ("vertex_cells", cells, nv)):
+        m, k = table.shape
+        ref[name] = _reference_incidence(table.reshape(-1),
+                                         np.repeat(np.arange(m), k), nrows)
+    return ref
+
+
+def _level3(build):
+    mesh = build()[0]
+    for _ in range(3):
+        mesh, _ = subdivide(mesh)
+    return mesh
+
+
+def _with_loose_vertex():
+    mesh, _ = lattice(2, 1, 1)
+    return HexMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), mesh.cells)
+
+
+def _repeated_cell():
+    mesh, _ = lattice(2, 1, 1)      # the shared face gets three cells
+    return HexMesh(mesh.vertices, mesh.cells[[0, 1, 0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _level3(lambda: wheel(5, 3)), lambda: _level3(tet_split),
+    lambda: _level3(lambda: lattice(3, 2, 2)),
+    lambda: HexMesh(np.zeros((4, 3)), np.zeros((0, 8), dtype=np.int64)),
+    _with_loose_vertex, _repeated_cell, two_cubes_sharing_edge],
+    ids=["wheel_level3", "tet_split_level3", "lattice_level3", "no_cells",
+         "loose_vertex", "repeated_cell", "two_cubes_sharing_edge"])
+def test_entity_numbering_matches_reference(build):
+    mesh = build()
+    ref = _reference_derived(mesh.vertices, mesh.cells)
+    for name in ("edges", "faces", "face_cycles", "cell_edges",
+                 "cell_faces", "face_edges"):
+        got = getattr(mesh, name)
+        assert got.dtype == np.int64, name
+        assert got.shape == ref[name].shape, name
+        assert np.array_equal(got, ref[name]), name
+    for name in ("edge_cells", "face_cells", "edge_faces", "vertex_edges",
+                 "vertex_faces", "vertex_cells"):
+        inc = getattr(mesh, name)
+        for attr, want in zip(("rows", "items", "counts"), ref[name]):
+            assert np.array_equal(getattr(inc, attr), want), (name, attr)
+
+
+def test_incidence_sorts_pairs_in_any_order():
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 50, 400)
+    items = rng.permutation(400) % 97
+    inc = Incidence(rows, items, 60)
+    want = sorted(zip(rows.tolist(), items.tolist()))
+    assert list(zip(inc.rows.tolist(), inc.items.tolist())) == want
+    assert np.array_equal(inc.counts, np.bincount(rows, minlength=60))
+    assert inc[55].size == 0
+    empty = Incidence(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)
+    assert empty.counts.tolist() == [0, 0, 0] and empty.items.size == 0

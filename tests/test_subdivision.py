@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ccsolid.hexmesh import HexMesh, validate, vertex_star
-from ccsolid.subdivision import (Provenance, edge_point_rule, face_point_rule,
+from ccsolid.subdivision import (Provenance, _boundary_sums, _mean_over,
+                                 edge_point_rule, face_point_rule,
                                  limit_point, limit_points, limit_weights,
                                  local_subdivision_matrix, subdivide,
                                  vertex_point_rule)
@@ -251,3 +252,48 @@ def test_subdivided_extraordinary_meshes_validate():
         assert fine.num_cells == 8 * mesh.num_cells
         assert fine.num_vertices == (mesh.num_vertices + mesh.num_edges
                                      + mesh.num_faces + mesh.num_cells)
+
+
+def _sequential_sums(rows, items, values, n):
+    """Per-row sums added one pair at a time in the given order, from 0."""
+    if values.ndim == 1:
+        return np.bincount(rows, weights=values[items], minlength=n)
+    return np.stack([np.bincount(rows, weights=values[items, k], minlength=n)
+                     for k in range(values.shape[1])], axis=1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def test_row_sums_are_sequential_bit_for_bit():
+    # magnitudes from 1e-12 to 1e12 make every reordering of a row's
+    # additions show in the last bits
+    base, _ = wheel(5, 3)
+    fine, _ = subdivide(base)
+    mesh = HexMesh(np.vstack([fine.vertices, [[9.0, 9.0, 9.0]]]), fine.cells)
+    counts = mesh.vertex_cells.counts
+    assert counts[-1] == 0 and counts.max() >= 8      # empty and long rows
+    rng = np.random.default_rng(7)
+    boundary = {"edge": mesh.boundary_edge_mask, "face": mesh.boundary_face_mask,
+                "cell": np.zeros(mesh.num_cells, dtype=bool)}
+    for name, kind in (("edge_cells", "cell"), ("face_cells", "cell"),
+                       ("edge_faces", "face"), ("vertex_edges", "edge"),
+                       ("vertex_faces", "face"), ("vertex_cells", "cell")):
+        inc = getattr(mesh, name)
+        n_items = len(boundary[kind])
+        values = (rng.standard_normal((n_items, 3))
+                  * 10.0 ** rng.integers(-12, 13, (n_items, 3)))
+        want = _sequential_sums(inc.rows, inc.items, values, len(inc))
+        assert _same_bits(inc.sum(values), want), name
+        assert _same_bits(inc.sum(values[:, 1]), want[:, 1]), name
+        mean = want / np.maximum(inc.counts, 1)[:, None]
+        assert _same_bits(_mean_over(inc, values), mean), name
+        mask = boundary[kind] | (rng.random(n_items) < 0.3)
+        sel = mask[inc.items]
+        sums, counts = _boundary_sums(inc, mask, values)
+        assert _same_bits(sums, _sequential_sums(inc.rows[sel], inc.items[sel],
+                                                 values, len(inc))), name
+        assert np.array_equal(counts, np.bincount(inc.rows[sel],
+                                                  minlength=len(inc))), name
