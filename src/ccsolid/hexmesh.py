@@ -28,13 +28,19 @@ LOCAL_FACES = ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
 
 # corner with all three coordinate bits flipped (the cell diagonal)
 OPPOSITE_CORNER = (6, 7, 4, 5, 2, 3, 0, 1)
+# the corner at offset (x, y, z), indexed by its code x + 2y + 4z
+CORNER_OF_CODE = np.argsort(CORNER_OFFSETS @ (1, 2, 4))
+
+# the local edge (2 corners) or local face (4 corners) with a given corner set
+LOCAL_ENTITY = {frozenset(corners): i for group in (LOCAL_EDGES, LOCAL_FACES)
+                for i, corners in enumerate(group)}
 
 _LOCAL_EDGES_ARR = np.array(LOCAL_EDGES)
 _LOCAL_FACES_ARR = np.array(LOCAL_FACES)
 # local edge of side k (corner k to corner k+1 of the cycle) of each face
 _LOCAL_FACE_EDGES = np.array(
-    [[[set(e) for e in LOCAL_EDGES].index({f[k], f[(k + 1) % 4]})
-      for k in range(4)] for f in LOCAL_FACES])
+    [[LOCAL_ENTITY[frozenset((f[k], f[(k + 1) % 4]))] for k in range(4)]
+     for f in LOCAL_FACES])
 
 
 class Incidence:
@@ -217,6 +223,59 @@ class HexMesh:
     @property
     def num_cells(self):
         return len(self.cells)
+
+
+def _lattice_table(n):
+    """Per node of the n**3 cell lattice, (i, j, k) row-major: its column
+    in the entity table of lattice_ids, its nearest corner, its offset in
+    a cell, and (3, n**3) corners whose vertex ids rank it within its
+    shared entity, padded with the nearest corner, which never ranks."""
+    idx = np.indices((n,) * 3).reshape(3, -1).T
+    near = CORNER_OF_CODE[(2 * idx >= n) @ (1, 2, 4)]
+    # the owning entity's corners match the node wherever it sits at 0 or n-1
+    on = ((idx[:, None] == (n - 1) * CORNER_OFFSETS)
+          | ((idx > 0) & (idx < n - 1))[:, None]).all(axis=2)
+    size = on.sum(axis=1)
+    column = np.where(size == 1, near, 26)
+    ranks = n == 4                      # at n = 3 an entity has one node
+    others = np.tile(near, (3 * ranks, 1))
+    for t in np.flatnonzero((size == 2) | (size == 4)):
+        corners = frozenset(np.flatnonzero(on[t]).tolist())
+        column[t] = (8 if size[t] == 2 else 20) + LOCAL_ENTITY[corners]
+        if ranks:
+            rest = sorted(corners - {near[t]})
+            others[:len(rest), t] = rest
+    table = (column, near, np.where((size == 8) & ranks, near, 0), others)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+_LATTICE_TABLES = {n: _lattice_table(n) for n in (3, 4)}
+
+
+def lattice_ids(mesh, n):
+    """Global ids of the n x n x n lattice nodes of every cell, n = 3 or 4,
+    (nc, n**3) in (i, j, k) row-major order, and each node's nearest corner.
+
+    A node belongs to the vertex, edge, face or cell holding it in its
+    interior and is shared by every cell at that entity.  Ids run
+    [vertices][edges][faces][cells], (n - 2)**d per entity of dimension d.
+    At n = 4 a node's place in an edge or face is the rank of its nearest
+    corner's vertex id among the entity's, in a cell that local corner.
+    """
+    if n not in _LATTICE_TABLES:
+        raise ValueError("lattice size must be 3 or 4, got %r" % (n,))
+    column, near, offset, others = _LATTICE_TABLES[n]
+    s = n - 2
+    first = np.cumsum([0, mesh.num_vertices, s * mesh.num_edges,
+                       s * s * mesh.num_faces])
+    local = (mesh.cells, mesh.cell_edges, mesh.cell_faces,
+             np.arange(mesh.num_cells)[:, None])
+    entity = np.hstack([first[d] + s ** d * a for d, a in enumerate(local)])
+    nearest = mesh.cells[:, near]
+    rank = sum(mesh.cells[:, o] < nearest for o in others)
+    return entity[:, column] + offset + rank, near
 
 
 @dataclass

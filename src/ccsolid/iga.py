@@ -578,13 +578,12 @@ class Assembly:
             raise ValueError("a heat source needs the heat problem, not %s"
                              % self.problem)
         F = np.zeros(self.ndof)
-        for load in bcs.loads:
+        for i, load in enumerate(bcs.loads):
             vec = load.vector
             if len(vec) != self.dpn:
                 raise ValueError("load vector must have %d component(s)"
                                  % self.dpn)
-            idx = np.flatnonzero(_box_mask(self.model.points, load.lo, load.hi))
-            F.reshape(-1, self.dpn)[idx] += vec
+            F.reshape(-1, self.dpn)[self._box_points(load, "load", i)] += vec
         if bcs.heat_source:
             F += bcs.heat_source * self._unit_source
         return F
@@ -592,16 +591,25 @@ class Assembly:
     def dirichlet(self, bcs):
         """(dofs, values) from the dirichlet specs; later specs win."""
         vals = np.full(self.ndof, np.nan)       # spec values are finite
-        for spec in bcs.dirichlet:
+        for i, spec in enumerate(bcs.dirichlet):
             bad = [c for c in spec.components if not 0 <= c < self.dpn]
             if bad:
                 raise ValueError("dirichlet component %s invalid for %s"
                                  % (bad, self.problem))
-            idx = np.flatnonzero(_box_mask(self.model.points, spec.lo, spec.hi))
+            idx = self._box_points(spec, "dirichlet", i)
             comps = np.array(spec.components, dtype=np.int64)
             vals[(self.dpn * idx[:, None] + comps).ravel()] = spec.value
         dofs = np.flatnonzero(~np.isnan(vals))
         return dofs, vals[dofs]
+
+    def _box_points(self, spec, what, i):
+        """Control points inside the box of `spec`, the i-th `what` spec;
+        a box that holds none is an error, not a spec without effect."""
+        idx = np.flatnonzero(_box_mask(self.model.points, spec.lo, spec.hi))
+        if not len(idx):
+            raise ValueError("%s %d: box %s to %s selects no control point"
+                             % (what, i, spec.lo.tolist(), spec.hi.tolist()))
+        return idx
 
 
 def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):

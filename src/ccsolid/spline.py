@@ -22,66 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
-                      OPPOSITE_CORNER, parse_counted_table,
+from .hexmesh import (CORNER_OF_CODE, CORNER_OFFSETS, LOCAL_ENTITY,
+                      OPPOSITE_CORNER, lattice_ids, parse_counted_table,
                       serialize_counted_table)
 from .subdivision import limit_points, subdivide
 
-_CORNER_OF_BITS = {tuple(o): k for k, o in enumerate(CORNER_OFFSETS.tolist())}
-_LOCAL_EDGE_OF = {frozenset(e): i for i, e in enumerate(LOCAL_EDGES)}
-# local face with the given axis pinned to the given side
-_FACE_OF_AXIS_SIDE = {(0, 0): 5, (0, 1): 3, (1, 0): 2,
-                      (1, 1): 4, (2, 0): 0, (2, 1): 1}
-
-
-def _flip(k, axes):
-    bits = list(CORNER_OFFSETS[k])
-    for ax in axes:
-        bits[ax] ^= 1
-    return _CORNER_OF_BITS[tuple(bits)]
-
-
-# per corner: edge-neighbour corners (v2, v3, v5), their local edge ids,
-# face-diagonal corners (v4, v6, v7)
-_EDGE_NBR = [[_flip(k, (ax,)) for ax in range(3)] for k in range(8)]
-_EDGE_LOCAL = [[_LOCAL_EDGE_OF[frozenset((k, _flip(k, (ax,))))]
-                for ax in range(3)] for k in range(8)]
-_FACE_DIAG = [[_flip(k, axes) for axes in ((0, 1), (0, 2), (1, 2))]
-              for k in range(8)]
-
-
-def _node_template():
-    """The 64 net slots in (a, b, c) row-major order.
-
-    Each entry is (kind, corner, local entity): kind 'v'/'e'/'f'/'c' for a
-    slot owned by a mesh vertex, edge, face or cell, `corner` the nearest
-    cell corner (the slot id within the entity), and the owning local
-    edge/face where applicable.
-    """
-    template = []
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                idx = (a, b, c)
-                bits = tuple(int(i >= 2) for i in idx)
-                k = _CORNER_OF_BITS[bits]
-                extreme = [i for i in range(3) if idx[i] in (0, 3)]
-                if len(extreme) == 3:
-                    template.append(("v", k, 0))
-                elif len(extreme) == 2:
-                    ax = ({0, 1, 2} - set(extreme)).pop()
-                    le = _LOCAL_EDGE_OF[frozenset((k, _flip(k, (ax,))))]
-                    template.append(("e", k, le))
-                elif len(extreme) == 1:
-                    ax = extreme[0]
-                    template.append(("f", k, _FACE_OF_AXIS_SIDE[(ax, bits[ax])]))
-                else:
-                    template.append(("c", k, 0))
-    return template
-
-
-_NODE_TEMPLATE = _node_template()
-_TEMPLATE_CORNER = np.array([k for _, k, _ in _NODE_TEMPLATE])
+# per corner: edge-neighbour corners (v2, v3, v5) along x, y, z, their
+# local edge ids, face-diagonal corners (v4, v6, v7) across xy, xz, yz,
+# each found by flipping bits of the corner's code x + 2y + 4z
+_CODE = CORNER_OFFSETS @ (1, 2, 4)
+_EDGE_NBR = CORNER_OF_CODE[_CODE[:, None] ^ (1, 2, 4)]
+_EDGE_LOCAL = [[LOCAL_ENTITY[frozenset((k, j))] for j in nbrs]
+               for k, nbrs in enumerate(_EDGE_NBR.tolist())]
+_FACE_DIAG = CORNER_OF_CODE[_CODE[:, None] ^ (3, 5, 6)]
 
 
 def _interior_points(mesh):
@@ -133,7 +86,8 @@ class SplineModel:
 
     points : (ncp, 3) control points, ordered [vertex points][edge points,
         2 per edge][face points, 4 per face][interior points, 8 per cell];
-        slot order within an entity follows ascending corner vertex id.
+        within an edge or face the slots follow the ascending vertex ids
+        of their nearest corners, within a cell the local corner index.
     cell_nodes : (nc, 64) indices into points, (a, b, c) row-major per cell.
     """
     points: np.ndarray
@@ -159,31 +113,17 @@ def build_spline_model(mesh):
     Interior points come from the per-corner mask; every face/edge/vertex
     point is the average of the interior points of the cells incident to
     that entity, computed once and shared by all incident cells' nets.
+    The points and cell_nodes are numbered by hexmesh.lattice_ids(mesh, 4).
     """
     nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges,
                       mesh.num_faces, mesh.num_cells)
     ip = _interior_points(mesh)
     ncp = nv + 2 * ne + 4 * nf + 8 * nc
-    cell_ids = np.arange(nc)
-    cell_nodes = np.empty((nc, 64), dtype=np.int64)
-
-    for t, (kind, k, local) in enumerate(_NODE_TEMPLATE):
-        v = mesh.cells[:, k]
-        if kind == "v":
-            idx = v
-        elif kind == "e":
-            e = mesh.cell_edges[:, local]
-            idx = nv + 2 * e + (mesh.edges[e, 0] != v)
-        elif kind == "f":
-            f = mesh.cell_faces[:, local]
-            idx = nv + 2 * ne + 4 * f + np.argmax(mesh.faces[f] == v[:, None], axis=1)
-        else:
-            idx = nv + 2 * ne + 4 * nf + 8 * cell_ids + k
-        cell_nodes[:, t] = idx
+    cell_nodes, corner = lattice_ids(mesh, 4)
 
     # slot-major, then cell order: the summation order of a per-slot scatter
     index = cell_nodes.T.ravel()
-    values = ip[:, _TEMPLATE_CORNER].transpose(1, 0, 2).reshape(-1, 3)
+    values = ip[:, corner].transpose(1, 0, 2).reshape(-1, 3)
     sums = np.stack([np.bincount(index, weights=col, minlength=ncp)
                      for col in values.T], axis=1)
     counts = np.bincount(index, minlength=ncp)

@@ -39,8 +39,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
-                      OPPOSITE_CORNER, HexMesh, Incidence, vertex_star)
+from .hexmesh import (CORNER_OFFSETS, OPPOSITE_CORNER, HexMesh, Incidence,
+                      lattice_ids, vertex_star)
 
 
 def face_point_rule(c1, c2, centroid):
@@ -133,60 +133,24 @@ def _boundary_sums(inc, boundary, values):
     return sub.sum(values), sub.counts
 
 
-def _dyadic_tables():
-    """Role of each of the 27 dyadic nodes of a cell, and the node index of
-    every corner of every child octant."""
-    corners = CORNER_OFFSETS.tolist()
-    le_index = {frozenset(e): i for i, e in enumerate(LOCAL_EDGES)}
-    lf_index = {frozenset(f): i for i, f in enumerate(LOCAL_FACES)}
-    roles = []
-    for p0 in range(3):
-        for p1 in range(3):
-            for p2 in range(3):
-                p = (p0, p1, p2)
-                S = [k for k, o in enumerate(corners)
-                     if all(p[d] == 1 or 2 * o[d] == p[d] for d in range(3))]
-                if len(S) == 1:
-                    roles.append(("v", S[0]))
-                elif len(S) == 2:
-                    roles.append(("e", le_index[frozenset(S)]))
-                elif len(S) == 4:
-                    roles.append(("f", lf_index[frozenset(S)]))
-                else:
-                    roles.append(("c", 0))
-    child_node = np.zeros((8, 8), dtype=np.int64)
-    for k, xk in enumerate(corners):
-        for j, yj in enumerate(corners):
-            p = [xk[d] + yj[d] for d in range(3)]
-            child_node[k, j] = p[0] * 9 + p[1] * 3 + p[2]
-    return roles, child_node
-
-
-_NODE_ROLES, _CHILD_NODE = _dyadic_tables()
+# lattice node of every corner of every child octant
+_CHILD_NODE = (CORNER_OFFSETS[:, None] + CORNER_OFFSETS) @ (9, 3, 1)
 
 
 def subdivide(mesh):
     """One Catmull-Clark solid subdivision step.
 
     Returns (refined HexMesh, Provenance).  New vertices are ordered as
-    [updated original vertices][edge points][face points][cell points];
-    children of cell q occupy ids 8q..8q+7, one per parent corner octant,
-    with child frames axis-aligned to the parent's.
+    [updated original vertices][edge points][face points][cell points],
+    the ids of hexmesh.lattice_ids(mesh, 3); children of cell q occupy ids
+    8q..8q+7, one per parent corner octant, with child frames
+    axis-aligned to the parent's.
     """
     new_verts, edge_pts, face_pts, cell_pts = _level1_points(mesh)
     nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges,
                       mesh.num_faces, mesh.num_cells)
 
-    node_ids = np.empty((nc, 27), dtype=np.int64)
-    for node, (kind, local) in enumerate(_NODE_ROLES):
-        if kind == "v":
-            node_ids[:, node] = mesh.cells[:, local]
-        elif kind == "e":
-            node_ids[:, node] = nv + mesh.cell_edges[:, local]
-        elif kind == "f":
-            node_ids[:, node] = nv + ne + mesh.cell_faces[:, local]
-        else:
-            node_ids[:, node] = nv + ne + nf + np.arange(nc)
+    node_ids, _ = lattice_ids(mesh, 3)
     new_cells = node_ids[:, _CHILD_NODE].reshape(-1, 8)
 
     verts = np.vstack([new_verts, edge_pts, face_pts, cell_pts])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from ccsolid.hexmesh import (LOCAL_EDGES, LOCAL_FACES, HexMesh, Incidence,
-                             parse_mesh, serialize_mesh, validate, vertex_star)
+from ccsolid.hexmesh import (CORNER_OFFSETS, LOCAL_EDGES, LOCAL_FACES,
+                             HexMesh, Incidence, lattice_ids, parse_mesh,
+                             serialize_mesh, validate, vertex_star)
 from ccsolid.subdivision import subdivide
 
-from meshes import (CUBE_TEXT, icosa_split, lattice, tet_split,
-                    two_cubes_sharing_edge, unit_cube, wheel)
+from meshes import (CUBE_TEXT, icosa_split, jittered_lattice, lattice,
+                    tet_split, two_cubes_sharing_edge, unit_cube, wheel)
 
 
 def test_cube_counts():
@@ -353,3 +355,65 @@ def test_incidence_sorts_pairs_in_any_order():
     assert inc[55].size == 0
     empty = Incidence(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)
     assert empty.counts.tolist() == [0, 0, 0] and empty.items.size == 0
+
+
+def _trilinear(mesh, u):
+    """Trilinear image of every cell's corners at the (p, 3) parameters
+    `u`, shape (nc, p, 3)."""
+    w = np.where(CORNER_OFFSETS == 1, u[:, None], 1 - u[:, None]).prod(axis=2)
+    return np.einsum("pk,ckd->cpd", w, mesh.vertices[mesh.cells])
+
+
+def _layout_points(mesh, n):
+    """The point of every lattice id, built from the documented layout:
+    the vertices, then the slots of every edge, face and cell.  At n = 3
+    an entity's one slot is its centre.  At n = 4 slot r of an edge or a
+    face lies a third of the way in from its r-th lowest vertex id, and
+    slot r of a cell a third of the way in from its local corner r."""
+    X = mesh.vertices
+    if n == 3:
+        return np.vstack([X] + [X[a].mean(axis=1)
+                                for a in (mesh.edges, mesh.faces, mesh.cells)])
+    E, F = X[mesh.edges], X[mesh.faces]
+    edge = (E.sum(axis=1, keepdims=True) + E) / 3
+    # bilinear weights 4/9 at the vertex, 2/9 at its cycle neighbours and
+    # 1/9 at the diagonal vertex
+    at = np.argmax(mesh.face_cycles[:, None, :] == mesh.faces[:, :, None],
+                   axis=2)
+    diag = X[np.take_along_axis(mesh.face_cycles, (at + 2) % 4, axis=1)]
+    face = (2 * F.sum(axis=1, keepdims=True) + 2 * F - diag) / 9
+    cell = _trilinear(mesh, (1 + CORNER_OFFSETS) / 3)
+    return np.vstack([X] + [b.reshape(-1, 3) for b in (edge, face, cell)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("build", [lambda: jittered_lattice(3, 2, 2)[0],
+                                   lambda: wheel(5)[0],
+                                   lambda: tet_split()[0]],
+                         ids=["jittered_lattice", "wheel", "tet_split"])
+def test_lattice_ids_follow_documented_layout(build, n):
+    mesh = build()
+    ids, near = lattice_ids(mesh, n)
+    s = n - 2
+    total = (mesh.num_vertices + s * mesh.num_edges
+             + s * s * mesh.num_faces + s ** 3 * mesh.num_cells)
+    assert ids.shape == (mesh.num_cells, n ** 3)
+    assert np.array_equal(np.unique(ids), np.arange(total))
+    u = np.indices((n,) * 3).reshape(3, -1).T / (n - 1)
+    image = _trilinear(mesh, u)
+    # every (cell, node) pair holding an id maps to one point
+    shared = np.empty((total, 3))
+    shared[ids] = image
+    assert np.abs(image - shared[ids]).max() <= 1e-12
+    # the point the layout gives that id, and distinct ids part
+    layout = _layout_points(mesh, n)
+    assert np.abs(image - layout[ids]).max() <= 1e-12
+    assert pdist(layout).min() > 1e-3
+    dist = np.linalg.norm(u[:, None] - CORNER_OFFSETS, axis=2)
+    assert np.array_equal(dist[np.arange(n ** 3), near], dist.min(axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_lattice_ids_rejects_other_sizes(n):
+    with pytest.raises(ValueError, match="lattice size must be 3 or 4"):
+        lattice_ids(unit_cube(), n)

@@ -775,6 +775,29 @@ def test_heat_source_rejected_on_elasticity():
         StiffnessOperator(asm, K, bcs)
 
 
+@pytest.mark.parametrize("kind", ["load", "dirichlet"])
+def test_box_that_selects_nothing_is_rejected(kind):
+    # a load box beyond the model gave F = 0: compliance 0 after 0 CG
+    # iterations, and a BESO run ranking its elements by id alone
+    mesh, _ = lattice(2, 1, 1)
+    asm = Assembly(build_spline_model(mesh), "elasticity",
+                   Material(e0=1.0, nu=0.3))
+    outside = dict(lo=(50, -BIG, -BIG), hi=(60, BIG, BIG))
+    if kind == "load":
+        specs = [LoadSpec(vector=(0, 0, -1.0), **b)
+                 for b in (EVERYWHERE, outside)]
+        bcs, call = BoundaryConditions(loads=specs), asm.load_vector
+    else:
+        specs = [DirichletSpec(components=(0,), **b)
+                 for b in (EVERYWHERE, outside)]
+        bcs, call = BoundaryConditions(dirichlet=specs), asm.dirichlet
+    pattern = r"%s 1: box \[50\.0, .*\] to \[60\.0, .*\] selects no" % kind
+    with pytest.raises(ValueError, match=pattern):
+        call(bcs)
+    with pytest.raises(ValueError, match=pattern):
+        StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))), bcs)
+
+
 # ----------------------------------------- two-level / single precision
 
 def _beam(nx=3):
@@ -831,7 +854,7 @@ def test_two_level_solves_without_vertex_constraints():
     bcs = BoundaryConditions(
         dirichlet=[DirichletSpec((0.05, -BIG, -BIG), (0.95, BIG, BIG),
                                  (0, 1, 2))],
-        loads=[LoadSpec((2.7, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
+        loads=[LoadSpec((2.5, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
     x = mesh.vertices[:, 0]
     assert not ((x >= 0.05) & (x <= 0.95)).any()
     K = asm.aggregate(np.ones((asm.num_cells, 1)))
@@ -840,6 +863,7 @@ def test_two_level_solves_without_vertex_constraints():
     pc.refresh(K)
     ref = solve_system(op, method="dense")
     two = solve_system(op, rtol=1e-10)
+    assert two.iterations > 0
     assert np.allclose(two.u, ref.u, atol=1e-7 * np.abs(ref.u).max())
     assert abs(two.compliance - ref.compliance) <= 1e-8 * ref.compliance
 

@@ -37,3 +37,32 @@ def test_every_exported_name_resolves():
     # `from ccsolid import *` fails on the first name that no longer exists
     missing = [name for name in ccsolid.__all__ if not hasattr(ccsolid, name)]
     assert not missing, missing
+
+
+def _unused_imports(tree):
+    """Names an import binds in the module and nothing reads; a name
+    listed in `__all__` counts as read."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_imports_an_unused_name():
+    # a leftover import hides which module a decision really lives in
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    bad = [(path.name, line, name) for path in modules
+           for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert not bad, bad
