@@ -17,7 +17,7 @@ from . import vtkio
 from .hexmesh import (at_least, parse_mesh, read_values, serialize_mesh,
                       text_lines, validate)
 from .iga import (BoundaryConditions, DirichletSpec, LoadSpec, Material,
-                  assemble_and_solve)
+                  _box_points, assemble_and_solve)
 from .spline import approximation_error, build_spline_model
 from .subdivision import limit_points, subdivide
 from .topopt import BesoConfig, optimize
@@ -120,7 +120,7 @@ def _replace_by_line(obj, changes, lines):
 
 def _add_block(cfg, section, lineno, block):
     """Append one [dirichlet] or [load] block, checked against the
-    problem type, to cfg."""
+    problem type, to cfg; returns its box spec (None for a source)."""
     dpn = 3 if cfg.problem == "elasticity" else 1
     if section == "dirichlet":
         if "box" not in block or "dofs" not in block:
@@ -157,6 +157,8 @@ def _add_block(cfg, section, lineno, block):
                                  len(block["vector"])))
         cfg.loads.append(_at_line(lineno, LoadSpec, block["box"][:3],
                                   block["box"][3:], block["vector"]))
+    if "source" not in block:
+        return (cfg.dirichlet if section == "dirichlet" else cfg.loads)[-1]
 
 
 def parse_config(text):
@@ -181,6 +183,12 @@ def parse_config(text):
     those of the range checks in Material, BesoConfig (run whether or not
     v_star is given) and the box specs.
     """
+    return _parse_config(text)[0]
+
+
+def _parse_config(text):
+    """parse_config's RunConfig, and each box spec of its [dirichlet] and
+    [load] blocks as (section, line, spec)."""
     scalars, material, blocks, lines = {}, {}, [], {}
     section = None
     for lineno, line in text_lines(text):
@@ -219,9 +227,9 @@ def parse_config(text):
     _replace_by_line(BesoConfig(v_star=0.5), {
         beso: scalars[attr] for attr, _, beso in _KEYS.values()
         if beso and attr in scalars}, lines)
-    for section, lineno, block in blocks:
-        _add_block(cfg, section, lineno, block)
-    return cfg
+    boxes = [(section, lineno, _add_block(cfg, section, lineno, block))
+             for section, lineno, block in blocks]
+    return cfg, [box for box in boxes if box[2] is not None]
 
 
 def _format(value, kind):
@@ -267,9 +275,19 @@ def _read_mesh(path):
         return parse_mesh(fh.read())
 
 
-def _read_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+def _read_run(args):
+    """The mesh, subdivided as the config asks, the config and the spline
+    model; a [dirichlet] or [load] box that selects no control point of
+    the model is rejected by its config line, not its index in its kind."""
+    mesh = _read_mesh(args.mesh)
+    with open(args.config) as fh:
+        cfg, boxes = _parse_config(fh.read())
+    for _ in range(cfg.subdivide):
+        mesh, _ = subdivide(mesh)
+    model = build_spline_model(mesh)
+    for section, lineno, spec in boxes:
+        _at_line(lineno, _box_points, model.points, spec, "[%s]" % section)
+    return mesh, cfg, model
 
 
 def _cmd_validate(args):
@@ -333,11 +351,7 @@ def _cmd_error(args):
 
 
 def _cmd_solve(args):
-    mesh = _read_mesh(args.mesh)
-    cfg = _read_config(args.config)
-    for _ in range(cfg.subdivide):
-        mesh, _ = subdivide(mesh)
-    model = build_spline_model(mesh)
+    _, cfg, model = _read_run(args)
     sol = assemble_and_solve(model, cfg.material, cfg.boundary_conditions(),
                              cfg.problem, rtol=cfg.rtol,
                              single_precision=cfg.single_precision)
@@ -355,16 +369,12 @@ def _cmd_solve(args):
 
 
 def _cmd_optimize(args):
-    mesh = _read_mesh(args.mesh)
-    cfg = _read_config(args.config)
-    for _ in range(cfg.subdivide):
-        mesh, _ = subdivide(mesh)
+    mesh, cfg, model = _read_run(args)
     dens, history = optimize(mesh, cfg.beso_config(), cfg.material,
                              cfg.boundary_conditions(), problem=cfg.problem,
                              out_dir=args.output)
     # final solid: sub-elements still at full density
-    points, hexes = vtkio.sample_model(build_spline_model(mesh),
-                                       1 << dens.level)
+    points, hexes = vtkio.sample_model(model, 1 << dens.level)
     alive = dens.alive.reshape(-1)
     vtkio.write_vtk(os.path.join(args.output, "final.vtk"), points,
                     hexes[alive],

@@ -43,7 +43,8 @@ _GRAM_BATCH_BYTES = 32 << 20
 # GEMM's shape and so its rounding: at 4 MiB both equal the 1 MiB energies
 # bit for bit, at 2 MiB the heat ones do not.
 _PLANE_BATCH_BYTES = 4 << 20
-# solves between full rebuilds of a StiffnessOperator's preconditioner
+# solves between coarse refactorizations of a StiffnessOperator's
+# preconditioner, whose cell blocks are rebuilt only where kills touched
 _REFRESH_EVERY = 8
 # rows of a top-level pivot block of the block inversion sweep, whose
 # pivots are inverted by the same sweep over halves of their rows, down to
@@ -201,6 +202,17 @@ def _check_factors(values, cells, subs, what, least=-np.inf):
 
 def _box_mask(points, lo, hi, tol=1e-9):
     return ((points >= lo - tol) & (points <= hi + tol)).all(axis=1)
+
+
+def _box_points(points, spec, name):
+    """Indices of the `points` inside the box of `spec`; a box that holds
+    none is an error, not a spec without effect, and its ValueError
+    starts with `name`."""
+    idx = np.flatnonzero(_box_mask(points, spec.lo, spec.hi))
+    if not len(idx):
+        raise ValueError("%s box %s to %s selects no control point"
+                         % (name, spec.lo.tolist(), spec.hi.tolist()))
+    return idx
 
 
 def _gauss01(order):
@@ -583,7 +595,8 @@ class Assembly:
             if len(vec) != self.dpn:
                 raise ValueError("load vector must have %d component(s)"
                                  % self.dpn)
-            F.reshape(-1, self.dpn)[self._box_points(load, "load", i)] += vec
+            F.reshape(-1, self.dpn)[_box_points(
+                self.model.points, load, "load %d:" % i)] += vec
         if bcs.heat_source:
             F += bcs.heat_source * self._unit_source
         return F
@@ -596,20 +609,11 @@ class Assembly:
             if bad:
                 raise ValueError("dirichlet component %s invalid for %s"
                                  % (bad, self.problem))
-            idx = self._box_points(spec, "dirichlet", i)
+            idx = _box_points(self.model.points, spec, "dirichlet %d:" % i)
             comps = np.array(spec.components, dtype=np.int64)
             vals[(self.dpn * idx[:, None] + comps).ravel()] = spec.value
         dofs = np.flatnonzero(~np.isnan(vals))
         return dofs, vals[dofs]
-
-    def _box_points(self, spec, what, i):
-        """Control points inside the box of `spec`, the i-th `what` spec;
-        a box that holds none is an error, not a spec without effect."""
-        idx = np.flatnonzero(_box_mask(self.model.points, spec.lo, spec.hi))
-        if not len(idx):
-            raise ValueError("%s %d: box %s to %s selects no control point"
-                             % (what, i, spec.lo.tolist(), spec.hi.tolist()))
-        return idx
 
 
 def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
@@ -708,7 +712,7 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
         x = x + d
 
 
-def solve_system(op, rtol=1e-8, method="cg", x0=None):
+def solve_system(op, rtol=1e-8, x0=None):
     """Solve K U = F on a StiffnessOperator, which holds K, the load F and
     the Dirichlet lift; returns the Solution with compliance (1/2) U^T K U.
 
@@ -721,36 +725,21 @@ def solve_system(op, rtol=1e-8, method="cg", x0=None):
     among them) with a ValueError naming the cell.  With zero
     Dirichlet values the compliance is (1/2) x^T (b - r) on the free dofs,
     from the solve's last float64 residual r, which saves one pass over
-    the stiffness.  method="dense" solves the assembled free block
-    directly, as a reference.
+    the stiffness.
     """
     if not 0.0 < rtol < 1.0:          # a NaN fails the test too
         raise ValueError("rtol must lie in (0, 1), got %r" % (rtol,))
     assembly, K, free, g = op.assembly, op.K, op.free, op.g
     lifted = bool(g.any())
     b = (op.F - assembly.matvec(K, g))[free] if lifted else op.F[free]
+    start = (np.zeros(int(free.sum())) if x0 is None
+             else np.asarray(x0, dtype=float)[free])
+    op.prepare()
     mv = partial(assembly.free_matvec, K, free)
-
-    if method == "dense":
-        Kd = np.zeros((assembly.ndof, assembly.ndof))
-        dm = assembly.dofmap
-        for c in range(assembly.num_cells):
-            Kd[np.ix_(dm[c], dm[c])] += K[c]
-        x = np.linalg.solve(Kd[np.ix_(free, free)], b)
-        r = b - mv(x)
-        iters, restarts = 0, 1
-        res = float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
-    elif method == "cg":
-        start = (np.zeros(int(free.sum())) if x0 is None
-                 else np.asarray(x0, dtype=float)[free])
-        op.prepare()
-        mv32 = (None if op.K32 is None
-                else partial(assembly.free_matvec, op.K32, free))
-        x, iters, res, restarts, r = _cg(mv, b, op.precond, start, rtol,
-                                         50 * len(start), mv32)
-    else:
-        raise ValueError("method must be 'cg' or 'dense'")
-
+    mv32 = (None if op.K32 is None
+            else partial(assembly.free_matvec, op.K32, free))
+    x, iters, res, restarts, r = _cg(mv, b, op.precond, start, rtol,
+                                     50 * len(start), mv32)
     U = np.array(g)
     U[free] = x
     if lifted:
@@ -885,19 +874,18 @@ class TwoLevelPreconditioner:
     raises a ValueError naming its cell.  The inverses are made exactly
     symmetric, as CG requires, before the float32 cast.
 
-    `update` is told the cells whose stiffness changed: it rebuilds their
-    blocks at once and marks the blocks of the cells sharing a control
-    point with them stale.  `refresh` rebuilds every stale block (every
-    block on the first call) and refactorizes the coarse matrix; a clean
-    block would come out bit-identical, so the result equals a full
-    rebuild as long as every change of K_cells is reported through
-    `update`.  Blocks and the coarse products are built in batches of
+    `refresh` builds every block on its first call and, on every call,
+    refactorizes the coarse matrix.  `update` is told the cells whose
+    stiffness changed and rebuilds their blocks alone.  The neighbours of
+    those cells keep the blocks they had: each is still the inverse of a
+    symmetric positive definite matrix, so M stays symmetric positive
+    definite and CG stays valid; it only preconditions a little less
+    sharply.  Blocks and the coarse products are built in batches of
     cells whose index arrays, float64 blocks and temporaries stay within
-    _GRAM_BATCH_BYTES.  Stale blocks and the coarse factors tolerate a few
-    stiffness updates; the StiffnessOperator that owns it builds it on its
-    mask `free` of unfixed dofs, refreshes it every _REFRESH_EVERY solves
-    and reports the cells its increments touched before every solve.  It
-    is the preconditioner of every CG solve.
+    _GRAM_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
+    its mask `free` of unfixed dofs, reports the cells its increments
+    touched before every solve and refreshes it every _REFRESH_EVERY
+    solves.  It is the preconditioner of every CG solve.
     """
 
     def __init__(self, assembly, free):
@@ -942,7 +930,6 @@ class TwoLevelPreconditioner:
             entries += (dpn * a.shape[1]) ** 2 * np.bincount(
                 c, minlength=assembly.num_cells)
         self._block_bytes = 4 * 8 * assembly.nd ** 2 + 6 * 8 * entries
-        self._stale = np.ones(assembly.num_cells, dtype=bool)
         self.blocks = np.empty((assembly.num_cells, assembly.nd, assembly.nd),
                                dtype=np.float32)
         self.lu = None
@@ -989,24 +976,19 @@ class TwoLevelPreconditioner:
             if len(sel):
                 self.blocks[sel] = _sweep_inverse(
                     self._cell_blocks(K_cells, sel), sel)
-        self._stale[cells] = False
 
     def update(self, K_cells, cells):
-        """The stiffness of the listed cells changed: rebuild their blocks
-        and mark their neighbours' blocks stale."""
-        cells = np.unique(np.asarray(cells, dtype=np.int64))
-        hit = np.zeros(self.assembly.num_cells, dtype=bool)
-        hit[cells] = True
-        for c, n, _, _ in self._overlaps:
-            self._stale[n[hit[c]]] = True
-        self._build(K_cells, cells)
+        """The stiffness of the listed cells changed: rebuild their
+        blocks."""
+        self._build(K_cells, np.unique(np.asarray(cells, dtype=np.int64)))
 
     def refresh(self, K_cells):
-        """Rebuild every stale cell block and refactorize the coarse
-        matrix P_f^T K_ff P_f."""
-        self._build(K_cells, np.flatnonzero(self._stale))
+        """Factorize the coarse matrix P_f^T K_ff P_f, after building
+        every cell block on the first call."""
         asm = self.assembly
         nc, nd = asm.num_cells, asm.nd
+        if self.lu is None:
+            self._build(K_cells, np.arange(nc))
         m = self._T.shape[1]
         A = np.empty((nc, m, m))
         # per cell: the masked table, its product with the block, a copy
@@ -1036,13 +1018,13 @@ class StiffnessOperator:
     "insufficient constraints".  Owns the float64 stack `K` (nc, nd, nd);
     with `single_precision` its float32 mirror `K32`, kept bit-identical to
     K.astype(np.float32) by re-casting the cells every increment touches;
-    and `precond`, the TwoLevelPreconditioner on `free`, built on first use
-    (dense solves never use it).  Before every CG solve, `prepare` has the
-    preconditioner rebuild the blocks of the cells touched since the last
-    solve and, every _REFRESH_EVERY solves, its stale blocks and coarse
-    matrix, all from K.  `factors` are the per-(cell, sub) stiffness
-    factors K was aggregated from (None: no factors to change);
-    `set_factors` keeps K, K32 and the factors in step.
+    and `precond`, the TwoLevelPreconditioner on `free`, built on first use.
+    The first CG solve has the preconditioner build every block from K.
+    Before each later one, `prepare` has it rebuild the blocks of the
+    cells touched since the last solve, and no others, and, every
+    _REFRESH_EVERY solves, refactorize its coarse matrix.  `factors` are
+    the per-(cell, sub) stiffness factors K was aggregated from (None: no
+    factors to change); `set_factors` keeps K, K32 and the factors in step.
     """
 
     def __init__(self, assembly, K_cells, bcs, factors=None,
@@ -1101,11 +1083,11 @@ class StiffnessOperator:
         self._age += 1
 
 
-def assemble_and_solve(model, mat, bcs, problem, rtol=1e-8, method="cg",
+def assemble_and_solve(model, mat, bcs, problem, rtol=1e-8,
                        single_precision=False):
     """Assemble the model's stiffness (every cell whole, factor 1) and
     solve one analysis problem."""
     asm = Assembly(model, problem, mat)
     op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
                            bcs, single_precision=single_precision)
-    return solve_system(op, rtol=rtol, method=method)
+    return solve_system(op, rtol=rtol)

@@ -5,10 +5,11 @@ import pytest
 
 from ccsolid.cli import parse_config, run_command, serialize_config
 from ccsolid.hexmesh import parse_mesh, serialize_mesh
-from ccsolid.iga import assemble_and_solve
+from ccsolid.iga import Assembly, StiffnessOperator
 from ccsolid.spline import build_spline_model, regular_box_model
 from ccsolid import vtkio
 from meshes import lattice, two_cubes_sharing_edge, unit_cube
+from reference import dense_solve
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +403,10 @@ def test_cli_solve_elastic(tmp_path, capsys):
     # Jacobi about 170 and no preconditioner 232
     assert 0 < int(found.group(2)) <= 60
     cfg = parse_config(SOLVE_CFG)
-    ref = assemble_and_solve(build_spline_model(mesh), cfg.material,
-                             cfg.boundary_conditions(), cfg.problem,
-                             method="dense")
+    asm = Assembly(build_spline_model(mesh), cfg.problem, cfg.material)
+    ref = dense_solve(StiffnessOperator(
+        asm, asm.aggregate(np.ones((asm.num_cells, 1))),
+        cfg.boundary_conditions()))
     assert (abs(float(found.group(1)) - ref.compliance)
             <= cfg.rtol * ref.compliance)
     text = out.read_text()
@@ -490,6 +492,27 @@ def test_cli_reports_bad_values_by_line(tmp_path, capsys, command, extra):
                         "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ccsolid %s: error: line %d: " % (command, lineno))
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+@pytest.mark.parametrize("block", ["[dirichlet]\ndofs = xyz",
+                                   "[load]\nvector = 0 0 -1"])
+def test_cli_names_the_line_of_a_box_selecting_nothing(tmp_path, capsys,
+                                                       command, block):
+    # the analysis names such a box only by its place among the specs of
+    # its kind ("load 1: box ..."), which the config file does not show
+    mesh, _ = lattice(4, 1, 1)
+    src = tmp_path / "beam.mesh"
+    src.write_text(serialize_mesh(mesh))
+    cfgf = tmp_path / "bad.cfg"
+    cfgf.write_text(OPT_CFG + block + "\nbox = 50 -1e9 -1e9 60 1e9 1e9\n")
+    lineno = OPT_CFG.count("\n") + 1
+    assert run_command([command, str(src), "--config", str(cfgf),
+                        "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"ccsolid %s: error: line %d: %s box \[50\.0, .*\] "
+                        r"to \[60\.0, .*\] selects no control point\n"
+                        % (command, lineno, re.escape(block.split()[0])), err)
 
 
 def test_cli_failures(tmp_path, capsys):

@@ -17,6 +17,7 @@ from ccsolid.spline import SplineModel, build_spline_model, regular_box_model
 from ccsolid.subdivision import subdivide
 from ccsolid.topopt import density_factors
 from meshes import lattice, one_cell_model
+from reference import dense_solve, dense_stiffness
 
 EVERYWHERE = dict(lo=(-1e9, -1e9, -1e9), hi=(1e9, 1e9, 1e9))
 BIG = 1e9
@@ -654,12 +655,12 @@ def _cantilever_setup():
 def test_cantilever_cg_matches_dense():
     model, mat, bcs = _cantilever_setup()
     cg = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-12)
-    lu = assemble_and_solve(model, mat, bcs, "elasticity",
-                            method="dense")
+    asm = Assembly(model, "elasticity", mat)
+    lu = dense_solve(StiffnessOperator(
+        asm, asm.aggregate(np.ones((asm.num_cells, 1))), bcs))
     assert cg.compliance > 0
     assert abs(cg.compliance - lu.compliance) <= 1e-9 * lu.compliance
     # zero Dirichlet values: compliance must equal (1/2) U^T F
-    asm = Assembly(model, "elasticity", mat)
     F = asm.load_vector(bcs)
     assert abs(cg.compliance - 0.5 * cg.u.reshape(-1) @ F) \
         <= 1e-8 * cg.compliance
@@ -822,7 +823,7 @@ def test_two_level_preconditioner_matches_dense():
     with pytest.raises(RuntimeError, match="refresh"):
         pc(np.ones(int(pc.free.sum())))
     pc.refresh(K)
-    ref = solve_system(op, method="dense")
+    ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert np.allclose(two.u, ref.u, atol=1e-7 * np.abs(ref.u).max())
     assert abs(two.compliance - ref.compliance) <= 1e-8 * ref.compliance
@@ -841,7 +842,7 @@ def test_two_level_refresh_with_density_factors_solves():
     pc = op.precond
     pc.refresh(K)
     sol = solve_system(op, rtol=1e-9)
-    ref = solve_system(op, method="dense")
+    ref = dense_solve(op)
     assert abs(sol.compliance - ref.compliance) <= 1e-7 * ref.compliance
 
 
@@ -861,7 +862,7 @@ def test_two_level_solves_without_vertex_constraints():
     op = StiffnessOperator(asm, K, bcs)
     pc = op.precond
     pc.refresh(K)
-    ref = solve_system(op, method="dense")
+    ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert two.iterations > 0
     assert np.allclose(two.u, ref.u, atol=1e-7 * np.abs(ref.u).max())
@@ -900,10 +901,7 @@ def test_two_level_coarse_matrix_is_galerkin_product(problem):
                   + np.arange(dpn)).ravel()]
     Pf = P[free][:, cfree]
     assert np.array_equal(pc.P.toarray(), Pf)
-    dense = np.zeros((asm.ndof, asm.ndof))
-    for c in range(asm.num_cells):
-        dense[np.ix_(asm.dofmap[c], asm.dofmap[c])] += K[c]
-    A = Pf.T @ dense[np.ix_(free, free)] @ Pf
+    A = Pf.T @ dense_stiffness(asm, K)[np.ix_(free, free)] @ Pf
     eye = np.eye(len(A))
     assert np.abs(pc.lu.solve(eye) @ A - eye).max() <= 1e-12
 
@@ -914,8 +912,21 @@ def _random_factors(asm, mat, seed):
     return density_factors(rho, mat)
 
 
+def _check_symmetric_positive(pc, seed):
+    """M is symmetric and positive definite, as CG needs, on random
+    vectors."""
+    rng = np.random.default_rng(seed)
+    n = int(pc.free.sum())
+    for _ in range(5):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        mx, my = pc(x), pc(y)
+        # float32 blocks: agreement to single-precision rounding
+        scale = np.linalg.norm(x) * np.linalg.norm(my)
+        assert abs(x @ my - y @ mx) <= 1e-5 * scale
+        assert x @ mx > 0
+
+
 def test_two_level_preconditioner_symmetric():
-    # CG needs a symmetric positive definite M
     mesh, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
@@ -926,15 +937,7 @@ def test_two_level_preconditioner_symmetric():
     assert pc.blocks.dtype == np.float32
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     assert np.array_equal(pc.blocks, pc.blocks.transpose(0, 2, 1))
-    rng = np.random.default_rng(11)
-    n = int(pc.free.sum())
-    for _ in range(5):
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        mx, my = pc(x), pc(y)
-        # float32 blocks: agreement to single-precision rounding
-        scale = np.linalg.norm(x) * np.linalg.norm(my)
-        assert abs(x @ my - y @ mx) <= 1e-5 * scale
-        assert x @ mx > 0
+    _check_symmetric_positive(pc, 11)
 
 
 def test_two_level_update_matches_refresh_after_kills():
@@ -987,7 +990,7 @@ def test_two_level_heat_blocks_match_dense_assembly():
         assert np.allclose(pc.blocks[c], ref, rtol=1e-5,
                            atol=1e-6 * np.abs(ref).max())
         assert np.abs(X[c] - ref).max() <= 1e-12 * np.abs(ref).max()
-    ref = solve_system(op, method="dense")
+    ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert abs(two.compliance - ref.compliance) <= 1e-8 * ref.compliance
     # 50 CG iterations; point Jacobi takes 438 and no preconditioner 1081
@@ -997,9 +1000,7 @@ def test_two_level_heat_blocks_match_dense_assembly():
 def _assembled_blocks(asm, K, free):
     """Each cell's principal submatrix of the dense assembled stiffness,
     with Dirichlet rows and columns replaced by identity."""
-    dense = np.zeros((asm.ndof, asm.ndof))
-    for c in range(asm.num_cells):
-        dense[np.ix_(asm.dofmap[c], asm.dofmap[c])] += K[c]
+    dense = dense_stiffness(asm, K)
     fixed = ~free
     dense[fixed] = 0.0
     dense[:, fixed] = 0.0
@@ -1181,13 +1182,13 @@ def test_operator_follows_kills():
         op.set_factors(kill // asm.nsub, kill % asm.nsub, np.full(9, 0.05))
         assert np.array_equal(op.K32, op.K.astype(np.float32))
         op.prepare()
-        # touched cells rebuilt before every solve, everything every 8th
+        # touched cells rebuilt before every solve, the coarse matrix
+        # refactorized every 8th
         fresh = TwoLevelPreconditioner(asm, pc.free)
         fresh.refresh(op.K)
         touched = np.unique(kill // asm.nsub)
         assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
         assert (pc.lu is first) == (k < 8)
-    assert np.array_equal(pc.blocks, fresh.blocks)
     fac.reshape(-1)[~alive] = 0.05
     assert np.array_equal(op.factors, fac)
     assert _rel(op.K, asm.aggregate(fac)) <= 1e-12
@@ -1261,44 +1262,48 @@ def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
         assert np.array_equal(small, ref)
 
 
-def test_operator_refresh_rebuilds_only_stale_blocks():
-    # kills only in the cells at the held end of the beam: a refresh
-    # rebuilds their blocks and their neighbours', and keeps the rest
-    mesh, model, bcs = _beam()
+def test_operator_rebuilds_only_touched_blocks():
+    # BESO-style kills through 2 * _REFRESH_EVERY + 1 solves: the first
+    # builds every block; each later one rebuilds the touched cells'
+    # blocks as a fresh build does and leaves every other block as it
+    # was, and every _REFRESH_EVERY solves the coarse matrix is that of
+    # the current K
+    _, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 37)
     op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac)
     pc = op.precond
-    built = []
-    cell_blocks = pc._cell_blocks
-
-    def counted(K, cells):
-        built.append(len(cells))
-        return cell_blocks(K, cells)
-
-    pc._cell_blocks = counted
-    end = np.flatnonzero(mesh.vertices[mesh.cells].mean(axis=1)[:, 0] < 0.5)
-    pairs = np.random.default_rng(41).permutation(
-        (end[:, None] * asm.nsub + np.arange(asm.nsub)).ravel())
-    rebuilt = []
+    rng = np.random.default_rng(41)
+    pairs = rng.permutation(fac.size)
+    lu = None
     for k in range(2 * iga._REFRESH_EVERY + 1):
+        touched = np.zeros(0, dtype=np.int64)
         if k:
-            kill = pairs[2 * k - 2:2 * k]
+            kill = pairs[3 * k - 3:3 * k]
             op.set_factors(kill // asm.nsub, kill % asm.nsub,
-                           np.full(2, mat.mu_min))
-        built.clear()
+                           np.full(3, mat.mu_min))
+            touched = np.unique(kill // asm.nsub)
+        before = pc.blocks.copy()
         op.prepare()
-        rebuilt.append(sum(built))
-        # every block not marked stale is the one a full rebuild gives
         fresh = TwoLevelPreconditioner(asm, pc.free)
         fresh.refresh(op.K)
-        clean = ~pc._stale
-        assert np.array_equal(pc.blocks[clean], fresh.blocks[clean])
-        assert clean.all() == (k % iga._REFRESH_EVERY == 0)
-    assert rebuilt[0] == asm.num_cells
-    for k in (iga._REFRESH_EVERY, 2 * iga._REFRESH_EVERY):
-        assert 0 < rebuilt[k] < asm.num_cells
+        if k:
+            others = np.setdiff1d(np.arange(asm.num_cells), touched)
+            assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
+            assert np.array_equal(pc.blocks[others], before[others])
+        else:
+            assert np.array_equal(pc.blocks, fresh.blocks)
+        refreshed = k % iga._REFRESH_EVERY == 0
+        assert (pc.lu is not lu) == refreshed
+        lu = pc.lu
+        if refreshed:
+            rhs = rng.standard_normal(lu.shape[0])
+            assert np.array_equal(lu.solve(rhs), fresh.lu.solve(rhs))
+        _check_symmetric_positive(pc, k)
+    # the kills changed the assembled blocks of untouched neighbours, so
+    # the run did test that their blocks were kept
+    assert not np.array_equal(pc.blocks, fresh.blocks)
 
 
 def test_operator_needs_constraints_at_construction():
@@ -1331,7 +1336,7 @@ def test_dense_solve_builds_no_preconditioner():
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
     op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
                            bcs)
-    dense = solve_system(op, method="dense")
+    dense = dense_solve(op)
     assert "precond" not in vars(op)
     cg = solve_system(op, rtol=1e-10)
     assert isinstance(vars(op)["precond"], TwoLevelPreconditioner)

@@ -8,7 +8,7 @@ import pytest
 from ccsolid import iga
 from ccsolid.hexmesh import CORNER_OFFSETS, Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
-                         LoadSpec, Material, StiffnessOperator, solve_system)
+                         LoadSpec, Material, StiffnessOperator)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
 from ccsolid.subdivision import subdivide
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
@@ -18,6 +18,7 @@ from ccsolid.topopt import (BesoConfig, DensityField, OptState,
 from meshes import (icosa_split, jittered_lattice, lattice, one_cell_model,
                     tet_split, three_cells_on_one_face,
                     two_cubes_sharing_edge, wheel)
+from reference import dense_solve
 
 BIG = 1e9
 
@@ -60,8 +61,7 @@ def _adjacency(rows, items, n):
 
 def _compliance(asm, rho, mat, bcs):
     K = asm.aggregate(density_factors(rho, mat))
-    return solve_system(StiffnessOperator(asm, K, bcs),
-                        method="dense").compliance
+    return dense_solve(StiffnessOperator(asm, K, bcs)).compliance
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_sensitivity_matches_finite_differences():
     rho = 0.3 + 0.7 * rng.random((1, 8))
 
     K = asm.aggregate(density_factors(rho, mat))
-    sol = solve_system(StiffnessOperator(asm, K, bcs), method="dense")
+    sol = dense_solve(StiffnessOperator(asm, K, bcs))
     alpha = sensitivities(sol, asm, _Rho(1, rho))
 
     h = 1e-6
@@ -115,8 +115,7 @@ def test_sensitivities_reject_stale_solution():
     asm = Assembly(model, "elasticity", mat, level=0)
     dens = _solid(model, 0)
     K = asm.aggregate(density_factors(dens.rho, mat))
-    sol = solve_system(StiffnessOperator(asm, K, _clamp_and_pull(2.0)),
-                       method="dense")
+    sol = dense_solve(StiffnessOperator(asm, K, _clamp_and_pull(2.0)))
     sol.density_version = dens.version
     sensitivities(sol, asm, dens)  # fresh: fine
     dens.kill([0])
@@ -608,8 +607,7 @@ def test_heat_level2_design_is_stable_under_a_tighter_solve():
     eff = cfg.material(mat)
     asm = Assembly(model, "heat", eff, level=da.level)
     fac = density_factors(da.rho, eff)
-    ref = solve_system(StiffnessOperator(asm, asm.aggregate(fac), bcs, fac),
-                       method="dense")
+    ref = dense_solve(StiffnessOperator(asm, asm.aggregate(fac), bcs, fac))
     assert abs(ha[-1][1] - ref.compliance) <= 1e-7 * ref.compliance
 
 
