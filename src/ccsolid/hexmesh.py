@@ -64,9 +64,12 @@ class Incidence:
         sort needs no stability.
         """
         span = int(items.max()) + 1 if len(items) else 1
-        self.rows, self.items = np.divmod(np.sort(rows * span + items), span)
+        keys = rows * span + items
+        keys.sort()
+        self.rows, self.items = np.divmod(keys, span)
         self.counts = np.bincount(rows, minlength=nrows)
-        self._offsets = np.concatenate([[0], np.cumsum(self.counts)])
+        self._offsets = np.zeros(nrows + 1, dtype=np.int64)
+        self.counts.cumsum(out=self._offsets[1:])
         for a in (self.rows, self.items, self.counts, self._offsets):
             a.setflags(write=False)
 
@@ -74,7 +77,7 @@ class Incidence:
     def inverse(cls, table, nrows):
         """Row r lists the rows of the (m, k) id `table` that contain r."""
         m, k = table.shape
-        return cls(table.reshape(-1), np.repeat(np.arange(m), k), nrows)
+        return cls(table.reshape(-1), np.arange(m).repeat(k), nrows)
 
     def __len__(self):
         return len(self.counts)
@@ -83,19 +86,23 @@ class Incidence:
         r = range(len(self.counts))[r]     # list semantics for the row id
         return self.items[self._offsets[r]:self._offsets[r + 1]]
 
-    def sum(self, values):
+    def sum(self, values, where=None):
         """Per-row sum of the `values` rows (indexed by item) that each
-        row lists, shape (len(self),) + values.shape[1:].
+        row lists, shape (len(self),) + values.shape[1:]; with a boolean
+        `where` per item id, only the items it marks are added.
 
-        One product with the all-ones CSR matrix of the relation: every
-        row adds its items in ascending order, starting from 0, the order
-        of a sequential scatter over `rows`, `items`.
+        One product with the 0/1 CSR matrix of the relation: every row
+        adds its items in ascending order, starting from 0, the order of
+        a sequential scatter over `rows`, `items`.  An unmarked item adds
+        +-0.0, which leaves a sum that starts from +0.0 bit for bit as it
+        is (for finite `values`).
         """
         values = np.asarray(values, dtype=float)
-        ones = sparse.csr_array(
-            (np.ones(len(self.items)), self.items, self._offsets),
-            shape=(len(self), len(values)))
-        return ones @ values
+        weights = (np.ones(len(self.items)) if where is None
+                   else where[self.items].astype(float))
+        pick = sparse.csr_array((weights, self.items, self._offsets),
+                                shape=(len(self), len(values)))
+        return pick @ values
 
 
 class HexMesh:
@@ -144,10 +151,9 @@ class HexMesh:
         nv = len(self.vertices)
         if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= nv):
             raise ValueError("cell vertex index out of range")
-        corners = np.sort(self.cells, axis=1)
-        dup = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
-        if len(dup):
-            raise ValueError("cell %d has duplicate vertex indices" % dup[0])
+        dup = _repeated_corner(self.cells)
+        if dup is not None:
+            raise ValueError("cell %d has duplicate vertex indices" % dup)
         self._build_derived()
         for a in (self.vertices, self.cells, self.edges, self.faces,
                   self.face_cycles, self.cell_edges, self.cell_faces):
@@ -162,20 +168,22 @@ class HexMesh:
         and c nv + d, which keeps equal keys in input order, so the first
         of every run of equal keys is the face's first occurrence in
         `cells`; that occurrence gives its corner cycle and its edges.
+        Pairs and quadruples are sorted by min/max comparators over whole
+        columns, not row by row.
         """
         nc = len(self.cells)
         nv = len(self.vertices)
 
         # an edge is keyed by lo * nv + hi; sorted keys order the edges
         # lexicographically by (lo, hi)
-        pairs = np.sort(self.cells[:, _LOCAL_EDGES_ARR], axis=2).reshape(-1, 2)
-        edge_keys, einv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+        lo, hi = _min_max(*(self.cells[:, c] for c in _LOCAL_EDGES_ARR.T))
+        edge_keys, einv = np.unique((lo * nv + hi).reshape(-1),
                                     return_inverse=True)
         self.edges = np.stack(np.divmod(edge_keys, nv), axis=1)
         self.cell_edges = einv.reshape(nc, 12)
 
-        quads = self.cells[:, _LOCAL_FACES_ARR]              # oriented cycles
-        keys = np.sort(quads, axis=2).reshape(-1, 4)
+        quads = self.cells[:, _LOCAL_FACES_ARR].reshape(-1, 4)   # cycles
+        keys = _sort4(quads)
         k1 = keys[:, 0] * nv + keys[:, 1]
         k2 = keys[:, 2] * nv + keys[:, 3]
         order = np.lexsort((k2, k1))
@@ -187,7 +195,7 @@ class HexMesh:
         finv[order] = np.cumsum(new) - 1
         self.faces = keys[first]
         self.cell_faces = finv.reshape(nc, 6)
-        self.face_cycles = quads.reshape(-1, 4)[first]
+        self.face_cycles = quads[first]
         # a face's 4 cycle edges, read off the cell of its first occurrence
         cell, local = np.divmod(first, 6)
         self.face_edges = self.cell_edges[cell[:, None],
@@ -223,6 +231,33 @@ class HexMesh:
     @property
     def num_cells(self):
         return len(self.cells)
+
+
+def _min_max(x, y):
+    """Elementwise (min, max) of two integer arrays: one comparator."""
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+def _sort4(quads):
+    """np.sort(quads, axis=1) of an (m, 4) integer array, column-wise by
+    the 5-comparator sorting network (0,1) (2,3) (0,2) (1,3) (1,2)."""
+    a, b, c, d = quads.T
+    a, b = _min_max(a, b)
+    c, d = _min_max(c, d)
+    a, c = _min_max(a, c)
+    b, d = _min_max(b, d)
+    b, c = _min_max(b, c)
+    out = np.empty_like(quads)
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = a, b, c, d
+    return out
+
+
+def _repeated_corner(cells):
+    """Index of the first row of the (m, k) id table `cells` that lists
+    an id twice, or None."""
+    corners = np.sort(cells, axis=1)
+    dup = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
+    return int(dup[0]) if len(dup) else None
 
 
 def _lattice_table(n):
@@ -501,11 +536,37 @@ def parse_counted_table(text, names, width):
             [ln for ln, _ in rows])
 
 
+def float_rows(values):
+    """The rows of the float array `values`, (n,) or (n, k), as a list of
+    n lines: every value at "%.17g" (round-tripping), separated by blanks.
+
+    Equal rows, bit for bit (so 0.0 and -0.0 differ), are formatted once:
+    one lexsort over the int64 view of the columns groups them, a single
+    %-operation formats the distinct rows, and the lines are gathered
+    back by each row's group.
+    """
+    rows = np.ascontiguousarray(values, dtype=float)
+    if not len(rows):
+        return []
+    rows = rows.reshape(len(rows), -1)
+    bits = rows.view(np.int64)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    distinct = rows[order[new]]
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    text = "\n".join([fmt] * len(distinct)) % tuple(distinct.ravel().tolist())
+    return np.array(text.split("\n"), dtype=object)[group].tolist()
+
+
 def serialize_counted_table(points, table):
     """Text form read by parse_counted_table, floats round-tripping."""
-    points, table = np.asarray(points).tolist(), np.asarray(table).tolist()
+    table = np.asarray(table).tolist()
     out = ["%d %d" % (len(points), len(table))]
-    out += ["%.17g %.17g %.17g" % tuple(p) for p in points]
+    out += float_rows(points)
     out += [" ".join(map(str, row)) for row in table]
     return "\n".join(out) + "\n"
 
@@ -518,11 +579,10 @@ def parse_mesh(text):
     blank lines are skipped.  Errors carry the offending line number.
     """
     vertices, cells, lines = parse_counted_table(text, ("vertex", "cell"), 8)
-    corners = np.sort(cells, axis=1)
-    dup = np.flatnonzero((corners[:, 1:] == corners[:, :-1]).any(axis=1))
-    if len(dup):
+    dup = _repeated_corner(cells)
+    if dup is not None:
         raise ValueError("line %d: duplicate vertex index within cell"
-                         % lines[dup[0]])
+                         % lines[dup])
     return HexMesh(vertices, cells)
 
 

@@ -39,8 +39,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .hexmesh import (CORNER_OFFSETS, OPPOSITE_CORNER, HexMesh, Incidence,
-                      lattice_ids, vertex_star)
+from .hexmesh import (CORNER_OFFSETS, OPPOSITE_CORNER, HexMesh, lattice_ids,
+                      vertex_star)
 
 
 def face_point_rule(c1, c2, centroid):
@@ -82,6 +82,16 @@ class Provenance:
     cell_octant: np.ndarray
 
 
+def _corner_sum(V, table):
+    """V[table].sum(axis=1) bit for bit, as sequential adds over the
+    columns of the (m, k) id `table` with no (m, k, 3) gather.  The sum
+    starts from +0.0 as numpy's does, so all -0.0 corners give +0.0."""
+    total = 0.0 + V[table[:, 0]]
+    for col in table.T[1:]:
+        total += V[col]
+    return total
+
+
 def _mean_over(inc, values):
     """Per-row mean of the `values` rows listed by each row of `inc`."""
     return inc.sum(values) / np.maximum(inc.counts, 1)[:, None]
@@ -93,9 +103,9 @@ def _level1_points(mesh):
     Returns (updated vertices, edge points, face points, cell points).
     """
     V = mesh.vertices
-    cell_pts = V[mesh.cells].mean(axis=1)
-    A = V[mesh.faces].mean(axis=1)          # face centroids
-    M = V[mesh.edges].mean(axis=1)          # edge midpoints
+    cell_pts = _corner_sum(V, mesh.cells) / 8
+    A = _corner_sum(V, mesh.faces) / 4      # face centroids
+    M = _corner_sum(V, mesh.edges) / 2      # edge midpoints
 
     # face points
     face_pts = np.where(mesh.boundary_face_mask[:, None], A,
@@ -128,9 +138,8 @@ def _level1_points(mesh):
 def _boundary_sums(inc, boundary, values):
     """Per-row sum of `values` over the boundary entities each row lists,
     and their number."""
-    sel = boundary[inc.items]
-    sub = Incidence(inc.rows[sel], inc.items[sel], len(inc))
-    return sub.sum(values), sub.counts
+    return (inc.sum(values, where=boundary),
+            np.bincount(inc.rows[boundary[inc.items]], minlength=len(inc)))
 
 
 # lattice node of every corner of every child octant
@@ -323,9 +332,9 @@ def limit_points(mesh):
     # boundary: the surface mask of _boundary_limit, summed over all rows
     V = mesh.vertices
     mids4, ns = _boundary_sums(ve, mesh.boundary_edge_mask,
-                               2.0 * V[mesh.edges].sum(axis=1))
+                               2.0 * _corner_sum(V, mesh.edges))
     cents, _ = _boundary_sums(vf, mesh.boundary_face_mask,
-                              V[mesh.faces].mean(axis=1))
+                              _corner_sum(V, mesh.faces) / 4)
     bv = mesh.boundary_vertex_mask
     nsb = ns[bv, None]
     points[bv] = (nsb * nsb * V[bv] + mids4[bv] + cents[bv]) / (nsb * (nsb + 5.0))

@@ -391,7 +391,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     csv = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        points, hexes = vtkio.sample_model(model, 1 << cfg.level)
+        grid = vtkio.VtkGrid(*vtkio.sample_model(model, 1 << cfg.level))
         csv = open(os.path.join(out_dir, "history.csv"), "w")
         csv.write("iter,compliance,volume_fraction,killed_count\n")
 
@@ -424,7 +424,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
                 csv.flush()
                 vtkio.write_vtk(
                     os.path.join(out_dir, "iter_%04d.vtk" % state.iteration),
-                    points, hexes, cell_data={"density": dens.rho.reshape(-1)},
+                    grid, cell_data={"density": dens.rho.reshape(-1)},
                     title="density iteration")
             if callback is not None:
                 callback(state, sol)

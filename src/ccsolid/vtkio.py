@@ -8,21 +8,11 @@ so a write/read cycle is lossless for doubles.
 
 import numpy as np
 
-from .hexmesh import CORNER_OFFSETS
+from .hexmesh import CORNER_OFFSETS, float_rows
 from .spline import evaluate_cells, parameter_grid
 
 VTK_HEXAHEDRON = 12
 VTK_VERTEX = 1
-
-
-def _rows(fmt, values):
-    """The rows of `values` as newline-separated text, formatted by a single
-    %-operation over the flattened array; [] for an empty array, so an
-    empty section adds no line."""
-    values = np.asarray(values)
-    if not len(values):
-        return []
-    return ["\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())]
 
 
 def _data_section(lines, data, n, kind):
@@ -35,41 +25,65 @@ def _data_section(lines, data, n, kind):
                                  % (name, values.shape[0], n))
             lines.append("SCALARS %s double 1" % name)
             lines.append("LOOKUP_TABLE default")
-            lines.extend(_rows("%.17g", values))
         elif values.shape == (n, 3):
             lines.append("VECTORS %s double" % name)
-            lines.extend(_rows("%.17g %.17g %.17g", values))
         else:
             raise ValueError("field %r must be (%d,) or (%d, 3), got %s"
                              % (name, n, n, values.shape))
+        lines.extend(float_rows(values))
 
 
-def write_vtk(path, points, cells, cell_type=VTK_HEXAHEDRON,
+class VtkGrid:
+    """The points, cells and cell types of an unstructured grid as text,
+    formatted once for every file write_vtk writes on the grid.
+
+    points: (n, 3); cells: (m, k) integer connectivity, every cell of the
+    same `cell_type`.
+    """
+
+    def __init__(self, points, cells, cell_type=VTK_HEXAHEDRON):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError("points must be an (n, 3) array, got %s"
+                             % (points.shape,))
+        cells = np.asarray(cells, dtype=int)
+        if cells.ndim == 1:
+            cells = cells[:, None]
+        m, k = cells.shape
+        self.num_points, self.num_cells = len(points), m
+        lines = ["POINTS %d double" % len(points)]
+        lines.extend(float_rows(points))
+        lines.append("CELLS %d %d" % (m, m * (k + 1)))
+        if m:
+            lines.append("\n".join([" ".join(["%d"] * (k + 1))] * m)
+                         % tuple(np.column_stack([np.full(m, k), cells])
+                                 .ravel().tolist()))
+        lines.append("CELL_TYPES %d" % m)
+        lines.extend([str(int(cell_type))] * m)
+        self.text = "\n".join(lines)
+
+
+def write_vtk(path, points, cells=None, cell_type=VTK_HEXAHEDRON,
               cell_data=None, point_data=None, title="ccsolid output"):
     """Write an ASCII unstructured grid.
 
     points: (n, 3); cells: (m, k) integer connectivity, every cell of the
     same `cell_type`; cell_data / point_data: dicts of scalar (n,) or
-    vector (n, 3) arrays.
+    vector (n, 3) arrays.  `points` may instead be a VtkGrid, given
+    without cells, so that files on one grid format it once.
     """
-    points = np.asarray(points, dtype=float)
-    cells = np.asarray(cells, dtype=int)
-    if cells.ndim == 1:
-        cells = cells[:, None]
-    m, k = cells.shape
+    if isinstance(points, VtkGrid):
+        if cells is not None:
+            raise ValueError("a VtkGrid carries its own cells")
+        grid = points
+    else:
+        grid = VtkGrid(points, cells, cell_type)
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             "POINTS %d double" % len(points)]
-    lines.extend(_rows("%.17g %.17g %.17g", points))
-    lines.append("CELLS %d %d" % (m, m * (k + 1)))
-    lines.extend(_rows(" ".join(["%d"] * (k + 1)),
-                       np.column_stack([np.full(m, k), cells])))
-    lines.append("CELL_TYPES %d" % m)
-    lines.extend([str(int(cell_type))] * m)
+             "DATASET UNSTRUCTURED_GRID", grid.text]
     if cell_data:
-        _data_section(lines, cell_data, m, "CELL_DATA")
+        _data_section(lines, cell_data, grid.num_cells, "CELL_DATA")
     if point_data:
-        _data_section(lines, point_data, len(points), "POINT_DATA")
+        _data_section(lines, point_data, grid.num_points, "POINT_DATA")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

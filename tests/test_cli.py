@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccsolid.cli import parse_config, run_command, serialize_config
-from ccsolid.hexmesh import parse_mesh, serialize_mesh
+from ccsolid.hexmesh import HexMesh, parse_mesh, serialize_mesh
 from ccsolid.iga import Assembly, StiffnessOperator
 from ccsolid.spline import build_spline_model, regular_box_model
 from ccsolid import vtkio
@@ -112,6 +112,12 @@ def test_field_size_mismatch(tmp_path):
     with pytest.raises(ValueError, match="values"):
         vtkio.write_vtk(str(tmp_path / "x.vtk"), cube.vertices, cube.cells,
                         cell_data={"density": np.zeros(3)})
+    with pytest.raises(ValueError, match=r"points must be an \(n, 3\) array"):
+        vtkio.write_vtk(str(tmp_path / "x.vtk"), cube.vertices[:, :2],
+                        cube.cells)
+    with pytest.raises(ValueError, match="carries its own cells"):
+        vtkio.write_vtk(str(tmp_path / "x.vtk"),
+                        vtkio.VtkGrid(cube.vertices, cube.cells), cube.cells)
 
 
 def test_sample_model_grid():
@@ -148,13 +154,85 @@ def test_sample_field_columns_match_single_column_calls():
 
 def test_vtk_roundtrip_precision(tmp_path):
     pts = np.random.default_rng(1).standard_normal((8, 3)) * np.pi
-    from ccsolid.hexmesh import HexMesh
     mesh = HexMesh(pts[np.argsort(pts[:, 0])][:8] * 0 + pts, unit_cube().cells)
     path = tmp_path / "p.vtk"
     vtkio.write_vtk(str(path), mesh.vertices, mesh.cells)
     lines = path.read_text().splitlines()
     got = np.array([[float(v) for v in ln.split()] for ln in lines[5:13]])
     assert np.array_equal(got, pts)  # 17 significant digits round-trip
+
+
+def _float_row(values):
+    """A row of floats formatted one value at a time, at %.17g."""
+    return " ".join("%.17g" % x for x in np.atleast_1d(values).tolist())
+
+
+def _reference_vtk(points, cells, cell_type, cell_data, point_data, title):
+    """The legacy VTK text of write_vtk, every value formatted on its own:
+    floats by _float_row, integers by str."""
+    m, k = cells.shape
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % len(points)]
+    lines += [_float_row(p) for p in points]
+    lines.append("CELLS %d %d" % (m, m * (k + 1)))
+    lines += [" ".join(map(str, [k] + c)) for c in cells.tolist()]
+    lines.append("CELL_TYPES %d" % m)
+    lines += [str(cell_type)] * m
+    for kind, data, n in (("CELL_DATA", cell_data, m),
+                          ("POINT_DATA", point_data, len(points))):
+        if data:
+            lines.append("%s %d" % (kind, n))
+            for name, values in data.items():
+                lines += (["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+                          if values.ndim == 1 else ["VECTORS %s double" % name])
+                lines += [_float_row(v) for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def _tricky_rows(n, rng):
+    """(n, 3) floats whose rows repeat, or differ from an earlier row only
+    in the sign of a zero or in the last bit of one coordinate."""
+    base = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-8, 9, (4, 3))
+    base[1, 2] = 0.0
+    rows = base[rng.integers(0, 4, n)]
+    flip = rng.random(n) < 0.3
+    rows[flip & (rows[:, 2] == 0.0), 2] = -0.0
+    col = rng.integers(0, 3, n)
+    bump = rng.random(n) < 0.2
+    rows[bump, col[bump]] = np.nextafter(rows[bump, col[bump]], np.inf)
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_write_vtk_bytes_match_per_value_formatting(tmp_path, n):
+    rng = np.random.default_rng(n)
+    points = _tricky_rows(n, rng)
+    cells = rng.integers(0, 10 ** 6, (n // 4, 8))
+    cell_data = {"density": _tricky_rows(n // 4, rng)[:, 2],
+                 "flux": _tricky_rows(n // 4, rng)}
+    point_data = {"u": _tricky_rows(n, rng), "t": _tricky_rows(n, rng)[:, 1]}
+    assert n < 40 or len(np.unique(points, axis=0)) < n        # repeats
+    assert n < 40 or set(np.signbit(points[points == 0.0])) == {False, True}
+    path = tmp_path / "grid.vtk"
+    vtkio.write_vtk(str(path), points, cells, cell_data=cell_data,
+                    point_data=point_data, title="bytes")
+    want = _reference_vtk(points, cells, 12, cell_data, point_data, "bytes")
+    assert path.read_text() == want
+    # one grid formatted once, written twice with other data
+    grid = vtkio.VtkGrid(points, cells)
+    for data in ({"density": cell_data["density"]},
+                 {"flux": -cell_data["flux"]}):
+        vtkio.write_vtk(str(path), grid, cell_data=data, title="again")
+        assert path.read_text() == _reference_vtk(points, cells, 12, data,
+                                                  None, "again")
+    path_cloud = tmp_path / "cloud.vtk"
+    vtkio.write_point_cloud(str(path_cloud), points, point_data=point_data)
+    assert path_cloud.read_text() == _reference_vtk(
+        points, np.arange(n)[:, None], 1, None, point_data, "point cloud")
+    # the mesh file's vertex rows share the formatter
+    assert serialize_mesh(HexMesh(points, np.zeros((0, 8), dtype=int))) \
+        == "".join(line + "\n" for line in
+                   ["%d 0" % n] + [_float_row(p) for p in points])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -150,8 +152,15 @@ def test_constructor_rejects_bad_cells():
     verts = np.zeros((8, 3))
     with pytest.raises(ValueError):
         HexMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 9]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^cell 0 has duplicate vertex indices$"):
         HexMesh(verts, [[0, 1, 2, 3, 4, 5, 6, 6]])
+    mesh, _ = lattice(2, 1, 3)
+    cells = mesh.cells.copy()
+    cells[[1, 2], 5] = cells[[1, 2], 0]        # the first of two is named
+    with pytest.raises(ValueError,
+                       match="^cell 1 has duplicate vertex indices$"):
+        HexMesh(mesh.vertices, cells)
 
 
 def test_constructor_rejects_non_integer_cells():
@@ -329,7 +338,22 @@ def _repeated_cell():
     ids=["wheel_level3", "tet_split_level3", "lattice_level3", "no_cells",
          "loose_vertex", "repeated_cell", "two_cubes_sharing_edge"])
 def test_entity_numbering_matches_reference(build):
-    mesh = build()
+    _assert_matches_reference(build())
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+def test_face_keys_sort_every_vertex_order(order):
+    # relabel the 4 vertices of the face two cubes share, so its corner
+    # cycle lists their ids in each of the 24 relative orders; every
+    # comparator of the face sorting network is needed by one of them
+    mesh, _ = lattice(2, 1, 1)
+    shared = np.intersect1d(mesh.cells[0], mesh.cells[1])
+    ids = np.arange(mesh.num_vertices)
+    ids[shared] = shared[list(order)]
+    _assert_matches_reference(HexMesh(mesh.vertices, ids[mesh.cells]))
+
+
+def _assert_matches_reference(mesh):
     ref = _reference_derived(mesh.vertices, mesh.cells)
     for name in ("edges", "faces", "face_cycles", "cell_edges",
                  "cell_faces", "face_edges"):
