@@ -74,6 +74,18 @@ class Incidence:
             a.setflags(write=False)
 
     @classmethod
+    def _sorted(cls, rows, items, counts):
+        """The relation of the flat pairs `rows`, `items`, already sorted
+        by row and then by item, counts[r] of them in row r."""
+        inc = cls.__new__(cls)
+        inc.rows, inc.items, inc.counts = rows, items, counts
+        inc._offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        counts.cumsum(out=inc._offsets[1:])
+        for a in (inc.rows, inc.items, inc.counts, inc._offsets):
+            a.setflags(write=False)
+        return inc
+
+    @classmethod
     def inverse(cls, table, nrows):
         """Row r lists the rows of the (m, k) id `table` that contain r."""
         m, k = table.shape
@@ -119,6 +131,8 @@ class HexMesh:
     set, with one oriented corner cycle kept per face), the per-cell and
     per-face id tables cell_edges, cell_faces and face_edges, and boundary
     masks (a face is boundary iff it has exactly one incident cell).
+    subdivision.subdivide hands a refined mesh the same tables, derived
+    from the parent's without numbering the entities anew.
 
     The incidence relations edge_cells, face_cells, edge_faces,
     vertex_edges, vertex_faces and vertex_cells are Incidence objects:
@@ -233,6 +247,20 @@ class HexMesh:
         return len(self.cells)
 
 
+class _RefinedMesh(HexMesh):
+    """A HexMesh handed its derived tables, as subdivide derives them from
+    the parent's: HexMesh.__init__ checks the vertices and cells as for
+    any mesh and freezes the tables, and _build_derived installs the
+    given tables in place of numbering the entities."""
+
+    def __init__(self, vertices, cells, tables):
+        self._tables = tables
+        super().__init__(vertices, cells)
+
+    def _build_derived(self):
+        self.__dict__.update(self.__dict__.pop("_tables"))
+
+
 def _min_max(x, y):
     """Elementwise (min, max) of two integer arrays: one comparator."""
     return np.minimum(x, y), np.maximum(x, y)
@@ -311,6 +339,211 @@ def lattice_ids(mesh, n):
     nearest = mesh.cells[:, near]
     rank = sum(mesh.cells[:, o] < nearest for o in others)
     return entity[:, column] + offset + rank, near
+
+
+# lattice node (of lattice_ids(mesh, 3)) of every corner of every child octant
+_CHILD_NODE = (CORNER_OFFSETS[:, None] + CORNER_OFFSETS) @ (9, 3, 1)
+
+
+def _child_tables():
+    """The children of a split cell in the cell's 3 x 3 x 3 lattice.
+
+    Each of the 54 lattice edges joins the nodes of two parent entities,
+    one a dimension above the other: in a cell's table of them, column
+    2 L + s is corner LOCAL_EDGES[L][s] to edge L, 24 + 4 F + s edge
+    _LOCAL_FACE_EDGES[F][s] to face F, and 48 + F face F to the cell.  Of
+    the 36 lattice faces, column 4 F + j lies on face F at corner
+    LOCAL_FACES[F][j], and 24 + L inside the cell at edge L.  Returns the
+    (8, 12) edge and (8, 6) face columns of every child, and per face
+    column the corner cycle and cycle edges of its first occurrence among
+    the children, as columns of the cell's 8 x 8 child corners and 8 x 12
+    child edges.
+    """
+    node_col = _LATTICE_TABLES[3][0][_CHILD_NODE]       # k, 8 + L, 20 + F, 26
+    edge_col = np.empty((8, 12), dtype=np.int64)
+    face_col = np.empty((8, 6), dtype=np.int64)
+    for o in range(8):
+        for le, pair in enumerate(LOCAL_EDGES):
+            a, b = sorted(node_col[o, list(pair)].tolist())
+            if b < 20:
+                edge_col[o, le] = 2 * (b - 8) + LOCAL_EDGES[b - 8].index(a)
+            elif b < 26:
+                sides = _LOCAL_FACE_EDGES[b - 20].tolist()
+                edge_col[o, le] = 24 + 4 * (b - 20) + sides.index(a - 8)
+            else:
+                edge_col[o, le] = 48 + a - 20
+        for lf, quad in enumerate(LOCAL_FACES):
+            a, _, _, d = sorted(node_col[o, list(quad)].tolist())
+            face_col[o, lf] = (4 * (d - 20) + LOCAL_FACES[d - 20].index(a)
+                               if a < 8 else 24 + a - 8)
+    _, first = np.unique(face_col, return_index=True)
+    octant, lf = np.divmod(first, 6)
+    return (edge_col, face_col, 8 * octant[:, None] + _LOCAL_FACES_ARR[lf],
+            12 * octant[:, None] + _LOCAL_FACE_EDGES[lf])
+
+
+(_CHILD_EDGE_COL, _CHILD_FACE_COL, _FIRST_CYCLE,
+ _FIRST_CYCLE_EDGES) = _child_tables()
+# the two local faces at every local edge, and the edge's column 4 F + s
+# among the (6, 4) sides of the cell's faces, once in each
+_EDGE_FACES = np.array([[f for f, quad in enumerate(LOCAL_FACES)
+                         if set(pair) <= set(quad)] for pair in LOCAL_EDGES])
+_EDGE_SIDES = np.array([[4 * f + _LOCAL_FACE_EDGES[f].tolist().index(le)
+                         for f in two] for le, two in enumerate(_EDGE_FACES)])
+
+
+def _pair_positions(inc, table):
+    """(m, k) position among the flat pairs of `inc`, the relation
+    Incidence.inverse(table, ...) of an (m, k) id `table` that lists
+    distinct ids in each row, of the pair (table[i, j], i) of every slot."""
+    m, k = table.shape
+    hit = np.flatnonzero(table.take(inc.items, axis=0) == inc.rows[:, None])
+    pos = np.empty(m * k, dtype=np.int64)
+    pos[hit + k * (inc.items - np.arange(len(hit)))] = np.arange(len(hit))
+    return pos.reshape(m, k)
+
+
+def _sorted_pairs(table):
+    """The pairs (table[i, j], i) of the (m, k) non-negative int64 `table`
+    in ascending order, as the arrays of their two parts: one sort of
+    table[i, j] * 2**b + i with 2**b >= m, split by shift and mask."""
+    b = max(len(table) - 1, 0).bit_length()
+    keys = table << b
+    keys |= np.arange(len(table))[:, None]
+    keys = keys.reshape(-1)
+    keys.sort()
+    return keys >> b, keys & ((1 << b) - 1)
+
+
+def _refine(mesh, vertices):
+    """The HexMesh one subdivision step makes of `mesh`, at `vertices`
+    (its nodes in the order of lattice_ids(mesh, 3)), in the numbering
+    subdivision.subdivide states, its tables derived from the parent's.
+
+    A child cell's edge is its block's offset plus the position of its
+    parent pair (vertex, edge), (edge, face) or (face, cell) in the
+    parent relation.  The two blocks of child faces are each sorted by
+    two positions in one row of a parent relation: the places of (vertex,
+    lower edge) and (vertex, higher edge) in vertex_edges, or of (edge,
+    lower face) and (edge, higher face) in edge_faces.  A face's cycle
+    and edges come from its first occurrence, as HexMesh takes them: on
+    parent face f, the child of the first cell at f; inside a cell, the
+    lower of the two children at it.
+    """
+    nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges, mesh.num_faces,
+                      mesh.num_cells)
+    ve, ef, fc = mesh.vertex_edges, mesh.edge_faces, mesh.face_cells
+    ec = mesh.edge_cells
+    cells, ce, cf = mesh.cells, mesh.cell_edges, mesh.cell_faces
+    fcyc, fedg = mesh.face_cycles, mesh.face_edges
+    off_f, off_c = nv + ne, nv + ne + nf         # first face / cell node
+
+    child_cells = lattice_ids(mesh, 3)[0].take(_CHILD_NODE.reshape(-1), axis=1)
+    edges = np.empty((2 * ne + 4 * nf + 6 * nc, 2), dtype=np.int64)
+    edges[:, 0] = np.concatenate([ve.rows, nv + ef.rows, off_f + fc.rows])
+    edges[:, 1] = np.concatenate([nv + ve.items, off_f + ef.items,
+                                  off_c + fc.items])
+
+    # a cell's 54 lattice edges; `at` is the place in the face's stored
+    # cycle of every corner of every cell face, and side s of the cell's
+    # cycle is stored side `at`, or `at + 1` if the cycles run opposite ways
+    pos_ve = _pair_positions(ve, mesh.edges).reshape(-1)
+    pos_ef = _pair_positions(ef, fedg).reshape(-1)
+    pos_fc = _pair_positions(fc, cf)
+    higher = (cells.take(_LOCAL_EDGES_ARR[:, 0], axis=1)
+              > cells.take(_LOCAL_EDGES_ARR[:, 1], axis=1))
+    at = np.flatnonzero(fcyc.take(cf, axis=0)[:, :, None, :]
+                        == cells.take(_LOCAL_FACES_ARR, axis=1)[..., None])
+    at = (at & 3).reshape(nc, 6, 4)
+    nxt = np.roll(at, -1, axis=2)
+    side = np.where(nxt == (at + 1) & 3, at, nxt)
+    face_sides = pos_ef.take(4 * cf[:, :, None] + side).reshape(nc, 24)
+    child_edges = np.hstack([
+        pos_ve.take(2 * ce[:, :, None]
+                    + np.stack([higher, ~higher], axis=2)).reshape(nc, 24),
+        2 * ne + face_sides, 2 * ne + 4 * nf + pos_fc]).take(
+            _CHILD_EDGE_COL.reshape(-1), axis=1)
+
+    # faces on parent faces, slot (f, k) at cycle vertex k, then inner
+    # faces, slot (c, L) at local edge L; ties go to the lower slot
+    lo, hi = _min_max(
+        pos_ve.take(2 * fedg + (fcyc > np.roll(fcyc, -1, axis=1))),
+        pos_ve.take(2 * np.roll(fedg, 1, axis=1)
+                    + (fcyc > np.roll(fcyc, 1, axis=1))))
+    key = lo * ve.counts.max(initial=1) + hi - lo
+    _, order = _sorted_pairs(key.reshape(-1, 1))
+    lo, hi = _min_max(face_sides.take(_EDGE_SIDES[:, 0], axis=1),
+                      face_sides.take(_EDGE_SIDES[:, 1], axis=1))
+    key = lo * ef.counts.max(initial=1) + hi - lo
+    _, inner = _sorted_pairs(key.reshape(-1, 1))
+    f, k = np.divmod(order, 4)
+    c, le = np.divmod(inner, 12)
+    e_lo, e_hi = _min_max(fedg.take(4 * f + (k - 1) % 4), fedg.take(order))
+    f_lo, f_hi = _min_max(cf.take(6 * c + _EDGE_FACES[:, 0].take(le)),
+                          cf.take(6 * c + _EDGE_FACES[:, 1].take(le)))
+    faces = np.stack([
+        np.concatenate([fcyc.take(order), nv + ce.take(inner)]),
+        np.concatenate([nv + e_lo, off_f + f_lo]),
+        np.concatenate([nv + e_hi, off_f + f_hi]),
+        np.concatenate([off_f + f, off_c + c])], axis=1)
+    rank = np.empty(len(faces), dtype=np.int64)
+    rank[order] = np.arange(4 * nf)
+    rank[4 * nf + inner] = np.arange(4 * nf, len(faces))
+    lattice_faces = np.hstack([
+        rank.take(4 * cf[:, :, None] + at).reshape(nc, 24),
+        rank[4 * nf:].reshape(nc, 12)])
+
+    # the cell and lattice column of every child face's first occurrence
+    q, lf = np.nonzero(pos_fc == fc._offsets.take(cf))
+    cols = (4 * lf).repeat(4) + np.tile(np.arange(4), nf)
+    q = q.repeat(4)
+    to_face = np.empty(4 * nf, dtype=np.int64)
+    to_face[lattice_faces.take(36 * q + cols)] = np.arange(4 * nf)
+    first_cell = np.concatenate([q.take(to_face), c])
+    first_col = np.concatenate([cols.take(to_face), 24 + le])
+
+    def first_occurrence(lattice, columns):
+        at_cols = columns.take(first_col, axis=0)
+        at_cols += lattice.shape[1] * first_cell[:, None]
+        return lattice.take(at_cols)
+
+    def inverse(table, counts):
+        return Incidence._sorted(*_sorted_pairs(table), counts)
+
+    face_edges = first_occurrence(child_edges, _FIRST_CYCLE_EDGES)
+    face_cycles = first_occurrence(child_cells, _FIRST_CYCLE)
+    child_cells = child_cells.reshape(-1, 8)
+    child_edges = child_edges.reshape(-1, 12)
+    child_faces = lattice_faces.take(_CHILD_FACE_COL.reshape(-1), axis=1)
+    child_faces = child_faces.reshape(-1, 6)
+    # the incidences' row counts, block by block of child entities
+    fc_n, ec_n, ef_n = fc.counts, ec.counts, ef.counts
+    fc_at_ef, nfc = fc_n.take(ef.items), len(fc.items)
+    bf, be, bv = (mesh.boundary_face_mask, mesh.boundary_edge_mask,
+                  mesh.boundary_vertex_mask)
+    return _RefinedMesh(vertices, child_cells, dict(
+        edges=edges, faces=faces, face_cycles=face_cycles,
+        cell_edges=child_edges, cell_faces=child_faces, face_edges=face_edges,
+        edge_cells=inverse(child_edges, np.concatenate([
+            ec_n.take(ve.items), 2 * fc_at_ef, np.full(nfc, 4)])),
+        face_cells=inverse(child_faces, np.concatenate([
+            fc_n.take(f), np.full(12 * nc, 2)])),
+        edge_faces=inverse(face_edges, np.concatenate([
+            ef_n.take(ve.items), 2 + fc_at_ef, np.full(nfc, 4)])),
+        vertex_edges=inverse(edges, np.concatenate([
+            ve.counts, 2 + ef_n, 4 + fc_n, np.full(nc, 6)])),
+        vertex_faces=inverse(faces, np.concatenate([
+            mesh.vertex_faces.counts, 2 * ef_n + ec_n, 4 + 4 * fc_n,
+            np.full(nc, 12)])),
+        vertex_cells=inverse(child_cells, np.concatenate([
+            mesh.vertex_cells.counts, 2 * ec_n, 4 * fc_n, np.full(nc, 8)])),
+        boundary_face_mask=np.concatenate([bf.take(f),
+                                           np.zeros(12 * nc, dtype=bool)]),
+        boundary_edge_mask=np.concatenate([be.take(ve.items),
+                                           bf.take(ef.items),
+                                           np.zeros(6 * nc, dtype=bool)]),
+        boundary_vertex_mask=np.concatenate([bv, be, bf,
+                                             np.zeros(nc, dtype=bool)])))
 
 
 @dataclass

@@ -39,8 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .hexmesh import (CORNER_OFFSETS, OPPOSITE_CORNER, HexMesh, lattice_ids,
-                      vertex_star)
+from .hexmesh import OPPOSITE_CORNER, _refine, vertex_star
 
 
 def face_point_rule(c1, c2, centroid):
@@ -100,7 +99,8 @@ def _mean_over(inc, values):
 def _level1_points(mesh):
     """All level-1 geometric quantities of one subdivision step.
 
-    Returns (updated vertices, edge points, face points, cell points).
+    Returns (updated vertices, edge points, face points, cell points,
+    face centroids, edge midpoints).
     """
     V = mesh.vertices
     cell_pts = _corner_sum(V, mesh.cells) / 8
@@ -132,7 +132,7 @@ def _level1_points(mesh):
         new_verts[bv] = (Q[bv] / np.maximum(nQ[bv], 1)[:, None]
                          + 2.0 * R[bv] / nsb
                          + (nsb - 3.0) * V[bv]) / nsb
-    return new_verts, edge_pts, face_pts, cell_pts
+    return new_verts, edge_pts, face_pts, cell_pts, A, M
 
 
 def _boundary_sums(inc, boundary, values):
@@ -140,10 +140,6 @@ def _boundary_sums(inc, boundary, values):
     and their number."""
     return (inc.sum(values, where=boundary),
             np.bincount(inc.rows[boundary[inc.items]], minlength=len(inc)))
-
-
-# lattice node of every corner of every child octant
-_CHILD_NODE = (CORNER_OFFSETS[:, None] + CORNER_OFFSETS) @ (9, 3, 1)
 
 
 def subdivide(mesh):
@@ -154,13 +150,19 @@ def subdivide(mesh):
     the ids of hexmesh.lattice_ids(mesh, 3); children of cell q occupy ids
     8q..8q+7, one per parent corner octant, with child frames
     axis-aligned to the parent's.
+
+    The refined mesh's tables equal those HexMesh numbers from its cells,
+    but follow from the parent's.  Its edges run (vertex, edge point) in
+    the order of mesh.vertex_edges, then (edge point, face point) in that
+    of mesh.edge_faces, then (face point, cell point) in that of
+    mesh.face_cells.  Its faces are the 4 per parent face, ordered by
+    (vertex, lower edge point, higher edge point, face point), then the
+    12 inside every parent cell, ordered by (edge point, lower face point,
+    higher face point, cell point).
     """
-    new_verts, edge_pts, face_pts, cell_pts = _level1_points(mesh)
+    new_verts, edge_pts, face_pts, cell_pts, _, _ = _level1_points(mesh)
     nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges,
                       mesh.num_faces, mesh.num_cells)
-
-    node_ids, _ = lattice_ids(mesh, 3)
-    new_cells = node_ids[:, _CHILD_NODE].reshape(-1, 8)
 
     verts = np.vstack([new_verts, edge_pts, face_pts, cell_pts])
     prov = Provenance(
@@ -172,7 +174,7 @@ def subdivide(mesh):
         cell_parent=np.repeat(np.arange(nc), 8),
         cell_octant=np.tile(np.arange(8), nc),
     )
-    return HexMesh(verts, new_cells), prov
+    return _refine(mesh, verts), prov
 
 
 def _star_ring(mesh, star):
@@ -307,8 +309,7 @@ def limit_points(mesh):
     (points (nv,3), boundary mask (nv,)).  Agrees with limit_point up to
     rounding.
     """
-    new_verts, edge_pts, face_pts, cell_pts = _level1_points(mesh)
-    nv = mesh.num_vertices
+    new_verts, edge_pts, face_pts, cell_pts, A, M = _level1_points(mesh)
     ve, vf, vc = mesh.vertex_edges, mesh.vertex_faces, mesh.vertex_cells
     e_cnt, f_cnt, c_cnt = ve.counts, vf.counts, vc.counts
     edge_deg = mesh.edge_faces.counts.astype(float)
@@ -329,12 +330,11 @@ def limit_points(mesh):
     points[interior] = ((16.0 * (n - 2)[:, None] * new_verts
                          + 4.0 * accE + 4.0 * accF + accC)[interior]
                         / den[interior, None])
-    # boundary: the surface mask of _boundary_limit, summed over all rows
+    # boundary: the surface mask of _boundary_limit, summed over all rows;
+    # 4 M is twice the corner sum bit for bit, a power-of-two scaling
     V = mesh.vertices
-    mids4, ns = _boundary_sums(ve, mesh.boundary_edge_mask,
-                               2.0 * _corner_sum(V, mesh.edges))
-    cents, _ = _boundary_sums(vf, mesh.boundary_face_mask,
-                              _corner_sum(V, mesh.faces) / 4)
+    mids4, ns = _boundary_sums(ve, mesh.boundary_edge_mask, 4.0 * M)
+    cents, _ = _boundary_sums(vf, mesh.boundary_face_mask, A)
     bv = mesh.boundary_vertex_mask
     nsb = ns[bv, None]
     points[bv] = (nsb * nsb * V[bv] + mids4[bv] + cents[bv]) / (nsb * (nsb + 5.0))

@@ -310,6 +310,10 @@ def _reference_derived(vertices, cells):
         m, k = table.shape
         ref[name] = _reference_incidence(table.reshape(-1),
                                          np.repeat(np.arange(m), k), nrows)
+    ref["boundary_face_mask"] = ref["face_cells"][2] == 1
+    bf = np.flatnonzero(ref["boundary_face_mask"])
+    ref["boundary_edge_mask"] = np.isin(np.arange(ne), ref["face_edges"][bf])
+    ref["boundary_vertex_mask"] = np.isin(np.arange(nv), faces[bf])
     return ref
 
 
@@ -353,19 +357,94 @@ def test_face_keys_sort_every_vertex_order(order):
     _assert_matches_reference(HexMesh(mesh.vertices, ids[mesh.cells]))
 
 
-def _assert_matches_reference(mesh):
-    ref = _reference_derived(mesh.vertices, mesh.cells)
-    for name in ("edges", "faces", "face_cycles", "cell_edges",
-                 "cell_faces", "face_edges"):
-        got = getattr(mesh, name)
-        assert got.dtype == np.int64, name
-        assert got.shape == ref[name].shape, name
-        assert np.array_equal(got, ref[name]), name
-    for name in ("edge_cells", "face_cells", "edge_faces", "vertex_edges",
-                 "vertex_faces", "vertex_cells"):
+_TABLES = ("edges", "faces", "face_cycles", "cell_edges", "cell_faces",
+           "face_edges")
+_INCIDENCES = ("edge_cells", "face_cells", "edge_faces", "vertex_edges",
+               "vertex_faces", "vertex_cells")
+_MASKS = ("boundary_face_mask", "boundary_edge_mask", "boundary_vertex_mask")
+
+
+def _fields(mesh):
+    """The tables, incidences (rows, items, counts) and boundary masks of
+    `mesh`, as the arrays it holds."""
+    out = {name: getattr(mesh, name) for name in _TABLES + _MASKS}
+    for name in _INCIDENCES:
         inc = getattr(mesh, name)
-        for attr, want in zip(("rows", "items", "counts"), ref[name]):
-            assert np.array_equal(getattr(inc, attr), want), (name, attr)
+        out[name] = (inc.rows, inc.items, inc.counts)
+    return out
+
+
+def _assert_matches_reference(mesh, ref=None):
+    """Every field of `mesh` equals, in dtype, shape and value, that of
+    `ref` (the _fields of another mesh), by default the independent
+    _reference_derived of the mesh's cells."""
+    if ref is None:
+        ref = _reference_derived(mesh.vertices, mesh.cells)
+    got = _fields(mesh)
+    for name in _TABLES + _MASKS:
+        want = np.asarray(ref[name])
+        assert got[name].dtype == (bool if name in _MASKS else np.int64), name
+        assert got[name].shape == want.shape, name
+        assert np.array_equal(got[name], want), name
+    for name in _INCIDENCES:
+        for attr, a, want in zip(("rows", "items", "counts"), got[name],
+                                 ref[name]):
+            assert a.dtype == np.int64, (name, attr)
+            assert np.array_equal(a, want), (name, attr)
+        offsets = getattr(mesh, name)._offsets
+        assert offsets[0] == 0, name
+        assert np.array_equal(offsets[1:], np.cumsum(got[name][2])), name
+
+
+_SPECIAL = [
+    lambda: HexMesh(np.zeros((4, 3)), np.zeros((0, 8), dtype=np.int64)),
+    _with_loose_vertex, _repeated_cell, two_cubes_sharing_edge]
+_SPECIAL_IDS = ["no_cells", "loose_vertex", "repeated_cell",
+                "two_cubes_sharing_edge"]
+
+
+@pytest.mark.parametrize("build, levels", [
+    (lambda: wheel(5, 3)[0], 3), (lambda: tet_split()[0], 3),
+    (lambda: icosa_split()[0], 3), (lambda: lattice(3, 2, 2)[0], 3)]
+    + [(b, 2) for b in _SPECIAL],
+    ids=["wheel", "tet_split", "icosa_split", "lattice"] + _SPECIAL_IDS)
+def test_subdivide_derives_the_tables_a_fresh_build_gives(build, levels):
+    # subdivide numbers the child from the parent's tables; at every level
+    # each field must be what HexMesh derives from the child's cells alone
+    mesh = build()
+    for _ in range(levels):
+        mesh, _ = subdivide(mesh)
+        _assert_matches_reference(
+            mesh, _fields(HexMesh(mesh.vertices, mesh.cells)))
+    _assert_matches_reference(mesh)
+
+
+def _arrays(mesh):
+    """Every array `mesh` holds, by name, those of its incidences too."""
+    out = {}
+    for name, value in vars(mesh).items():
+        if isinstance(value, Incidence):
+            out.update((name + "." + a, v) for a, v in vars(value).items())
+        else:
+            out[name] = value
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: tet_split()[0]] + _SPECIAL,
+                         ids=["tet_split"] + _SPECIAL_IDS)
+def test_subdivided_arrays_are_read_only_as_built(build):
+    child, _ = subdivide(build())
+    got = _arrays(child)
+    want = _arrays(HexMesh(child.vertices, child.cells))
+    assert got.keys() == want.keys()
+    for name, a in got.items():
+        assert a.flags.writeable == want[name].flags.writeable, name
+    frozen = ["vertices", "cells", "edges", "faces", "face_cycles",
+              "cell_edges", "cell_faces"]
+    frozen += [n for n in got if "." in n]
+    assert len(frozen) == 7 + 6 * 4
+    for name in frozen:
+        assert not got[name].flags.writeable, name
 
 
 def test_incidence_sorts_pairs_in_any_order():
