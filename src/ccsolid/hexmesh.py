@@ -55,41 +55,23 @@ class Incidence:
     """
 
     def __init__(self, rows, items, nrows):
-        """Group the (row, item) pairs of the flat arrays `rows`, `items`
-        (equal length, any order) by row, items ascending in each row.
-
-        Each pair is the integer key row * span + item with span above
-        every item, so one plain sort of the keys orders the pairs and
-        divmod splits them again; equal keys are equal pairs, so the
-        sort needs no stability.
+        """Group the (row, item) pairs of the non-negative int64 arrays
+        `rows` and `items` (any order; `items` broadcast to the shape of
+        `rows`) into `nrows` rows, items ascending in each row: the one
+        way every relation is built, every HexMesh's, input or refined,
+        alike.  _sorted_pairs orders the pairs, np.bincount counts them.
         """
-        span = int(items.max()) + 1 if len(items) else 1
-        keys = rows * span + items
-        keys.sort()
-        self.rows, self.items = np.divmod(keys, span)
-        self.counts = np.bincount(rows, minlength=nrows)
+        self.rows, self.items = _sorted_pairs(rows, items)
+        self.counts = np.bincount(self.rows, minlength=nrows)
         self._offsets = np.zeros(nrows + 1, dtype=np.int64)
         self.counts.cumsum(out=self._offsets[1:])
         for a in (self.rows, self.items, self.counts, self._offsets):
             a.setflags(write=False)
 
     @classmethod
-    def _sorted(cls, rows, items, counts):
-        """The relation of the flat pairs `rows`, `items`, already sorted
-        by row and then by item, counts[r] of them in row r."""
-        inc = cls.__new__(cls)
-        inc.rows, inc.items, inc.counts = rows, items, counts
-        inc._offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        counts.cumsum(out=inc._offsets[1:])
-        for a in (inc.rows, inc.items, inc.counts, inc._offsets):
-            a.setflags(write=False)
-        return inc
-
-    @classmethod
     def inverse(cls, table, nrows):
         """Row r lists the rows of the (m, k) id `table` that contain r."""
-        m, k = table.shape
-        return cls(table.reshape(-1), np.arange(m).repeat(k), nrows)
+        return cls(table, np.arange(len(table))[:, None], nrows)
 
     def __len__(self):
         return len(self.counts)
@@ -126,13 +108,15 @@ class HexMesh:
     cells : (nc, 8) array of whole-number vertex indices in the fixed
         corner order
 
-    Derived on construction: unique edges (sorted vertex pairs, in
-    lexicographic order), unique faces (canonicalized by sorted vertex
-    set, with one oriented corner cycle kept per face), the per-cell and
-    per-face id tables cell_edges, cell_faces and face_edges, and boundary
-    masks (a face is boundary iff it has exactly one incident cell).
-    subdivision.subdivide hands a refined mesh the same tables, derived
-    from the parent's without numbering the entities anew.
+    Derived on construction, in two steps.  The numbering: unique edges
+    (sorted vertex pairs, in lexicographic order), unique faces
+    (canonicalized by sorted vertex set, with one oriented corner cycle
+    kept per face) and the per-cell and per-face id tables cell_edges,
+    cell_faces and face_edges.  Then, from those tables alone, the six
+    incidences below and the boundary masks (a face is boundary iff it
+    has exactly one incident cell).  subdivision.subdivide hands a refined
+    mesh only its numbering, derived from the parent's without sorting
+    the entities anew; the second step is the same for every mesh.
 
     The incidence relations edge_cells, face_cells, edge_faces,
     vertex_edges, vertex_faces and vertex_cells are Incidence objects:
@@ -168,13 +152,14 @@ class HexMesh:
         dup = _repeated_corner(self.cells)
         if dup is not None:
             raise ValueError("cell %d has duplicate vertex indices" % dup)
-        self._build_derived()
+        self._number()
+        self._relate()
         for a in (self.vertices, self.cells, self.edges, self.faces,
                   self.face_cycles, self.cell_edges, self.cell_faces):
             a.setflags(write=False)
 
-    def _build_derived(self):
-        """Number the edges and faces and derive every adjacency table.
+    def _number(self):
+        """Number the edges and faces and derive their id tables.
 
         Edges are numbered by their sorted vertex pair, lexicographically.
         Faces are numbered by their sorted vertex quadruple (a, b, c, d),
@@ -188,12 +173,14 @@ class HexMesh:
         nc = len(self.cells)
         nv = len(self.vertices)
 
-        # an edge is keyed by lo * nv + hi; sorted keys order the edges
-        # lexicographically by (lo, hi)
+        # an edge is keyed by lo * 2**b + hi with 2**b >= nv; sorted keys
+        # order the edges lexicographically by (lo, hi)
+        b = max(nv - 1, 0).bit_length()
         lo, hi = _min_max(*(self.cells[:, c] for c in _LOCAL_EDGES_ARR.T))
-        edge_keys, einv = np.unique((lo * nv + hi).reshape(-1),
+        edge_keys, einv = np.unique((lo << b | hi).reshape(-1),
                                     return_inverse=True)
-        self.edges = np.stack(np.divmod(edge_keys, nv), axis=1)
+        self.edges = np.stack([edge_keys >> b, edge_keys & ((1 << b) - 1)],
+                              axis=1)
         self.cell_edges = einv.reshape(nc, 12)
 
         quads = self.cells[:, _LOCAL_FACES_ARR].reshape(-1, 4)   # cycles
@@ -207,15 +194,18 @@ class HexMesh:
         first = order[new]
         finv = np.empty_like(order)
         finv[order] = np.cumsum(new) - 1
-        self.faces = keys[first]
+        self.faces = keys.take(first, axis=0)
         self.cell_faces = finv.reshape(nc, 6)
-        self.face_cycles = quads[first]
+        self.face_cycles = quads.take(first, axis=0)
         # a face's 4 cycle edges, read off the cell of its first occurrence
         cell, local = np.divmod(first, 6)
         self.face_edges = self.cell_edges[cell[:, None],
                                           _LOCAL_FACE_EDGES[local]]
 
-        ne, nf = len(self.edges), len(self.faces)
+    def _relate(self):
+        """The six incidences and three boundary masks, from the numbered
+        tables: every mesh, input or refined, derives them here."""
+        nv, ne, nf = len(self.vertices), len(self.edges), len(self.faces)
         self.edge_cells = Incidence.inverse(self.cell_edges, ne)
         self.face_cells = Incidence.inverse(self.cell_faces, nf)
         self.edge_faces = Incidence.inverse(self.face_edges, ne)
@@ -248,16 +238,16 @@ class HexMesh:
 
 
 class _RefinedMesh(HexMesh):
-    """A HexMesh handed its derived tables, as subdivide derives them from
-    the parent's: HexMesh.__init__ checks the vertices and cells as for
-    any mesh and freezes the tables, and _build_derived installs the
-    given tables in place of numbering the entities."""
+    """A HexMesh handed the six id tables subdivide derives from the
+    parent's: HexMesh.__init__ checks the vertices and cells and runs
+    _relate as for any mesh, and _number installs the given tables in
+    place of numbering the entities."""
 
     def __init__(self, vertices, cells, tables):
         self._tables = tables
         super().__init__(vertices, cells)
 
-    def _build_derived(self):
+    def _number(self):
         self.__dict__.update(self.__dict__.pop("_tables"))
 
 
@@ -403,22 +393,27 @@ def _pair_positions(inc, table):
     return pos.reshape(m, k)
 
 
-def _sorted_pairs(table):
-    """The pairs (table[i, j], i) of the (m, k) non-negative int64 `table`
-    in ascending order, as the arrays of their two parts: one sort of
-    table[i, j] * 2**b + i with 2**b >= m, split by shift and mask."""
-    b = max(len(table) - 1, 0).bit_length()
-    keys = table << b
-    keys |= np.arange(len(table))[:, None]
+def _sorted_pairs(rows, items):
+    """The (row, item) pairs of `rows` and `items` (`items` broadcast to
+    the shape of `rows`) in ascending order, as two flat arrays: one sort
+    of the keys row * 2**b + item, 2**b above every item, split by mask
+    and shift; equal keys are equal pairs, so no stability is needed."""
+    b = int(items.max(initial=0)).bit_length()
+    keys = rows << b
+    keys |= items
     keys = keys.reshape(-1)
     keys.sort()
-    return keys >> b, keys & ((1 << b) - 1)
+    items = keys & ((1 << b) - 1)
+    keys >>= b
+    return keys, items
 
 
 def _refine(mesh, vertices):
     """The HexMesh one subdivision step makes of `mesh`, at `vertices`
     (its nodes in the order of lattice_ids(mesh, 3)), in the numbering
-    subdivision.subdivide states, its tables derived from the parent's.
+    subdivision.subdivide states.  Only its numbering, the six id tables,
+    is derived here from the parent's; its incidences and boundary masks
+    come from HexMesh._relate, as every mesh's do.
 
     A child cell's edge is its block's offset plus the position of its
     parent pair (vertex, edge), (edge, face) or (face, cell) in the
@@ -433,7 +428,6 @@ def _refine(mesh, vertices):
     nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges, mesh.num_faces,
                       mesh.num_cells)
     ve, ef, fc = mesh.vertex_edges, mesh.edge_faces, mesh.face_cells
-    ec = mesh.edge_cells
     cells, ce, cf = mesh.cells, mesh.cell_edges, mesh.cell_faces
     fcyc, fedg = mesh.face_cycles, mesh.face_edges
     off_f, off_c = nv + ne, nv + ne + nf         # first face / cell node
@@ -471,11 +465,11 @@ def _refine(mesh, vertices):
         pos_ve.take(2 * np.roll(fedg, 1, axis=1)
                     + (fcyc > np.roll(fcyc, 1, axis=1))))
     key = lo * ve.counts.max(initial=1) + hi - lo
-    _, order = _sorted_pairs(key.reshape(-1, 1))
+    _, order = _sorted_pairs(key.reshape(-1), np.arange(key.size))
     lo, hi = _min_max(face_sides.take(_EDGE_SIDES[:, 0], axis=1),
                       face_sides.take(_EDGE_SIDES[:, 1], axis=1))
     key = lo * ef.counts.max(initial=1) + hi - lo
-    _, inner = _sorted_pairs(key.reshape(-1, 1))
+    _, inner = _sorted_pairs(key.reshape(-1), np.arange(key.size))
     f, k = np.divmod(order, 4)
     c, le = np.divmod(inner, 12)
     e_lo, e_hi = _min_max(fedg.take(4 * f + (k - 1) % 4), fedg.take(order))
@@ -507,43 +501,13 @@ def _refine(mesh, vertices):
         at_cols += lattice.shape[1] * first_cell[:, None]
         return lattice.take(at_cols)
 
-    def inverse(table, counts):
-        return Incidence._sorted(*_sorted_pairs(table), counts)
-
     face_edges = first_occurrence(child_edges, _FIRST_CYCLE_EDGES)
     face_cycles = first_occurrence(child_cells, _FIRST_CYCLE)
-    child_cells = child_cells.reshape(-1, 8)
-    child_edges = child_edges.reshape(-1, 12)
     child_faces = lattice_faces.take(_CHILD_FACE_COL.reshape(-1), axis=1)
-    child_faces = child_faces.reshape(-1, 6)
-    # the incidences' row counts, block by block of child entities
-    fc_n, ec_n, ef_n = fc.counts, ec.counts, ef.counts
-    fc_at_ef, nfc = fc_n.take(ef.items), len(fc.items)
-    bf, be, bv = (mesh.boundary_face_mask, mesh.boundary_edge_mask,
-                  mesh.boundary_vertex_mask)
-    return _RefinedMesh(vertices, child_cells, dict(
+    return _RefinedMesh(vertices, child_cells.reshape(-1, 8), dict(
         edges=edges, faces=faces, face_cycles=face_cycles,
-        cell_edges=child_edges, cell_faces=child_faces, face_edges=face_edges,
-        edge_cells=inverse(child_edges, np.concatenate([
-            ec_n.take(ve.items), 2 * fc_at_ef, np.full(nfc, 4)])),
-        face_cells=inverse(child_faces, np.concatenate([
-            fc_n.take(f), np.full(12 * nc, 2)])),
-        edge_faces=inverse(face_edges, np.concatenate([
-            ef_n.take(ve.items), 2 + fc_at_ef, np.full(nfc, 4)])),
-        vertex_edges=inverse(edges, np.concatenate([
-            ve.counts, 2 + ef_n, 4 + fc_n, np.full(nc, 6)])),
-        vertex_faces=inverse(faces, np.concatenate([
-            mesh.vertex_faces.counts, 2 * ef_n + ec_n, 4 + 4 * fc_n,
-            np.full(nc, 12)])),
-        vertex_cells=inverse(child_cells, np.concatenate([
-            mesh.vertex_cells.counts, 2 * ec_n, 4 * fc_n, np.full(nc, 8)])),
-        boundary_face_mask=np.concatenate([bf.take(f),
-                                           np.zeros(12 * nc, dtype=bool)]),
-        boundary_edge_mask=np.concatenate([be.take(ve.items),
-                                           bf.take(ef.items),
-                                           np.zeros(6 * nc, dtype=bool)]),
-        boundary_vertex_mask=np.concatenate([bv, be, bf,
-                                             np.zeros(nc, dtype=bool)])))
+        cell_edges=child_edges.reshape(-1, 12),
+        cell_faces=child_faces.reshape(-1, 6), face_edges=face_edges))
 
 
 @dataclass
@@ -647,7 +611,7 @@ def validate(mesh):
     no_face = ~np.isin(keys, face_pairs[:, 0] * nc + face_pairs[:, 1])
     flagged = np.flatnonzero((shared >= 3) & no_face | (shared > 4))
     for i in flagged[np.argsort(first[flagged])]:
-        a, b = divmod(int(keys[i]), nc)
+        a, b = pairs[first[i]].tolist()
         if shared[i] >= 3 and no_face[i]:
             report.findings.append(
                 "conformity: cells %d and %d share %d vertices but no face"

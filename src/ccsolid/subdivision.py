@@ -151,14 +151,15 @@ def subdivide(mesh):
     8q..8q+7, one per parent corner octant, with child frames
     axis-aligned to the parent's.
 
-    The refined mesh's tables equal those HexMesh numbers from its cells,
-    but follow from the parent's.  Its edges run (vertex, edge point) in
-    the order of mesh.vertex_edges, then (edge point, face point) in that
-    of mesh.edge_faces, then (face point, cell point) in that of
-    mesh.face_cells.  Its faces are the 4 per parent face, ordered by
-    (vertex, lower edge point, higher edge point, face point), then the
-    12 inside every parent cell, ordered by (edge point, lower face point,
-    higher face point, cell point).
+    The refined mesh's numbering equals the one HexMesh gives its cells,
+    but follows from the parent's; its incidences and boundary masks come
+    from the step every HexMesh shares.  Its edges run (vertex, edge
+    point) in the order of mesh.vertex_edges, then (edge point, face
+    point) in that of mesh.edge_faces, then (face point, cell point) in
+    that of mesh.face_cells.  Its faces are the 4 per parent face,
+    ordered by (vertex, lower edge point, higher edge point, face point),
+    then the 12 inside every parent cell, ordered by (edge point, lower
+    face point, higher face point, cell point).
     """
     new_verts, edge_pts, face_pts, cell_pts, _, _ = _level1_points(mesh)
     nv, ne, nf, nc = (mesh.num_vertices, mesh.num_edges,

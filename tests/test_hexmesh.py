@@ -460,6 +460,46 @@ def test_incidence_sorts_pairs_in_any_order():
     assert empty.counts.tolist() == [0, 0, 0] and empty.items.size == 0
 
 
+def _assert_groups(inc, pairs, nrows):
+    """`inc` holds the (row, item) `pairs` in `nrows` rows, as plain
+    Python's sorted() orders them."""
+    want = sorted(pairs)
+    assert list(zip(inc.rows.tolist(), inc.items.tolist())) == want
+    rows = [[i for r, i in want if r == row] for row in range(nrows)]
+    assert [inc[row].tolist() for row in range(nrows)] == rows
+    assert inc.counts.tolist() == [len(r) for r in rows]
+    assert inc._offsets.tolist() == [0] + np.cumsum(inc.counts).tolist()
+    for a in (inc.rows, inc.items, inc.counts, inc._offsets):
+        assert a.dtype == np.int64 and not a.flags.writeable
+
+
+@pytest.mark.parametrize("top", [63, 64])
+def test_incidence_key_holds_the_largest_item(top):
+    # a pair is packed as row * 2**b + item: 2**b must exceed the largest
+    # item, 2**6 - 1 or 2**6 here, or the item's top bit spills into the
+    # row; the pairs are unsorted, some repeated, rows 1, 3, 5 and 6 empty
+    rows = np.array([4, 0, 2, 0, 4, 2, 0, 4, 2])
+    items = np.array([top, 1, top, top, 0, 5, 1, top, 0])
+    _assert_groups(Incidence(rows, items, 7),
+                   list(zip(rows.tolist(), items.tolist())), 7)
+    _assert_groups(Incidence(rows[:0], items[:0], 2), [], 2)
+
+
+@pytest.mark.parametrize("m", [64, 65])
+def test_incidence_inverse_packs_the_table_row(m):
+    # inverse packs every slot with its table row, the largest of which
+    # is m - 1 = 63 or 64; it must group what the flat pairs give
+    rng = np.random.default_rng(m)
+    table = rng.integers(0, 80, (m, 3))
+    inc = Incidence.inverse(table, 85)   # ids 80 to 84 list no row
+    flat = Incidence(table.ravel(), np.arange(m).repeat(3), 85)
+    for a in ("rows", "items", "counts", "_offsets"):
+        assert np.array_equal(getattr(inc, a), getattr(flat, a)), a
+    _assert_groups(inc, [(int(v), i) for i, row in enumerate(table)
+                         for v in row], 85)
+    _assert_groups(Incidence.inverse(table[:0], 4), [], 4)
+
+
 def _trilinear(mesh, u):
     """Trilinear image of every cell's corners at the (p, 3) parameters
     `u`, shape (nc, p, 3)."""

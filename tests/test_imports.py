@@ -66,3 +66,60 @@ def test_no_module_imports_an_unused_name():
     bad = [(path.name, line, name) for path in modules
            for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert not bad, bad
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of every private module-level name
+    and private method the module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in filter(_private, names):
+            yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and _private(item.name)):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name the module reads, as a variable, an
+    attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_private_name_is_used():
+    # a private helper nothing calls any more is dead code left behind by
+    # a change that replaced it; a use inside its own definition (such as
+    # a recursive call) does not count
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    trees = {path.name: ast.parse(path.read_text()) for path in modules}
+    refs = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    unused = [(path, first, name) for path, tree in trees.items()
+              for name, first, last in _private_definitions(tree)
+              if not any(p != path or not first <= line <= last
+                         for p, line in refs.get(name, ()))]
+    assert not unused, unused
