@@ -148,9 +148,10 @@ class BoundaryConditions:
 class Solution:
     """u has one row per control point (1 column for heat, 3 for
     elasticity); compliance is (1/2) U^T K U.  iterations counts CG
-    iterations, restarts the float64 residual evaluations of the solve,
-    and residual is the returned solution's float64 residual relative to
-    the right-hand side."""
+    iterations, restarts the float64 residual evaluations in this solve
+    (a starting residual it was handed is not one), and residual is the
+    returned solution's float64 residual relative to the right-hand
+    side."""
     u: np.ndarray
     compliance: float
     iterations: int
@@ -507,13 +508,15 @@ class Assembly:
             out[rows] = self._expand(W)
         return out
 
-    def add_increment(self, K_cells, cells, subs, dfactors):
-        """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place).
+    def add_increment(self, K_cells, cells, subs, dfactors, u):
+        """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place);
+        returns dK u, the increment's product with the dof vector u (ndof,).
 
         Pairs are sorted by cell and sign, and the Gram kernel folds each
         run of one cell and one sign into the inner dimension of one GEMM,
         so a touched cell costs one Gram and one expansion per sign, added
-        to its block in place.  A pair may be listed more than once; one
+        to its block in place and multiplied with u on the cell's dofs
+        while it is in cache.  A pair may be listed more than once; one
         outside the model, or an increment that is not finite, raises a
         ValueError naming it, before K_cells changes."""
         cells = np.asarray(cells, dtype=np.int64)
@@ -523,9 +526,13 @@ class Assembly:
         _check_factors(df, cells, subs, "stiffness factor increment")
         order = np.lexsort((df < 0, cells))
         cells = cells[order]
+        du = np.zeros(self.ndof)
         for first, W in self._gram_batches(cells, subs[order], df[order]):
             for cell, block in zip(cells[first], self._expand(W)):
                 K_cells[cell] += block
+                dofs = self.dofmap[cell]
+                np.add.at(du, dofs, block @ u[dofs])
+        return du
 
     def matvec(self, K_cells, u):
         ue = u[self.dofmap]
@@ -616,17 +623,22 @@ class Assembly:
         return dofs, vals[dofs]
 
 
-def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
+def _cg(matvec, b, precond, x0, r0, rtol, maxiter, matvec32=None):
     """Preconditioned conjugate gradients in sweeps under float64 restarts.
 
     Every restart computes the true residual r = b - K x with the float64
-    `matvec`, and convergence is declared on that residual only.  A sweep
-    then runs CG on K d = r from d = 0 until its recurrence residual has
-    fallen by the factor that would bring the true residual to rtol, and
-    x += d.  The sweeps use `matvec32` (a float32 copy of K, half the
-    memory traffic) when given, else `matvec` itself: in float64 one sweep
-    normally suffices and the restart confirms it.  The float32 recurrence
-    drifts from the true residual, and each restart gains the
+    `matvec`, and convergence is declared on such a residual, evaluated
+    in this solve, only.  A sweep then runs CG on K d = r from d = 0 until
+    its recurrence residual has fallen by the factor that would bring the
+    true residual to rtol, and x += d.  `r0` is the residual at x0 as the
+    caller knows it (b itself at x0 = 0, or one carried from an earlier
+    solve), or None to evaluate it.  A given r0 only starts the first
+    sweep, and one at or below rtol, or not finite, is evaluated first:
+    a stale r0 costs iterations but never changes what is returned, and
+    it is no restart.  The sweeps use `matvec32` (a float32 copy of K,
+    half the memory traffic) when given, else `matvec` itself: in float64
+    one sweep normally suffices and the restart confirms it.  The float32
+    recurrence drifts from the true residual, and each restart gains the
     float32-attainable reduction again, so tight tolerances remain
     reachable as long as kappa * eps_f32 stays well below one.  Beyond
     that (e.g. heavily voided systems with mu_min ~ 1e-9) the sweeps stop
@@ -648,38 +660,46 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0, 0, np.zeros_like(b)
     x = np.array(x0, dtype=float)
+    r = r0
     total = restarts = bad = 0
     best = np.inf
     reached = False
     while True:
-        r = b - matvec(x)
-        restarts += 1
+        if r is None:
+            r = b - matvec(x)
+            restarts += 1
         rnorm = np.linalg.norm(r)
         res = rnorm / bnorm
-        if not np.isfinite(res):
+        if not restarts:
+            # the given r0: it may start a sweep, never end the solve
+            if not rtol < res < np.inf:
+                r = None
+                continue
+        elif not np.isfinite(res):
             raise RuntimeError("conjugate gradients met a non-finite residual "
                                "after %d iterations (relative residual %s)"
                                % (total, res))
-        if res <= rtol:
+        elif res <= rtol:
             return x, total, res, restarts, r
-        if res <= 0.5 * best:
-            bad = 0
         else:
-            bad += 1
-        if res <= best:
-            best, best_x, best_r = res, x, r
-        if bad >= 3 or res > 1e3 * best:
-            if matvec32 is None and reached:
-                # float64 sweeps meet their goal, yet the true residual
-                # stays put: it sits at its rounding floor above rtol
-                return best_x, total, best, restarts, best_r
-            raise RuntimeError("conjugate gradient sweeps stalled at relative "
-                               "residual %.3e (target %g): %s"
-                               % (best, rtol, hint))
-        if total >= maxiter:
-            raise RuntimeError("conjugate gradients did not converge in %d "
-                               "iterations (relative residual %.3e)"
-                               % (total, res))
+            if res <= 0.5 * best:
+                bad = 0
+            else:
+                bad += 1
+            if res <= best:
+                best, best_x, best_r = res, x, r
+            if bad >= 3 or res > 1e3 * best:
+                if matvec32 is None and reached:
+                    # float64 sweeps meet their goal, yet the true residual
+                    # stays put: it sits at its rounding floor above rtol
+                    return best_x, total, best, restarts, best_r
+                raise RuntimeError("conjugate gradient sweeps stalled at "
+                                   "relative residual %.3e (target %g): %s"
+                                   % (best, rtol, hint))
+            if total >= maxiter:
+                raise RuntimeError("conjugate gradients did not converge in "
+                                   "%d iterations (relative residual %.3e)"
+                                   % (total, res))
         goal = rtol / res
         d = np.zeros_like(b)
         s = np.array(r)
@@ -704,12 +724,13 @@ def _cg(matvec, b, precond, x0, rtol, maxiter, matvec32=None):
             rz_new = s @ z
             p = z + (rz_new / rz) * p
             rz = rz_new
-        if not it:
+        if not it and restarts:
             raise RuntimeError("conjugate gradients broke down at relative "
                                "residual %.3e (target %g): %s"
                                % (res, rtol, hint))
         total += it
         x = x + d
+        r = None
 
 
 def _warm_start(assembly, x0):
@@ -738,34 +759,42 @@ def solve_system(op, rtol=1e-8, x0=None):
     it has one) under float64 restarts, so the returned residual is
     double-precision accurate at any rtol the conditioning admits; the
     operator's two-level preconditioner is brought up to date first, and
-    its Cholesky-checked block inversion rejects a K_ff that is not
-    positive definite on some cell's dofs (a non-positive diagonal entry
-    among them) with a ValueError naming the cell.  With zero
-    Dirichlet values the compliance is (1/2) x^T (b - r) on the free dofs,
-    from the solve's last float64 residual r, which saves one pass over
-    the stiffness.
+    its Cholesky-checked float32 block inversion rejects a K_ff that is
+    not positive definite on some cell's dofs (a non-positive diagonal
+    entry among them), or too ill-conditioned there for single precision,
+    with a ValueError naming the cell.  With zero Dirichlet values the
+    compliance is (1/2) x^T (b - r) on the free dofs, from the solve's
+    last float64 residual r, which saves one pass over the stiffness.
 
     The warm start `x0` is a vector of every dof, flat (ndof,) or shaped
     (num_control_points, dpn) like Solution.u; its fixed dofs are ignored.
     Any other shape, or a non-finite entry, raises a ValueError before any
-    work is done.
+    work is done.  CG starts from a known residual where there is one: b
+    itself without x0, and the operator's carried residual when x0 equals,
+    by value on the free dofs, the operator's last solution; any other x0
+    has its residual evaluated by a float64 pass.  The solution and its
+    last float64 residual are then kept on the operator for the next
+    solve.
     """
     if not 0.0 < rtol < 1.0:          # a NaN fails the test too
         raise ValueError("rtol must lie in (0, 1), got %r" % (rtol,))
     assembly, K, free, g = op.assembly, op.K, op.free, op.g
-    start = (np.zeros(int(free.sum())) if x0 is None
-             else _warm_start(assembly, x0)[free])
-    lifted = bool(g.any())
-    b = (op.F - assembly.matvec(K, g))[free] if lifted else op.F[free]
+    start = None if x0 is None else _warm_start(assembly, x0)[free]
+    b = op._rhs()
+    if start is None:
+        start, r0 = np.zeros_like(b), b
+    else:
+        r0 = op.r if np.array_equal(start, op.u[free]) else None
     op.prepare()
     mv = partial(assembly.free_matvec, K, free)
     mv32 = (None if op.K32 is None
             else partial(assembly.free_matvec, op.K32, free))
-    x, iters, res, restarts, r = _cg(mv, b, op.precond, start, rtol,
+    x, iters, res, restarts, r = _cg(mv, b, op.precond, start, r0, rtol,
                                      50 * len(start), mv32)
     U = np.array(g)
     U[free] = x
-    if lifted:
+    op.u, op.r = U.copy(), r
+    if g.any():
         compliance = 0.5 * (U @ assembly.matvec(K, U))
     else:
         compliance = 0.5 * (x @ (b - r))
@@ -806,14 +835,18 @@ def _cell_overlaps(cell_nodes):
     return groups
 
 
-def _gauss_jordan(A, cells):
-    """Overwrite a stack of symmetric matrices by their inverses.
+def _gauss_jordan(A, cells, exact):
+    """Overwrite a stack of symmetric matrices by their inverses, in the
+    precision of A.
 
     A stack of at most _LEAF rows is Cholesky-checked and inverted by
     LAPACK; a larger one by a block Gauss-Jordan sweep over pivot blocks
     of min(_PIVOT, half its rows), each inverted in place by this same
     function, so the leaves are the nested Schur complements of the
-    matrix."""
+    matrix.  `exact` holds the float64 matrices A was made from: a leaf of
+    A[i] that fails its factorization raises a ValueError naming cells[i],
+    as not positive definite if exact[i] fails Cholesky too, else as too
+    ill-conditioned for single precision."""
     n = A.shape[-1]
     if n <= _LEAF:
         try:
@@ -823,8 +856,15 @@ def _gauss_jordan(A, cells):
                 try:
                     np.linalg.cholesky(A[i])
                 except np.linalg.LinAlgError:
-                    raise ValueError("cell %d: assembled block is not "
-                                     "positive definite" % c) from None
+                    try:
+                        np.linalg.cholesky(exact[i])
+                    except np.linalg.LinAlgError:
+                        why = "not positive definite"
+                    else:
+                        why = ("positive definite but too ill-conditioned "
+                               "for single precision")
+                    raise ValueError("cell %d: assembled block is %s"
+                                     % (c, why)) from None
             raise
         A[...] = np.linalg.inv(A)
         return
@@ -833,7 +873,7 @@ def _gauss_jordan(A, cells):
         p = slice(p0, p0 + pivot)
         others = [s for s in (slice(0, p0), slice(p0 + pivot, n))
                   if s.start < s.stop]
-        _gauss_jordan(A[:, p, p], cells)
+        _gauss_jordan(A[:, p, p], cells, exact)
         # pivot rows become A_pp^-1 A_pj, the other rows A_ij - A_ip A_pp^-1
         # A_pj, and their pivot columns -A_ip A_pp^-1
         for s in others:
@@ -844,27 +884,33 @@ def _gauss_jordan(A, cells):
             A[:, s] -= D
 
 
-def _sweep_inverse(A, cells):
-    """Invert a stack of symmetric matrices, overwriting A, by a recursive
-    block Gauss-Jordan sweep (_gauss_jordan).
+def _sweep_inverse(A, cells, w):
+    """Invert a float64 stack of symmetric matrices in single precision
+    and weight the inverses: returns the float32 stack of
+    (X + X^T) / 2 * w[i] w[i]^T, X the inverse of A[i].  A is unchanged.
 
-    The top-level pivot blocks have _PIVOT rows; each is inverted by the
-    same sweep over pivots of half its rows, down to leaves of at most
-    _LEAF rows, and only the leaves are factored by batched Cholesky and
-    inverted by LAPACK.  Everything else is batched GEMMs, all in numpy's
-    own LAPACK and BLAS.  A leaf is the Schur complement of the leaves
-    before it, and a symmetric matrix is positive definite exactly when
-    every one of them is, so the leaf factorizations check each matrix in
-    full: if A[i] is not positive definite the ValueError names cells[i].
-    Every matrix is swept on its own, so the result does not depend on
-    the batch.  Returns the exactly symmetric 0.5 (X + X^T) of the
-    inverse X.
+    A is cast to float32 once and inverted by the recursive block
+    Gauss-Jordan sweep (_gauss_jordan): the top-level pivot blocks have
+    _PIVOT rows; each is inverted by the same sweep over pivots of half
+    its rows, down to leaves of at most _LEAF rows, and only the leaves
+    are factored by batched Cholesky and inverted by LAPACK.  Everything
+    else is batched GEMMs, all in numpy's own LAPACK and BLAS.  A leaf is
+    the Schur complement of the leaves before it, and a symmetric matrix
+    is positive definite exactly when every one of them is, so the leaf
+    factorizations check each matrix in full: if one fails, the
+    ValueError names cells[i] and tells, from A[i] in float64, an
+    indefinite matrix from one too ill-conditioned for float32.  Every
+    matrix is swept on its own, so the result does not depend on the
+    batch.  Each inverse is finished in one pass while it is in cache, X
+    += X^T and X *= (w/2) w^T; 1/2 is a power of two, so the table and
+    with it the result are exactly symmetric.
     """
-    _gauss_jordan(A, cells)
-    for X in A:                 # one block at a time: the transpose stays
-        X += X.T                # in cache
-    A *= 0.5
-    return A
+    Y = A.astype(np.float32)
+    _gauss_jordan(Y, cells, A)
+    for X, v in zip(Y, w.astype(np.float32)):
+        X += X.T                # the transpose stays in cache
+        X *= (0.5 * v)[:, None] * v
+    return Y
 
 
 class TwoLevelPreconditioner:
@@ -874,15 +920,18 @@ class TwoLevelPreconditioner:
     The fine term is weighted additive Schwarz over the cells: each cell's
     block is the assembled stiffness restricted to its own dofs (its
     K_cells entry plus every neighbour's contribution on shared control
-    points, Dirichlet rows and columns replaced by identity), inverted
-    once, scaled on both sides by the weights w = m^(-1/2) of its dofs and
-    stored as a float32 stack of the same size as the float32 stiffness
-    copy used by single-precision solves.  Applying it is one batched
-    matvec.  m counts the cells holding a dof's control point (8 at a
-    regular interior mesh vertex, more at an extraordinary one), so an
-    unweighted sum would count that dof m times; with the exponent 1/2 the
-    squared weights of each dof sum to one over its cells, a partition of
-    unity.  Of the exponents 0, 1/4, 1/2, 5/8, 3/4 and 1, 1/2 also took
+    points, Dirichlet rows and columns replaced by identity), assembled in
+    float64, inverted once in float32, scaled on both sides by the weights
+    w = m^(-1/2) of its dofs and stored as a float32 stack of the same
+    size as the float32 stiffness copy used by single-precision solves.
+    Like the float32 sweeps of CG under float64 restarts, this is a
+    low-precision factorization under high-precision residuals (iterative
+    refinement): M only has to precondition, and the residuals CG stops on
+    are float64.  Applying it is one batched matvec.  m counts the cells
+    holding a dof's control point (8 at a regular interior mesh vertex,
+    more at an extraordinary one), so an unweighted sum would count that
+    dof m times; with the exponent 1/2 the squared weights of each dof sum
+    to one over its cells, a partition of unity.  Of the exponents 0, 1/4, 1/2, 5/8, 3/4 and 1, 1/2 also took
     the fewest CG iterations in BESO runs: 112 against 162 unweighted and
     212 at 1 over a cantilever's solves 2-10, 1 038 against 1 641 and
     2 032 over a heat run's solves 2-36.
@@ -899,14 +948,19 @@ class TwoLevelPreconditioner:
     definite whenever K_ff is.  It is ~20x smaller than the spline system
     and factorizes in milliseconds.
 
-    Each batch of blocks is inverted in numpy's own LAPACK and BLAS by one
-    recursive block Gauss-Jordan sweep (_sweep_inverse): its pivots are
-    halved down to leaves of at most _LEAF rows, and the Cholesky
-    factorizations of the leaves, the nested Schur complements, check
-    that every assembled block is positive definite; a block that is not
-    raises a ValueError naming its cell.  The inverses are made exactly
-    symmetric, as CG requires, and the weight table w_i w_j is exactly
-    symmetric too, so the blocks stay so through the float32 cast.
+    Each batch of blocks is cast to float32 once and inverted in numpy's
+    own LAPACK and BLAS by one recursive block Gauss-Jordan sweep
+    (_sweep_inverse): its pivots are halved down to leaves of at most
+    _LEAF rows, and the Cholesky factorizations of the leaves, the nested
+    Schur complements, check that every assembled block is positive
+    definite; a block that is not raises a ValueError naming its cell,
+    and so does one that float64 Cholesky accepts but float32 does not,
+    as too ill-conditioned for single precision.  One pass per block
+    while it is in cache makes the inverse exactly symmetric, as CG
+    requires, and applies the weights.  Building the 1 024 blocks of the
+    benchmark cantilever takes 0.9 s against 1.2 s with a float64 sweep
+    (2-core VM), and each block stays within a relative error of about
+    1e-5 of the weighted float64 inverse at condition numbers up to 4e4.
 
     `refresh` builds every block on its first call and, on every call,
     refactorizes the coarse matrix.  `update` is told the cells whose
@@ -917,11 +971,11 @@ class TwoLevelPreconditioner:
     stays valid; it only preconditions a little less sharply.  The
     weights depend on the mesh alone and never change.  Blocks and the
     coarse products are built in batches of cells whose index arrays,
-    float64 blocks and temporaries stay within _GRAM_BATCH_BYTES.  The
-    StiffnessOperator that owns it builds it on its mask `free` of unfixed
-    dofs, reports the cells its increments touched before every solve and
-    refreshes it every _REFRESH_EVERY solves.  It is the preconditioner of
-    every CG solve.
+    float64 and float32 blocks and temporaries stay within
+    _GRAM_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
+    its mask `free` of unfixed dofs, reports the cells its increments
+    touched before every solve and refreshes it every _REFRESH_EVERY
+    solves.  It is the preconditioner of every CG solve.
     """
 
     def __init__(self, assembly, free):
@@ -960,9 +1014,9 @@ class TwoLevelPreconditioner:
         self._weight = np.bincount(nodes.ravel()).repeat(dpn) ** -0.5
         # bytes of building one cell's block: its float64 block and at
         # most three more of its size at once (the scattered neighbour
-        # sum; or the sweep's updated pivot rows and update product, and a
-        # leaf's factor and inverse; or the weight table and the float32
-        # cast), plus source index, destination index and weight (each
+        # sum; or the float32 copy the sweep inverts, with the sweep's
+        # float32 pivot rows and update product and a leaf's factor and
+        # inverse), plus source index, destination index and weight (each
         # made and concatenated) per shared-dof entry
         entries = np.zeros(assembly.num_cells)
         for c, _, a, _ in self._overlaps:
@@ -1013,10 +1067,9 @@ class TwoLevelPreconditioner:
         batch = (np.cumsum(cost) - cost) // _GRAM_BATCH_BYTES
         for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
             if len(sel):
-                X = _sweep_inverse(self._cell_blocks(K_cells, sel), sel)
-                w = self._weight[self.assembly.dofmap[sel]]
-                X *= w[:, :, None] * w[:, None, :]
-                self.blocks[sel] = X
+                self.blocks[sel] = _sweep_inverse(
+                    self._cell_blocks(K_cells, sel), sel,
+                    self._weight[self.assembly.dofmap[sel]])
 
     def update(self, K_cells, cells):
         """The stiffness of the listed cells changed: rebuild their
@@ -1066,6 +1119,14 @@ class StiffnessOperator:
     _REFRESH_EVERY solves, refactorize its coarse matrix.  `factors` are
     the per-(cell, sub) stiffness factors K was aggregated from (None: no
     factors to change); `set_factors` keeps K, K32 and the factors in step.
+
+    It also carries `u`, the last solution U over every dof (the lift g
+    before the first solve, the state x = 0 of the free dofs), and `r`,
+    the float64 residual (F - K u)[free] of u.  solve_system sets both;
+    `set_factors` patches r by the increment's product with u, so a solve
+    warm-started from u needs no float64 pass to find its first residual.
+    A K changed in place by other means leaves r stale: the next solve
+    from u then takes more iterations, never a wrong answer.
     """
 
     def __init__(self, assembly, K_cells, bcs, factors=None,
@@ -1084,6 +1145,9 @@ class StiffnessOperator:
         self.K32 = K_cells.astype(np.float32) if single_precision else None
         self.factors = (None if factors is None else np.array(
             factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
+        # the lift is the state x = 0 of the free dofs: its residual is b
+        self.u = self.g.copy()
+        self.r = self._rhs()
         self._age = 0          # solves since the last refresh
         self._touched = []     # cells changed since the last solve
 
@@ -1091,11 +1155,19 @@ class StiffnessOperator:
     def precond(self):
         return TwoLevelPreconditioner(self.assembly, self.free)
 
+    def _rhs(self):
+        """b = (F - K g)[free], the right-hand side of K_ff x = b."""
+        if not self.g.any():
+            return self.F[self.free]
+        return (self.F - self.assembly.matvec(self.K, self.g))[self.free]
+
     def set_factors(self, cells, subs, values):
         """Change the stiffness factors of the listed (cell, sub) pairs and
-        patch K and its mirror incrementally.  A pair outside the model,
-        one listed twice, or a factor that is negative or not finite raises
-        a ValueError naming it, before K changes."""
+        patch K, its mirror and the carried residual incrementally: r -=
+        (dK u)[free], with dK u from add_increment, and each touched cell
+        re-cast into K32 on its own.  A pair outside the model, one listed
+        twice, or a factor that is negative or not finite raises a
+        ValueError naming it, before anything changes."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         values = np.asarray(values, dtype=float)
@@ -1103,13 +1175,14 @@ class StiffnessOperator:
             raise ValueError("operator was built without stiffness factors")
         _check_pairs(cells, subs, *self.factors.shape, distinct=True)
         _check_factors(values, cells, subs, "stiffness factor", 0.0)
-        self.assembly.add_increment(self.K, cells, subs,
-                                    values - self.factors[cells, subs])
+        du = self.assembly.add_increment(
+            self.K, cells, subs, values - self.factors[cells, subs], u=self.u)
         self.factors[cells, subs] = values
+        self.r = self.r - du[self.free]
         touched = np.unique(cells)
         if self.K32 is not None:
-            for rows in _row_batches(len(touched), self.K[0].nbytes):
-                self.K32[touched[rows]] = self.K[touched[rows]]
+            for c in touched:
+                self.K32[c] = self.K[c]
         self._touched.append(touched)
 
     def prepare(self):
