@@ -270,9 +270,13 @@ class Assembly:
     repeated assemblies are bit-identical.  The stiffness integrals
     (sub_stiffness, aggregate, add_increment) share one Gram kernel; it and
     sub_energies form weighted physical gradients as S^T X on the gradient
-    table.  Their batches, and those forming S, hold at most
-    _GRAM_BATCH_BYTES (32 MiB): memory beside the results grows with
-    neither mesh nor level.
+    table.  Each of their batches, and of those forming S, holds at most
+    the larger of its budget (_GRAM_BATCH_BYTES, or _PLANE_BATCH_BYTES for
+    per-point planes) and one cell's rows.  So memory beside the results
+    does not grow with the mesh, but it does with the level once one
+    cell's rows pass the budget: one elasticity cell's energy planes take
+    5.5 MB at level 3, above the 4 MiB plane budget, and 8x that a level
+    finer.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -558,8 +562,11 @@ class Assembly:
         contiguous (cells, sub * point) planes of S and of the GEMM's
         result; S carries w det J, so the energy density summed over the
         points is the energy.  The batches of cells hold their gradient
-        tensors within _PLANE_BATCH_BYTES, so the memory beside the
-        (nc, nsub) result does not grow with the design."""
+        tensors within _PLANE_BATCH_BYTES, or one cell's if that is larger:
+        (6 dpn + 3) floats per (sub, point), 5.5 MB for an elasticity cell
+        at level 3.  So the memory beside the (nc, nsub) result does not
+        grow with the mesh, and grows 8x per level once a cell's tensors
+        pass the budget."""
         nsub, nsp = self.nsub, self.S.shape[-1]
         Gt = self._Ghat.reshape(-1, 64).T
         k0 = self.mat.e0 if self.mat is not None else 1.0
@@ -630,23 +637,24 @@ def _cg(matvec, b, precond, x0, r0, rtol, maxiter, matvec32=None):
     `matvec`, and convergence is declared on such a residual, evaluated
     in this solve, only.  A sweep then runs CG on K d = r from d = 0 until
     its recurrence residual has fallen by the factor that would bring the
-    true residual to rtol, and x += d.  `r0` is the residual at x0 as the
-    caller knows it (b itself at x0 = 0, or one carried from an earlier
-    solve), or None to evaluate it.  A given r0 only starts the first
-    sweep, and one at or below rtol, or not finite, is evaluated first:
-    a stale r0 costs iterations but never changes what is returned, and
-    it is no restart.  The sweeps use `matvec32` (a float32 copy of K,
-    half the memory traffic) when given, else `matvec` itself: in float64
-    one sweep normally suffices and the restart confirms it.  The float32
-    recurrence drifts from the true residual, and each restart gains the
-    float32-attainable reduction again, so tight tolerances remain
-    reachable as long as kappa * eps_f32 stays well below one.  Beyond
-    that (e.g. heavily voided systems with mu_min ~ 1e-9) the sweeps stop
-    making progress and the loop raises instead of burning the iteration
-    budget.  In float64 the same stall, after sweeps that met their goal,
-    means the true residual has reached its rounding floor above an rtol
-    too tight for float64; the loop then returns its best iterate with
-    that residual.  `precond` is a callable applying M^-1.
+    true residual to rtol, and x += d.  `r0` is the residual b - K x0 as
+    the caller carries it (b itself at x0 = 0, or the residual of an
+    earlier solve's x0 patched since), so the first sweep needs no float64
+    pass.  It only starts that sweep, and one at or below rtol, or not
+    finite, is evaluated first: a stale r0 costs iterations but never
+    changes what is returned, and it is no restart.  The sweeps use
+    `matvec32` (a float32 copy of K, half the memory traffic) when given,
+    else `matvec` itself: in float64 one sweep normally suffices and the
+    restart confirms it.  The float32 recurrence drifts from the true
+    residual, and each restart gains the float32-attainable reduction
+    again, so tight tolerances remain reachable as long as kappa * eps_f32
+    stays well below one.  Beyond that (e.g. heavily voided systems with
+    mu_min ~ 1e-9) the sweeps stop making progress and the loop raises
+    instead of burning the iteration budget.  In float64 the same stall,
+    after sweeps that met their goal, means the true residual has reached
+    its rounding floor above an rtol too tight for float64; the loop then
+    returns its best iterate with that residual.  `precond` is a callable
+    applying M^-1.
 
     Returns (x, iterations, relres, restarts, r): the sweeps' iterations,
     the relative float64 residual, the number of float64 residual
@@ -733,27 +741,17 @@ def _cg(matvec, b, precond, x0, r0, rtol, maxiter, matvec32=None):
         r = None
 
 
-def _warm_start(assembly, x0):
-    """x0 as a flat float64 vector of the assembly's dofs; it must have
-    shape (ndof,) or (num_control_points, dpn) and finite entries."""
-    x0 = np.asarray(x0, dtype=float)
-    dpn = assembly.dpn
-    shapes = ((assembly.ndof,), (assembly.model.num_control_points, dpn))
-    if x0.shape not in shapes:
-        raise ValueError("x0 must have shape %s or %s, got %s"
-                         % (shapes + (x0.shape,)))
-    x0 = x0.reshape(-1)
-    bad = np.flatnonzero(~np.isfinite(x0))
-    if len(bad):
-        point, comp = divmod(int(bad[0]), dpn)
-        raise ValueError("x0 is not finite at control point %d, component "
-                         "%d: %g" % (point, comp, x0[bad[0]]))
-    return x0
+def solve_system(op, rtol=1e-8):
+    """Solve K U = F on a StiffnessOperator, which holds K, the load F, the
+    Dirichlet lift and the state its solves start from; returns the
+    Solution with compliance (1/2) U^T K U.
 
-
-def solve_system(op, rtol=1e-8, x0=None):
-    """Solve K U = F on a StiffnessOperator, which holds K, the load F and
-    the Dirichlet lift; returns the Solution with compliance (1/2) U^T K U.
+    CG starts from the operator's last solution u and its carried float64
+    residual r, so no solve makes a float64 pass before its first sweep.
+    Before the first solve they are the lift and b itself: a cold start
+    from x = 0.  The solution and the solve's last float64 residual then
+    replace them, so the next solve, after set_factors has patched r,
+    starts warm from this one.
 
     The CG sweeps run in the operator's precision (its float32 mirror, if
     it has one) under float64 restarts, so the returned residual is
@@ -765,32 +763,18 @@ def solve_system(op, rtol=1e-8, x0=None):
     with a ValueError naming the cell.  With zero Dirichlet values the
     compliance is (1/2) x^T (b - r) on the free dofs, from the solve's
     last float64 residual r, which saves one pass over the stiffness.
-
-    The warm start `x0` is a vector of every dof, flat (ndof,) or shaped
-    (num_control_points, dpn) like Solution.u; its fixed dofs are ignored.
-    Any other shape, or a non-finite entry, raises a ValueError before any
-    work is done.  CG starts from a known residual where there is one: b
-    itself without x0, and the operator's carried residual when x0 equals,
-    by value on the free dofs, the operator's last solution; any other x0
-    has its residual evaluated by a float64 pass.  The solution and its
-    last float64 residual are then kept on the operator for the next
-    solve.
     """
     if not 0.0 < rtol < 1.0:          # a NaN fails the test too
         raise ValueError("rtol must lie in (0, 1), got %r" % (rtol,))
     assembly, K, free, g = op.assembly, op.K, op.free, op.g
-    start = None if x0 is None else _warm_start(assembly, x0)[free]
     b = op._rhs()
-    if start is None:
-        start, r0 = np.zeros_like(b), b
-    else:
-        r0 = op.r if np.array_equal(start, op.u[free]) else None
     op.prepare()
     mv = partial(assembly.free_matvec, K, free)
     mv32 = (None if op.K32 is None
             else partial(assembly.free_matvec, op.K32, free))
-    x, iters, res, restarts, r = _cg(mv, b, op.precond, start, r0, rtol,
-                                     50 * len(start), mv32)
+    x0 = op.u[free]
+    x, iters, res, restarts, r = _cg(mv, b, op.precond, x0, op.r, rtol,
+                                     50 * len(x0), mv32)
     U = np.array(g)
     U[free] = x
     op.u, op.r = U.copy(), r
@@ -931,10 +915,11 @@ class TwoLevelPreconditioner:
     holding a dof's control point (8 at a regular interior mesh vertex,
     more at an extraordinary one), so an unweighted sum would count that
     dof m times; with the exponent 1/2 the squared weights of each dof sum
-    to one over its cells, a partition of unity.  Of the exponents 0, 1/4, 1/2, 5/8, 3/4 and 1, 1/2 also took
-    the fewest CG iterations in BESO runs: 112 against 162 unweighted and
-    212 at 1 over a cantilever's solves 2-10, 1 038 against 1 641 and
-    2 032 over a heat run's solves 2-36.
+    to one over its cells, a partition of unity.  Of the exponents 0, 1/4,
+    1/2, 5/8, 3/4 and 1, 1/2 also took the fewest CG iterations in BESO
+    runs: 112 against 162 unweighted and 212 at 1 over a cantilever's
+    solves 2-10, 1 038 against 1 641 and 2 032 over a heat run's solves
+    2-36.
 
     The smooth end of the spectrum is corrected on the cells' corner
     control points (the mesh vertices of a model from build_spline_model):
@@ -962,23 +947,40 @@ class TwoLevelPreconditioner:
     (2-core VM), and each block stays within a relative error of about
     1e-5 of the weighted float64 inverse at condition numbers up to 4e4.
 
-    `refresh` builds every block on its first call and, on every call,
-    refactorizes the coarse matrix.  `update` is told the cells whose
-    stiffness changed and rebuilds their blocks alone.  The neighbours of
-    those cells keep the blocks they had: each is still the inverse of a
-    symmetric positive definite matrix scaled by the same positive
-    diagonal on both sides, so M stays symmetric positive definite and CG
-    stays valid; it only preconditions a little less sharply.  The
-    weights depend on the mesh alone and never change.  Blocks and the
-    coarse products are built in batches of cells whose index arrays,
-    float64 and float32 blocks and temporaries stay within
+    It is complete when made: the constructor keeps `K_cells`, the
+    float64 stack it preconditions, by reference, builds every cell block
+    from it and factorizes the coarse matrix.  Its owner changes K_cells
+    in place and then says so: `update(cells)` rebuilds the blocks of the
+    cells whose stiffness changed, and no others, and `refresh()`
+    refactorizes the coarse matrix from the current K_cells.  The
+    neighbours of updated cells keep the blocks they had: each is still
+    the inverse of a symmetric positive definite matrix scaled by the same
+    positive diagonal on both sides, so M stays symmetric positive
+    definite and CG stays valid; it only preconditions a little less
+    sharply.  The weights depend on the mesh alone and never change.
+    Blocks and the coarse products are built in batches of cells whose
+    index arrays, float64 and float32 blocks and temporaries stay within
     _GRAM_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
-    its mask `free` of unfixed dofs, reports the cells its increments
-    touched before every solve and refreshes it every _REFRESH_EVERY
-    solves.  It is the preconditioner of every CG solve.
+    its K and its mask `free` of unfixed dofs at the first solve, updates
+    the cells its increments touched before every later one and refreshes
+    it every _REFRESH_EVERY solves.  It is the preconditioner of every CG
+    solve.
     """
 
-    def __init__(self, assembly, free):
+    def __init__(self, assembly, free, K_cells):
+        # the tables' temporaries are freed before the blocks are built:
+        # alive across the build, they took the benchmark cantilever's
+        # build from about 2 000 minor page faults and 0.85 s to 200 000
+        # and 1.2 s (2-core VM)
+        self._tables(assembly, free)
+        self.K = K_cells
+        self._build(np.arange(assembly.num_cells))
+        self.refresh()
+
+    def _tables(self, assembly, free):
+        """Everything that depends on the mesh and `free` alone: the coarse
+        space, the cell overlaps, the weights, the cost of building each
+        block and the empty block stack."""
         self.assembly = assembly
         dpn, nodes = assembly.dpn, assembly.model.cell_nodes
         # T[a, k]: trilinear weight of corner k at the lattice parameters
@@ -1025,12 +1027,11 @@ class TwoLevelPreconditioner:
         self._block_bytes = 4 * 8 * assembly.nd ** 2 + 6 * 8 * entries
         self.blocks = np.empty((assembly.num_cells, assembly.nd, assembly.nd),
                                dtype=np.float32)
-        self.lu = None
 
-    def _cell_blocks(self, K_cells, cells):
+    def _cell_blocks(self, cells):
         """Assembled principal submatrices on the dofs of `cells` (sorted,
         unique), Dirichlet dofs replaced by identity; float64."""
-        asm = self.assembly
+        asm, K_cells = self.assembly, self.K
         nd, dpn, m = asm.nd, asm.dpn, len(cells)
         out = K_cells[cells]
         comps = np.arange(dpn)
@@ -1060,7 +1061,7 @@ class TwoLevelPreconditioner:
         out.reshape(m, -1)[:, ::nd + 1][~keep] = 1.0
         return out
 
-    def _build(self, K_cells, cells):
+    def _build(self, cells):
         """Build and invert the blocks of `cells` (sorted, unique)."""
         cost = self._block_bytes[cells]
         # consecutive batches within the budget, or one cell if larger
@@ -1068,21 +1069,18 @@ class TwoLevelPreconditioner:
         for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
             if len(sel):
                 self.blocks[sel] = _sweep_inverse(
-                    self._cell_blocks(K_cells, sel), sel,
+                    self._cell_blocks(sel), sel,
                     self._weight[self.assembly.dofmap[sel]])
 
-    def update(self, K_cells, cells):
+    def update(self, cells):
         """The stiffness of the listed cells changed: rebuild their
         blocks."""
-        self._build(K_cells, np.unique(np.asarray(cells, dtype=np.int64)))
+        self._build(np.unique(np.asarray(cells, dtype=np.int64)))
 
-    def refresh(self, K_cells):
-        """Factorize the coarse matrix P_f^T K_ff P_f, after building
-        every cell block on the first call."""
-        asm = self.assembly
+    def refresh(self):
+        """Factorize the coarse matrix P_f^T K_ff P_f of the current K."""
+        asm, K_cells = self.assembly, self.K
         nc, nd = asm.num_cells, asm.nd
-        if self.lu is None:
-            self._build(K_cells, np.arange(nc))
         m = self._T.shape[1]
         A = np.empty((nc, m, m))
         # per cell: the masked table, its product with the block, a copy
@@ -1098,8 +1096,6 @@ class TwoLevelPreconditioner:
         self.lu = spla.splu(Kc[self.cfree][:, self.cfree].tocsc())
 
     def __call__(self, r):
-        if self.lu is None:
-            raise RuntimeError("call refresh() before preconditioning")
         fine = self.assembly.free_matvec(self.blocks, self.free, r)
         return fine + self.P @ self.lu.solve(self.PT @ r)
 
@@ -1107,30 +1103,32 @@ class TwoLevelPreconditioner:
 class StiffnessOperator:
     """The per-cell stiffness of one design with everything its solves use.
 
-    Resolves `bcs` once: the load `F`, the mask `free` of unfixed dofs and
+    Resolves `bcs` first: the load `F`, the mask `free` of unfixed dofs and
     the lift `g` of the Dirichlet values; a `bcs` fixing no dof raises
-    "insufficient constraints".  Owns the float64 stack `K` (nc, nd, nd);
-    with `single_precision` its float32 mirror `K32`, kept bit-identical to
-    K.astype(np.float32) by re-casting the cells every increment touches;
-    and `precond`, the TwoLevelPreconditioner on `free`, built on first use.
-    The first CG solve has the preconditioner build every block from K.
-    Before each later one, `prepare` has it rebuild the blocks of the
-    cells touched since the last solve, and no others, and, every
-    _REFRESH_EVERY solves, refactorize its coarse matrix.  `factors` are
-    the per-(cell, sub) stiffness factors K was aggregated from (None: no
-    factors to change); `set_factors` keeps K, K32 and the factors in step.
+    "insufficient constraints" before any stiffness is formed.  Then keeps
+    `factors`, the design's per-(cell, sub) stiffness factors as an
+    (nc, nsub) copy, and owns the float64 stack `K` (nc, nd, nd) aggregated
+    from them; with `single_precision` also its float32 mirror `K32`, kept
+    bit-identical to K.astype(np.float32) by re-casting the cells every
+    increment touches.  `set_factors` keeps K, K32 and the factors in step.
 
-    It also carries `u`, the last solution U over every dof (the lift g
-    before the first solve, the state x = 0 of the free dofs), and `r`,
-    the float64 residual (F - K u)[free] of u.  solve_system sets both;
-    `set_factors` patches r by the increment's product with u, so a solve
-    warm-started from u needs no float64 pass to find its first residual.
-    A K changed in place by other means leaves r stale: the next solve
-    from u then takes more iterations, never a wrong answer.
+    `precond`, the TwoLevelPreconditioner on K and `free`, is built whole
+    on first use, normally by the first solve.  Before each later solve,
+    `prepare` has it rebuild the blocks of the cells touched since the
+    last one, and no others, and, every _REFRESH_EVERY solves, refactorize
+    its coarse matrix.
+
+    It also carries the state every solve starts from: `u`, the last
+    solution U over every dof, and `r`, the float64 residual (F - K u)[free]
+    of u.  Before the first solve u is the lift g, the state x = 0 of the
+    free dofs, and r is b itself, so the first solve is a cold start.
+    solve_system replaces both; `set_factors` patches r by the increment's
+    product with u, so no solve needs a float64 pass to find its first
+    residual.  A K changed in place by other means leaves r stale: the
+    next solve then takes more iterations, never a wrong answer.
     """
 
-    def __init__(self, assembly, K_cells, bcs, factors=None,
-                 single_precision=False):
+    def __init__(self, assembly, factors, bcs, single_precision=False):
         self.assembly = assembly
         self.F = assembly.load_vector(bcs)
         dofs, vals = assembly.dirichlet(bcs)
@@ -1141,10 +1139,10 @@ class StiffnessOperator:
         self.free[dofs] = False
         self.g = np.zeros(assembly.ndof)
         self.g[dofs] = vals
-        self.K = K_cells
-        self.K32 = K_cells.astype(np.float32) if single_precision else None
-        self.factors = (None if factors is None else np.array(
-            factors, dtype=float).reshape(assembly.num_cells, assembly.nsub))
+        self.factors = np.array(factors, dtype=float).reshape(
+            assembly.num_cells, assembly.nsub)
+        self.K = assembly.aggregate(self.factors)
+        self.K32 = self.K.astype(np.float32) if single_precision else None
         # the lift is the state x = 0 of the free dofs: its residual is b
         self.u = self.g.copy()
         self.r = self._rhs()
@@ -1153,7 +1151,7 @@ class StiffnessOperator:
 
     @cached_property
     def precond(self):
-        return TwoLevelPreconditioner(self.assembly, self.free)
+        return TwoLevelPreconditioner(self.assembly, self.free, self.K)
 
     def _rhs(self):
         """b = (F - K g)[free], the right-hand side of K_ff x = b."""
@@ -1171,8 +1169,6 @@ class StiffnessOperator:
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         values = np.asarray(values, dtype=float)
-        if self.factors is None:
-            raise ValueError("operator was built without stiffness factors")
         _check_pairs(cells, subs, *self.factors.shape, distinct=True)
         _check_factors(values, cells, subs, "stiffness factor", 0.0)
         du = self.assembly.add_increment(
@@ -1189,10 +1185,10 @@ class StiffnessOperator:
         """Bring the preconditioner up to date for the next solve."""
         pc = self.precond
         if self._touched:
-            pc.update(self.K, np.concatenate(self._touched))
+            pc.update(np.concatenate(self._touched))
             self._touched = []
-        if pc.lu is None or self._age >= _REFRESH_EVERY:
-            pc.refresh(self.K)
+        if self._age >= _REFRESH_EVERY:
+            pc.refresh()
             self._age = 0
         self._age += 1
 
@@ -1202,6 +1198,6 @@ def assemble_and_solve(model, mat, bcs, problem, rtol=1e-8,
     """Assemble the model's stiffness (every cell whole, factor 1) and
     solve one analysis problem."""
     asm = Assembly(model, problem, mat)
-    op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
-                           bcs, single_precision=single_precision)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs,
+                           single_precision=single_precision)
     return solve_system(op, rtol=rtol)

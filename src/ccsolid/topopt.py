@@ -382,8 +382,7 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     filt = SensitivityFilter(dens.centroids,
                              density_adjacency(mesh, cfg.level)) \
         if cfg.filter else None
-    fac = density_factors(dens.rho, eff)
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
+    op = StiffnessOperator(asm, density_factors(dens.rho, eff), bcs,
                            single_precision=cfg.single_precision)
     state = OptState(iteration=0, target_volume=dens.total_volume,
                      density=dens)
@@ -395,13 +394,11 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         csv = open(os.path.join(out_dir, "history.csv"), "w")
         csv.write("iter,compliance,volume_fraction,killed_count\n")
 
-    u0 = None
     history = state.compliance_history
     try:
         while state.iteration < cfg.max_iterations:
-            sol = solve_system(op, rtol=cfg.rtol, x0=u0)
+            sol = solve_system(op, rtol=cfg.rtol)
             sol.density_version = dens.version
-            u0 = sol.u.reshape(-1)
 
             alpha = sensitivities(sol, asm, dens)
             ahat = filt.apply(alpha) if filt is not None else alpha

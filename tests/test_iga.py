@@ -388,8 +388,7 @@ def test_heat_patch_insensitive_to_quad_order():
     def solve(quad_order):
         asm = Assembly(model, "heat", mat, quad_order=quad_order)
         ones = np.ones((asm.num_cells, asm.nsub))
-        return solve_system(StiffnessOperator(asm, asm.aggregate(ones), bcs),
-                            rtol=1e-13)
+        return solve_system(StiffnessOperator(asm, ones, bcs), rtol=1e-13)
 
     a, b = solve(4), solve(5)
     assert np.abs(a.u - b.u).max() <= 1e-12
@@ -666,8 +665,7 @@ def test_cantilever_cg_matches_dense():
     model, mat, bcs = _cantilever_setup()
     cg = assemble_and_solve(model, mat, bcs, "elasticity", rtol=1e-12)
     asm = Assembly(model, "elasticity", mat)
-    lu = dense_solve(StiffnessOperator(
-        asm, asm.aggregate(np.ones((asm.num_cells, 1))), bcs))
+    lu = dense_solve(StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs))
     assert cg.compliance > 0
     assert abs(cg.compliance - lu.compliance) <= 1e-9 * lu.compliance
     # zero Dirichlet values: compliance must equal (1/2) U^T F
@@ -680,11 +678,9 @@ def test_assembly_deterministic():
     model, mat, bcs = _cantilever_setup()
     asm = Assembly(model, "elasticity", mat)
     ones = np.ones((asm.num_cells, 1))
-    K1 = asm.aggregate(ones)
-    K2 = asm.aggregate(ones)
-    assert np.array_equal(K1, K2)
-    a = solve_system(StiffnessOperator(asm, K1, bcs), rtol=1e-10)
-    b = solve_system(StiffnessOperator(asm, K2, bcs), rtol=1e-10)
+    assert np.array_equal(asm.aggregate(ones), asm.aggregate(ones))
+    a = solve_system(StiffnessOperator(asm, ones, bcs), rtol=1e-10)
+    b = solve_system(StiffnessOperator(asm, ones, bcs), rtol=1e-10)
     assert np.array_equal(a.u, b.u)
     assert a.iterations == b.iterations
 
@@ -703,9 +699,8 @@ def test_density_softening():
     asm = Assembly(model, "elasticity", mat, level=1)
 
     def compliance(rho):
-        K = asm.aggregate(density_factors(rho, mat))
-        return solve_system(StiffnessOperator(asm, K, bcs),
-                            rtol=1e-10).compliance
+        return solve_system(StiffnessOperator(asm, density_factors(rho, mat),
+                                              bcs), rtol=1e-10).compliance
 
     c_full = compliance(full)
     c_weak = compliance(weak)
@@ -781,9 +776,8 @@ def test_heat_source_rejected_on_elasticity():
     asm = Assembly(model, "elasticity", mat)
     with pytest.raises(ValueError, match="heat source needs the heat problem"):
         asm.load_vector(bcs)
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
     with pytest.raises(ValueError, match="heat source needs the heat problem"):
-        StiffnessOperator(asm, K, bcs)
+        StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
 
 
 @pytest.mark.parametrize("kind", ["load", "dirichlet"])
@@ -806,7 +800,7 @@ def test_box_that_selects_nothing_is_rejected(kind):
     with pytest.raises(ValueError, match=pattern):
         call(bcs)
     with pytest.raises(ValueError, match=pattern):
-        StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))), bcs)
+        StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
 
 
 # ----------------------------------------- two-level / single precision
@@ -827,12 +821,7 @@ def test_two_level_preconditioner_matches_dense():
     mesh, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3)
     asm = Assembly(model, "elasticity", mat)
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    op = StiffnessOperator(asm, K, bcs)
-    pc = op.precond
-    with pytest.raises(RuntimeError, match="refresh"):
-        pc(np.ones(int(pc.free.sum())))
-    pc.refresh(K)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert np.allclose(two.u, ref.u, atol=1e-7 * np.abs(ref.u).max())
@@ -847,11 +836,8 @@ def test_two_level_refresh_with_density_factors_solves():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat)
     rng = np.random.default_rng(3)
-    K = asm.aggregate(density_factors(
-        rng.uniform(0.2, 1.0, (asm.num_cells, 1)), mat))
-    op = StiffnessOperator(asm, K, bcs)
-    pc = op.precond
-    pc.refresh(K)
+    op = StiffnessOperator(asm, density_factors(
+        rng.uniform(0.2, 1.0, (asm.num_cells, 1)), mat), bcs)
     sol = solve_system(op, rtol=1e-9)
     ref = dense_solve(op)
     assert abs(sol.compliance - ref.compliance) <= 1e-7 * ref.compliance
@@ -869,10 +855,7 @@ def test_two_level_solves_without_vertex_constraints():
         loads=[LoadSpec((2.5, -BIG, -BIG), (BIG, BIG, BIG), (0, 0, -1.0))])
     x = mesh.vertices[:, 0]
     assert not ((x >= 0.05) & (x <= 0.95)).any()
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    op = StiffnessOperator(asm, K, bcs)
-    pc = op.precond
-    pc.refresh(K)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert two.iterations > 0
@@ -891,9 +874,8 @@ def test_two_level_coarse_matrix_is_galerkin_product(problem):
             (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))])
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, problem, mat, level=1)
-    K = asm.aggregate(_random_factors(asm, mat, 43))
-    pc = StiffnessOperator(asm, K, bcs).precond
-    pc.refresh(K)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 43), bcs)
+    K, pc = op.K, op.precond
     P = np.zeros((model.num_control_points, mesh.num_vertices))
     for c, nodes in enumerate(model.cell_nodes):
         for a, node in enumerate(nodes):
@@ -942,9 +924,7 @@ def test_two_level_preconditioner_symmetric():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 5)
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs)
-    pc = op.precond
-    pc.refresh(op.K)
+    pc = StiffnessOperator(asm, fac, bcs).precond
     assert pc.blocks.dtype == np.float32
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
     assert np.array_equal(pc.blocks, pc.blocks.transpose(0, 2, 1))
@@ -956,18 +936,16 @@ def test_two_level_update_matches_refresh_after_kills():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 7)
-    K = asm.aggregate(fac)
-    pc = StiffnessOperator(asm, K, bcs).precond
-    pc.refresh(K)
+    op = StiffnessOperator(asm, fac, bcs)
+    K, pc = op.K, op.precond
     before = pc.blocks.copy()
     # remove four sub-elements as a BESO kill does, two in one cell
     cells = np.array([0, 9, 9, 17])
     subs = np.array([3, 0, 6, 7])
     asm.add_increment(K, cells, subs, mat.mu_min - fac[cells, subs],
                       np.zeros(asm.ndof))
-    pc.update(K, cells)
-    fresh = TwoLevelPreconditioner(asm, pc.free)
-    fresh.refresh(K)
+    pc.update(cells)
+    fresh = TwoLevelPreconditioner(asm, pc.free, K)
     touched = np.unique(cells)
     assert not np.array_equal(before[touched], fresh.blocks[touched])
     assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
@@ -995,7 +973,7 @@ def _check_blocks(pc, asm, K):
     Blocks without the weights are off by 0.18 or more, and without the
     symmetrisation they are not symmetric."""
     cells = np.arange(asm.num_cells)
-    A = pc._cell_blocks(K, cells)
+    A = pc._cell_blocks(cells)
     X = A.copy()
     iga._gauss_jordan(X, cells, A)
     assert pc.blocks.dtype == np.float32
@@ -1019,13 +997,10 @@ def test_two_level_heat_blocks_match_dense_assembly():
         heat_source=1.0)
     mat = Material(e0=2.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "heat", mat, level=1)
-    fac = _random_factors(asm, mat, 13)
-    K = asm.aggregate(fac)
-    op = StiffnessOperator(asm, K, bcs)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 13), bcs)
     pc = op.precond
-    pc.refresh(K)
     assert pc.blocks.shape == (asm.num_cells, 64, 64)
-    _check_blocks(pc, asm, K)
+    _check_blocks(pc, asm, op.K)
     ref = dense_solve(op)
     two = solve_system(op, rtol=1e-10)
     assert abs(two.compliance - ref.compliance) <= 1e-8 * ref.compliance
@@ -1052,12 +1027,10 @@ def test_two_level_elastic_blocks_match_dense_assembly():
     mesh, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
-    fac = _random_factors(asm, mat, 31)
-    K = asm.aggregate(fac)
-    pc = StiffnessOperator(asm, K, bcs).precond
-    pc.refresh(K)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 31), bcs)
+    pc = op.precond
     assert pc.blocks.shape == (asm.num_cells, 192, 192)
-    _check_blocks(pc, asm, K)
+    _check_blocks(pc, asm, op.K)
 
 
 @pytest.mark.parametrize("coarse, most", [(lambda: wheel(5, 3), 10),
@@ -1065,11 +1038,15 @@ def test_two_level_elastic_blocks_match_dense_assembly():
                          ids=["wheel", "lattice"])
 def test_two_level_weights_are_a_partition_of_unity(coarse, most):
     # the squared block weights of every dof sum to one over the cells
-    # holding it, also on the wheel's valence-7 axis, held by 10 cells
+    # holding it, also on the wheel's valence-7 axis, held by 10 cells;
+    # the bottom is clamped, so the preconditioner can be built whole
     mesh, _ = subdivide(coarse()[0])
-    asm = Assembly(build_spline_model(mesh), "elasticity",
-                   Material(e0=1.0, nu=0.3))
-    pc = TwoLevelPreconditioner(asm, np.ones(asm.ndof, dtype=bool))
+    model = build_spline_model(mesh)
+    asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
+    bottom = model.points[:, 2].min() + 0.05
+    bcs = BoundaryConditions(dirichlet=[DirichletSpec(
+        (-BIG, -BIG, -BIG), (BIG, BIG, bottom), (0, 1, 2))])
+    pc = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs).precond
     assert np.bincount(asm.dofmap.ravel()).max() == most
     w = pc._weight[asm.dofmap]
     total = np.bincount(asm.dofmap.ravel(), weights=(w * w).ravel())
@@ -1090,8 +1067,7 @@ def test_two_level_cold_heat_solve_on_subdivided_wheel():
         dirichlet=[DirichletSpec((-BIG, -BIG, -BIG), (BIG, BIG, bottom),
                                  (0,))],
         heat_source=1.0)
-    op = StiffnessOperator(asm, asm.aggregate(density_factors(rho, mat)),
-                           bcs)
+    op = StiffnessOperator(asm, density_factors(rho, mat), bcs)
     sol = solve_system(op, rtol=1e-8)
     ref = dense_solve(op)
     assert abs(sol.compliance - ref.compliance) <= 1e-9 * ref.compliance
@@ -1194,14 +1170,13 @@ def test_two_level_names_indefinite_block(problem):
         bcs = BoundaryConditions(dirichlet=[DirichletSpec(
             (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))])
     asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    K[9] *= -1.0
-    pc = StiffnessOperator(asm, K, bcs).precond
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
+    op.K[9] *= -1.0
     with pytest.raises(ValueError, match=r"cell (\d+): assembled block is "
                        r"not positive definite") as err:
-        pc.refresh(K)
+        op.precond
     cell = int(re.search(r"cell (\d+)", str(err.value)).group(1))
-    block = _assembled_blocks(asm, K, pc.free)[cell]
+    block = _assembled_blocks(asm, op.K, op.free)[cell]
     assert np.linalg.eigvalsh(block).min() < 0
 
 
@@ -1214,11 +1189,10 @@ def test_solve_names_indefinite_cell(problem):
         bcs = BoundaryConditions(dirichlet=[DirichletSpec(
             (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))], heat_source=1.0)
     asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    K[9] *= -1.0
-    op = StiffnessOperator(asm, K, bcs)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
+    op.K[9] *= -1.0
     free = op.free[asm.dofmap[9]]
-    assert (np.diagonal(_assembled_blocks(asm, K, op.free)[9])[free]
+    assert (np.diagonal(_assembled_blocks(asm, op.K, op.free)[9])[free]
             < 0).any()
     with pytest.raises(ValueError, match=r"^cell (\d+): assembled block is "
                        r"not positive definite$") as err:
@@ -1234,9 +1208,9 @@ def test_solve_rejects_rtol_outside_unit_interval(rtol):
     # the whole iteration budget
     _, model, bcs = _beam()
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     with pytest.raises(ValueError, match=r"rtol must lie in \(0, 1\)"):
-        solve_system(StiffnessOperator(asm, K, bcs), rtol=rtol)
+        solve_system(op, rtol=rtol)
 
 
 def test_single_precision_solve():
@@ -1271,10 +1245,9 @@ def test_operator_follows_kills():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = np.full((asm.num_cells, asm.nsub), mat.mu_min + (1 - mat.mu_min))
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
-                           single_precision=True)
-    pc = op.precond
-    op.prepare()                       # the first solve builds it all
+    op = StiffnessOperator(asm, fac, bcs, single_precision=True)
+    pc = op.precond                 # made whole: every block, coarse LU
+    op.prepare()
     first = pc.lu
     rng = np.random.default_rng(2)
     alive = np.ones(fac.size, dtype=bool)
@@ -1287,8 +1260,7 @@ def test_operator_follows_kills():
         op.prepare()
         # touched cells rebuilt before every solve, the coarse matrix
         # refactorized every 8th
-        fresh = TwoLevelPreconditioner(asm, pc.free)
-        fresh.refresh(op.K)
+        fresh = TwoLevelPreconditioner(asm, pc.free, op.K)
         touched = np.unique(kill // asm.nsub)
         assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
         assert (pc.lu is first) == (k < 8)
@@ -1304,8 +1276,7 @@ def test_operator_rejects_bad_pairs_before_patching():
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 59)
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
-                           single_precision=True)
+    op = StiffnessOperator(asm, fac, bcs, single_precision=True)
     solve_system(op)
     K, K32 = op.K.copy(), op.K32.copy()
     r, u = op.r.copy(), op.u.copy()
@@ -1331,8 +1302,7 @@ def test_operator_rejects_bad_factors_before_patching(value, shown):
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 61)
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac,
-                           single_precision=True)
+    op = StiffnessOperator(asm, fac, bcs, single_precision=True)
     solve_system(op)
     K, K32 = op.K.copy(), op.K32.copy()
     r, u = op.r.copy(), op.u.copy()
@@ -1348,24 +1318,22 @@ def test_operator_rejects_bad_factors_before_patching(value, shown):
 
 
 def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
-    # at a budget of one byte the coarse products of refresh and the
-    # block builds run one cell per batch (set_factors re-casts K32 one
-    # cell at a time anyway); one pair per cell keeps the increments
-    # themselves batch-free
+    # at a budget of one byte the block builds and coarse products of a
+    # new preconditioner run one cell per batch (set_factors re-casts K32
+    # one cell at a time anyway); one pair per cell keeps the increments
+    # themselves batch-free.  The operators aggregate at the default
+    # budget, whose batches hold every sub-cube of a cell.
     _, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 61)
-    K = asm.aggregate(fac)
     cells, subs = np.array([17, 0, 9, 5, 23]), np.array([7, 3, 6, 0, 2])
     runs = []
     for budget in (iga._GRAM_BATCH_BYTES, 1):
+        op = StiffnessOperator(asm, fac, bcs, single_precision=True)
         monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
-        op = StiffnessOperator(asm, K.copy(), bcs, fac.copy(),
-                               single_precision=True)
         op.set_factors(cells, subs, np.full(len(cells), mat.mu_min))
         pc = op.precond
-        pc.refresh(op.K)
         rhs = np.random.default_rng(67).standard_normal(pc.lu.shape[0])
         runs.append((op.K, op.K32, pc.blocks, pc.lu.solve(rhs)))
     for ref, small in zip(*runs):
@@ -1373,16 +1341,16 @@ def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
 
 
 def test_operator_rebuilds_only_touched_blocks():
-    # BESO-style kills through 2 * _REFRESH_EVERY + 1 solves: the first
-    # builds every block; each later one rebuilds the touched cells'
-    # blocks as a fresh build does and leaves every other block as it
-    # was, and every _REFRESH_EVERY solves the coarse matrix is that of
-    # the current K
+    # BESO-style kills through 2 * _REFRESH_EVERY + 1 solves: the
+    # preconditioner is made with every block; each later solve rebuilds
+    # the touched cells' blocks as a fresh build does and leaves every
+    # other block as it was, and every _REFRESH_EVERY solves the coarse
+    # matrix is that of the current K
     _, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 37)
-    op = StiffnessOperator(asm, asm.aggregate(fac), bcs, fac)
+    op = StiffnessOperator(asm, fac, bcs)
     pc = op.precond
     rng = np.random.default_rng(41)
     pairs = rng.permutation(fac.size)
@@ -1396,8 +1364,7 @@ def test_operator_rebuilds_only_touched_blocks():
             touched = np.unique(kill // asm.nsub)
         before = pc.blocks.copy()
         op.prepare()
-        fresh = TwoLevelPreconditioner(asm, pc.free)
-        fresh.refresh(op.K)
+        fresh = TwoLevelPreconditioner(asm, pc.free, op.K)
         if k:
             others = np.setdiff1d(np.arange(asm.num_cells), touched)
             assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
@@ -1416,12 +1383,18 @@ def test_operator_rebuilds_only_touched_blocks():
     assert not np.array_equal(pc.blocks, fresh.blocks)
 
 
-def test_operator_needs_constraints_at_construction():
+def test_operator_needs_constraints_at_construction(monkeypatch):
+    # the boundary conditions are resolved before any stiffness is formed
     _, model, bcs = _beam()
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
+
+    def aggregate(factors):
+        raise AssertionError("aggregated before the constraints were checked")
+
+    monkeypatch.setattr(asm, "aggregate", aggregate)
     with pytest.raises(ValueError, match="insufficient constraints"):
-        StiffnessOperator(asm, K, replace(bcs, dirichlet=[]))
+        StiffnessOperator(asm, np.ones((asm.num_cells, 1)),
+                          replace(bcs, dirichlet=[]))
 
 
 @pytest.mark.parametrize("problem", ["heat", "elasticity"])
@@ -1431,21 +1404,19 @@ def test_preconditioner_acts_on_the_operators_free_dofs(problem):
         bcs = BoundaryConditions(dirichlet=[DirichletSpec(
             (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))], heat_source=1.0)
     asm = Assembly(model, problem, Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
-    op = StiffnessOperator(asm, K, bcs)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     dofs, _ = asm.dirichlet(bcs)
     free = np.ones(asm.ndof, dtype=bool)
     free[dofs] = False
     assert 0 < len(dofs) and np.array_equal(op.free, free)
-    assert op.precond.free is op.free
+    assert op.precond.free is op.free and op.precond.K is op.K
     assert op.precond.P.shape[0] == int(free.sum())
 
 
 def test_dense_solve_builds_no_preconditioner():
     _, model, bcs = _beam()
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
-    op = StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
-                           bcs)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     dense = dense_solve(op)
     assert "precond" not in vars(op)
     cg = solve_system(op, rtol=1e-10)
@@ -1456,15 +1427,14 @@ def test_dense_solve_builds_no_preconditioner():
 def test_operator_resolves_boundary_conditions_once(monkeypatch):
     _, model, bcs = _beam()
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
-    K = asm.aggregate(np.ones((asm.num_cells, 1)))
     calls = []
     for name in ("dirichlet", "load_vector"):
         method = getattr(asm, name)
         monkeypatch.setattr(asm, name, lambda bcs, name=name, method=method:
                             calls.append(name) or method(bcs))
-    op = StiffnessOperator(asm, K, bcs)
+    op = StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
     first = solve_system(op, rtol=1e-8)
-    again = solve_system(op, rtol=1e-8, x0=first.u.reshape(-1))
+    again = solve_system(op, rtol=1e-8)
     assert sorted(calls) == ["dirichlet", "load_vector"]
     assert again.iterations == 0
     assert abs(again.compliance - first.compliance) <= 1e-8 * first.compliance
@@ -1473,42 +1443,19 @@ def test_operator_resolves_boundary_conditions_once(monkeypatch):
 def _beam_operator():
     _, model, bcs = _beam()
     asm = Assembly(model, "elasticity", Material(e0=1.0, nu=0.3))
-    return StiffnessOperator(asm, asm.aggregate(np.ones((asm.num_cells, 1))),
-                             bcs)
+    return StiffnessOperator(asm, np.ones((asm.num_cells, 1)), bcs)
 
 
 def test_warm_start_takes_solution_shape():
+    # the operator keeps the solution it returned, of every dof, and the
+    # next solve starts from it: done at once, with the same solution
     op = _beam_operator()
     first = solve_system(op, rtol=1e-8)
     assert first.u.shape == (op.assembly.model.num_control_points, 3)
-    again = solve_system(op, rtol=1e-8, x0=first.u)
+    assert np.array_equal(op.u, first.u.reshape(-1))
+    again = solve_system(op, rtol=1e-8)
     assert again.iterations == 0
     assert np.array_equal(again.u, first.u)
-
-
-@pytest.mark.parametrize("shape", [(-1,), (1, -1), (-1, 1), (-1, 3, 1)])
-def test_warm_start_of_another_shape_is_rejected(shape):
-    op = _beam_operator()
-    asm = op.assembly
-    x0 = np.zeros(asm.ndof - 3 if shape == (-1,) else asm.ndof).reshape(shape)
-    pattern = r"^x0 must have shape \(%d,\) or \(%d, 3\), got \(" % (
-        asm.ndof, asm.model.num_control_points)
-    with pytest.raises(ValueError, match=pattern):
-        solve_system(op, x0=x0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_warm_start_not_finite_is_rejected(bad, monkeypatch):
-    op = _beam_operator()
-    x0 = np.zeros((op.assembly.model.num_control_points, 3))
-    x0[57, 2] = bad
-    x0[60, 0] = bad
-    # rejected where it enters, before any matvec
-    monkeypatch.setattr(op.assembly, "matvec", None)
-    for x in (x0.reshape(-1), x0):
-        with pytest.raises(ValueError, match=r"^x0 is not finite at control "
-                           r"point 57, component 2: %s$" % bad):
-            solve_system(op, x0=x)
 
 
 @pytest.mark.parametrize("single", [False, True])
@@ -1516,10 +1463,11 @@ def test_cg_loop_matches_direct_solve(single):
     mesh, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
-    K = asm.aggregate(_random_factors(asm, mat, 17))
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 17), bcs,
+                           single_precision=single)
+    K = op.K
     rtol = 1e-7
-    sol = solve_system(StiffnessOperator(asm, K, bcs,
-                                         single_precision=single), rtol=rtol)
+    sol = solve_system(op, rtol=rtol)
     F = asm.load_vector(bcs)
     dofs, _ = asm.dirichlet(bcs)
     free = np.ones(asm.ndof, dtype=bool)
@@ -1540,9 +1488,9 @@ _CARRIED = [("heat", 0.0), ("heat", 2.5), ("elasticity", 0.0),
             ("elasticity", 0.01)]
 
 
-def _carried_operators(problem, value, single, count=1):
-    """`count` equal operators with random density factors on the beam,
-    their Dirichlet dofs held at `value`."""
+def _carried_operator(problem, value, single):
+    """An operator with random density factors on the beam, its Dirichlet
+    dofs held at `value`."""
     _, model, bcs = _beam()
     if problem == "heat":
         bcs = BoundaryConditions(heat_source=1.0, dirichlet=[DirichletSpec(
@@ -1551,10 +1499,8 @@ def _carried_operators(problem, value, single, count=1):
         bcs = replace(bcs, dirichlet=[replace(bcs.dirichlet[0], value=value)])
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, problem, mat, level=1)
-    fac = _random_factors(asm, mat, 73)
-    K = asm.aggregate(fac)
-    return [StiffnessOperator(asm, K.copy(), bcs, fac, single_precision=single)
-            for _ in range(count)]
+    return StiffnessOperator(asm, _random_factors(asm, mat, 73), bcs,
+                             single_precision=single)
 
 
 def _kill(op, rng, n=7):
@@ -1572,7 +1518,7 @@ def test_carried_residual_follows_kills(problem, value):
     # elastic beam |K| |u| is 3e5 |F|, and patched and fresh residuals
     # differ by up to 2.8e-11 |F| there (1.7e-13 |F| on heat), that is
     # 1.1e-16 |K| |u| at most
-    op, = _carried_operators(problem, value, single=problem == "elasticity")
+    op = _carried_operator(problem, value, single=problem == "elasticity")
     asm = op.assembly
     rng = np.random.default_rng(79)
 
@@ -1587,7 +1533,7 @@ def test_carried_residual_follows_kills(problem, value):
     _kill(op, rng)
     check()
     for _ in range(3):
-        sol = solve_system(op, rtol=1e-9, x0=op.u)
+        sol = solve_system(op, rtol=1e-9)
         assert np.array_equal(op.u, sol.u.reshape(-1))
         check()
         _kill(op, rng)
@@ -1598,14 +1544,13 @@ def test_carried_residual_follows_kills(problem, value):
 @pytest.mark.parametrize("problem, value", _CARRIED)
 def test_warm_solve_from_the_last_solution_skips_a_pass(problem, value,
                                                        monkeypatch):
-    # two equal operators, solved and killed alike, then warm-started from
-    # the last solution: by value, which takes the carried residual, or
-    # one ulp away on a free dof, which evaluates it first, as every warm
-    # start did before residuals were carried.  Each float32 sweep is
-    # followed by one float64 residual evaluation, so the first solve
-    # makes as many evaluations as sweeps and the second one more.
-    ops = _carried_operators(problem, value, single=True, count=2)
-    asm = ops[0].assembly
+    # solved, killed, then solved again from the operator's own state: the
+    # last solution and its carried residual.  Each float32 sweep is
+    # followed by one float64 residual evaluation, and none comes before
+    # the first sweep, so the warm solve makes as many evaluations as
+    # sweeps.
+    op = _carried_operator(problem, value, single=True)
+    asm = op.assembly
     free_matvec = asm.free_matvec
     calls = []
 
@@ -1613,7 +1558,7 @@ def test_warm_solve_from_the_last_solution_skips_a_pass(problem, value,
         calls.append(K_cells)
         return free_matvec(K_cells, free, uf)
 
-    def passes(op):
+    def passes():
         """'E' per float64 pass and 'S' per float32 sweep pass, in order."""
         kinds = "".join("E" if K is op.K else "S" for K in calls
                         if K is op.K or K is op.K32)
@@ -1621,24 +1566,15 @@ def test_warm_solve_from_the_last_solution_skips_a_pass(problem, value,
         return kinds
 
     monkeypatch.setattr(asm, "free_matvec", counted)
-    runs = []
-    for k, op in enumerate(ops):
-        cold = solve_system(op, rtol=1e-9)
-        # a cold start begins from b itself: a sweep comes first
-        assert passes(op)[0] == "S" and cold.restarts >= 1
-        _kill(op, np.random.default_rng(83))
-        x0 = op.u.copy()
-        if k:
-            i = np.flatnonzero(op.free)[len(x0) // 3]
-            x0[i] = np.nextafter(x0[i], np.inf)
-        warm = solve_system(op, rtol=1e-9, x0=x0)
-        kinds = passes(op)
-        assert warm.residual <= 1e-9 and warm.iterations > 0
-        assert kinds.count("E") == warm.restarts
-        runs.append((kinds, len(re.findall("S+", kinds))))
-    (carried, sweeps), (evaluated, more) = runs
-    assert carried[0] == "S" and carried.count("E") == sweeps
-    assert evaluated[0] == "E" and evaluated.count("E") == more + 1
+    cold = solve_system(op, rtol=1e-9)
+    # a cold start begins from b itself: a sweep comes first
+    assert passes()[0] == "S" and cold.restarts >= 1
+    _kill(op, np.random.default_rng(83))
+    warm = solve_system(op, rtol=1e-9)
+    kinds = passes()
+    assert warm.residual <= 1e-9 and warm.iterations > 0
+    assert kinds.count("E") == warm.restarts
+    assert kinds[0] == "S" and kinds.count("E") == len(re.findall("S+", kinds))
 
 
 @pytest.mark.parametrize("problem, value", _CARRIED)
@@ -1646,13 +1582,13 @@ def test_warm_solve_after_K_changed_in_place(problem, value):
     # K changed behind the operator's back leaves its carried residual
     # stale; the warm solve from the last solution costs more, but still
     # returns a solution within rtol of the dense solve's system
-    op, = _carried_operators(problem, value, single=problem == "elasticity")
+    op = _carried_operator(problem, value, single=problem == "elasticity")
     asm = op.assembly
-    first = solve_system(op, rtol=1e-9)
+    solve_system(op, rtol=1e-9)
     op.K[[3, 10]] *= 0.5
     if op.K32 is not None:
         op.K32[...] = op.K
-    sol = solve_system(op, rtol=1e-9, x0=first.u)
+    sol = solve_system(op, rtol=1e-9)
     ref = dense_solve(op)
     dense = dense_stiffness(asm, op.K)[np.ix_(op.free, op.free)]
     b = (op.F - asm.matvec(op.K, op.g))[op.free]
@@ -1673,8 +1609,9 @@ def test_compliance_matches_full_product(value):
         heat_source=1.0)
     mat = Material(e0=2.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "heat", mat, level=1)
-    K = asm.aggregate(_random_factors(asm, mat, 19))
-    sol = solve_system(StiffnessOperator(asm, K, bcs), rtol=1e-9)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 19), bcs)
+    K = op.K
+    sol = solve_system(op, rtol=1e-9)
     U = sol.u.reshape(-1)
     full = 0.5 * U @ (_sparse_stiffness(asm, K) @ U)
     assert abs(sol.compliance - full) <= 1e-12 * abs(full)
@@ -1685,10 +1622,7 @@ def test_preconditioner_update_memory_is_bounded(monkeypatch):
     mesh, model, bcs = _beam(nx=4)
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat)
-    fac = _random_factors(asm, mat, 23)
-    K = asm.aggregate(fac)
-    pc = StiffnessOperator(asm, K, bcs).precond
-    pc.refresh(K)
+    pc = StiffnessOperator(asm, _random_factors(asm, mat, 23), bcs).precond
     budget = 4 << 20
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
     before = pc.blocks.copy()
@@ -1696,7 +1630,7 @@ def test_preconditioner_update_memory_is_bounded(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pc.update(K, cells)
+        pc.update(cells)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

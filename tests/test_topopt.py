@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccsolid import iga
+from ccsolid import iga, topopt
 from ccsolid.hexmesh import CORNER_OFFSETS, Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, StiffnessOperator)
@@ -60,8 +61,8 @@ def _adjacency(rows, items, n):
 
 
 def _compliance(asm, rho, mat, bcs):
-    K = asm.aggregate(density_factors(rho, mat))
-    return dense_solve(StiffnessOperator(asm, K, bcs)).compliance
+    return dense_solve(StiffnessOperator(asm, density_factors(rho, mat),
+                                         bcs)).compliance
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +95,7 @@ def test_sensitivity_matches_finite_differences():
     rng = np.random.default_rng(11)
     rho = 0.3 + 0.7 * rng.random((1, 8))
 
-    K = asm.aggregate(density_factors(rho, mat))
-    sol = dense_solve(StiffnessOperator(asm, K, bcs))
+    sol = dense_solve(StiffnessOperator(asm, density_factors(rho, mat), bcs))
     alpha = sensitivities(sol, asm, _Rho(1, rho))
 
     h = 1e-6
@@ -114,8 +114,8 @@ def test_sensitivities_reject_stale_solution():
     mat = Material(1.0, 0.3)
     asm = Assembly(model, "elasticity", mat, level=0)
     dens = _solid(model, 0)
-    K = asm.aggregate(density_factors(dens.rho, mat))
-    sol = dense_solve(StiffnessOperator(asm, K, _clamp_and_pull(2.0)))
+    sol = dense_solve(StiffnessOperator(asm, density_factors(dens.rho, mat),
+                                        _clamp_and_pull(2.0)))
     sol.density_version = dens.version
     sensitivities(sol, asm, dens)  # fresh: fine
     dens.kill([0])
@@ -552,6 +552,49 @@ def test_optimize_solver_stack_equivalence(tmp_path):
         assert abs(ra[1] - rb[1]) <= 1e-4 * abs(ra[1])
 
 
+def test_optimize_solves_warm_from_the_operators_state(monkeypatch):
+    # every solve after the first starts from the operator's last solution
+    # and its carried residual.  After a kill a float32 sweep comes first,
+    # and each of the solve's float64 passes is one of its restarts, made
+    # after a sweep.  After an iteration that killed nothing the carried
+    # residual already meets rtol: one float64 pass confirms it.
+    mesh, _ = jittered_lattice(3, 2, 1, seed=7, amp=0.12)
+    cfg = BesoConfig(v_star=0.6, er=0.1, level=0, rtol=1e-6, mu_min=1e-2,
+                     single_precision=True)
+    ops, calls, solves = [], [], []
+
+    class Recorded(StiffnessOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ops.append(self)
+
+    free_matvec = Assembly.free_matvec
+
+    def counted(asm, K_cells, free, uf):
+        calls.append(K_cells)
+        return free_matvec(asm, K_cells, free, uf)
+
+    def record(state, sol):
+        """'E' per float64 pass and 'S' per float32 sweep pass, in order."""
+        op, = ops
+        solves.append(("".join("E" if K is op.K else "S" for K in calls
+                               if K is op.K or K is op.K32), sol.restarts))
+        calls.clear()
+
+    monkeypatch.setattr(topopt, "StiffnessOperator", Recorded)
+    monkeypatch.setattr(Assembly, "free_matvec", counted)
+    _, history = optimize(mesh, cfg, Material(1.0, 0.3),
+                          _clamp_and_pull(3.0), callback=record)
+    killed = [row[3] for row in history]
+    assert sum(map(bool, killed[:-1])) >= 3 and not all(killed[:-1])
+    for (kinds, restarts), before in zip(solves[1:], killed):
+        assert kinds.count("E") == restarts
+        if before:
+            assert kinds[0] == "S" and restarts == len(re.findall("S+", kinds))
+        else:
+            assert kinds == "E"
+
+
 def test_single_precision_rejects_extreme_contrast(tmp_path):
     # with the default mu_min = 1e-9 a voided system is beyond float32:
     # the solver must fail fast with a diagnosis, not burn the budget
@@ -606,8 +649,8 @@ def test_heat_level2_design_is_stable_under_a_tighter_solve():
     model = build_spline_model(mesh)
     eff = cfg.material(mat)
     asm = Assembly(model, "heat", eff, level=da.level)
-    fac = density_factors(da.rho, eff)
-    ref = dense_solve(StiffnessOperator(asm, asm.aggregate(fac), bcs, fac))
+    ref = dense_solve(StiffnessOperator(asm, density_factors(da.rho, eff),
+                                        bcs))
     assert abs(ha[-1][1] - ref.compliance) <= 1e-7 * ref.compliance
 
 
