@@ -5,20 +5,37 @@ per cell, shared across faces).  Element integrals use tensor-product
 Gauss-Legendre quadrature; sub-element stiffness matrices integrate the
 *parent* basis over a dyadic parametric sub-cube [i,i+1]x[j,j+1]x[k,k+1]
 / 2^level, and a cell's stiffness is their sum weighted by one factor per
-(cell, sub-cube).  Per quadrature point the elasticity integrand factors as
+(cell, sub-cube).  The geometry is stored as one scaled inverse S =
+sqrt(w det J) J^{-1} per quadrature point, formed from closed-form
+cofactors of J and kept as one contiguous (sub, point) plane per entry of
+S in each cell, so every kernel carries the quadrature weight w det J
+inside S.  Each job has one kernel:
 
-    B_i^T D B_j = lam g_i g_j^T + mu (g_j g_i^T + (g_i . g_j) I)
+- Whole cells (aggregate, sub_stiffness): sum factorization.  A cell's
+  Q^3 Gauss points, Q = 4 * 2^level, form a grid and its basis is a tensor
+  product of 1-D Bernstein polynomials, so the stiffness is a sum of
+  per-point coefficient planes in S, contracted one parameter at a time by
+  GEMMs against 1-D tables (Antolin, Buffa, Calabro, Martinelli and
+  Sangalli, CMAME 284, 2015).  A cell costs about 2 (16 Q^3 + 256 Q^2)
+  flops per plane plus 8192 Q per block and group of the last
+  contraction: 2.0 MFLOP for a heat cell at level 2 and 3.8 MFLOP for an
+  elasticity cell at level 1, against 100 and 38 MFLOP for a Gram of its
+  points' gradients, and the ratio grows 8x per level.
+- Increments (add_increment): a Gram of the weighted physical gradients
+  S^T Ghat of each run of (cell, sub-cube) pairs, expanded per point as
 
-with g_i the physical shape gradients, so each element matrix is one
-Gram product of the gradient vectors plus cheap reshuffles; assembly and
-the conjugate-gradient matvec stay allocation-light and deterministic.
-The basis gradients are tabulated as one contiguous (sub, point, node)
-plane per parameter direction.  The geometry is stored as one scaled
-inverse S = sqrt(w det J) J^{-1} per quadrature point, formed from
-closed-form cofactors of J and kept as one contiguous (sub, point) plane
-per entry of S in each cell, so the Grams and the energies share one
-gradient step S^T X on that table and carry the quadrature weight w det J
-inside it.
+      B_i^T D B_j = lam g_i g_j^T + mu (g_j g_i^T + (g_i . g_j) I)
+
+  with g_i the physical shape gradients.  For the few pairs of one cell
+  that a BESO step touches it costs less than a whole-cell pass.
+- Energies (sub_energies): the same gradient step S^T Ghat, contracted
+  with the dof values first.
+
+The parameter gradients Ghat are tabulated as one contiguous (sub, point,
+node) plane per parameter direction.  Every kernel works in batches whose
+working set stays within a fixed budget, or one cell's if that is larger,
+so memory beside its output does not grow with the mesh; all reductions
+run in a fixed order, so results are deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -32,16 +49,20 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-# working-set bound of one batch of the geometry, the stiffness Gram
+# working-set bound of one batch of the geometry, the increments' Gram
 # kernel, the sub-element energies and the preconditioner's cell blocks
 _GRAM_BATCH_BYTES = 32 << 20
 # tighter bound of one batch of the whole-array arithmetic on per-point
-# planes (the geometry and the energies), which then stays in cache.  On a
-# 2-core VM the energies took, at 1 / 2 / 4 / 8 / 16 MiB: 34 / 24 / 17.5 /
-# 17 / 17 ms on a 120-cell level-2 heat model, 66 / 56 / 58 / 58 / 71 ms on
-# a 1 024-cell level-1 elasticity one.  The batch's rows set the node
-# GEMM's shape and so its rounding: at 4 MiB both equal the 1 MiB energies
-# bit for bit, at 2 MiB the heat ones do not.
+# planes (the geometry, the energies and the sum-factorized stiffness),
+# which then stays in cache.  On a 2-core VM the energies took, at 1 / 2 /
+# 4 / 8 / 16 MiB: 34 / 24 / 17.5 / 17 / 17 ms on a 120-cell level-2 heat
+# model, 66 / 56 / 58 / 58 / 71 ms on a 1 024-cell level-1 elasticity one.
+# The batch's rows set the node GEMM's shape and so its rounding: at 4 MiB
+# both equal the 1 MiB energies bit for bit, at 2 MiB the heat ones do not.
+# Their aggregates took 41 / 54 / 55 ms and 0.59 / 0.50 / 0.39 s at 4 / 8 /
+# 32 MiB: the heat cells' larger planes gain from the cache more than the
+# many small elasticity ones lose to call overhead.  The rows change none
+# of the aggregates' bits.
 _PLANE_BATCH_BYTES = 4 << 20
 # solves between coarse refactorizations of a StiffnessOperator's
 # preconditioner, whose cell blocks are rebuilt only where kills touched
@@ -253,6 +274,58 @@ def _quad_tables(level, order):
     return wts, N, Ghat
 
 
+@lru_cache(maxsize=32)
+def _line_tables(level, order):
+    """Values and derivatives (Q, 4) of the four 1-D Bernstein polynomials
+    at the Q = order * 2^level Gauss points of a cell's edge cut into
+    2^level equal pieces, in order: point q = i * order + p is point p of
+    piece i, as in _quad_tables."""
+    x, _ = _gauss01(order)
+    m = 2 ** level
+    t = ((np.arange(m)[:, None] + x) / m).ravel()
+    B, D = _bernstein(t), _bernstein_deriv(t)
+    for a in (B, D):
+        a.setflags(write=False)
+    return B, D
+
+
+# The (e, g) terms of the stiffness integrand, e and g parameter
+# directions, in groups that share the pair of 1-D tables of the last (q1)
+# contraction: (derivative, derivative), (derivative, value), (value,
+# derivative), (value, value).  _UPPER (e <= g) fills the blocks d <= d' of
+# the spatial components, _LOWER (e > g) the blocks d < d'; every other
+# term is the transpose of one of these.
+_UPPER = (((0, 0),), ((0, 1), (0, 2)), ((1, 1), (1, 2), (2, 2)))
+_LOWER = (((1, 0), (2, 0)), ((2, 1),))
+# the (d, d') blocks of an elasticity cell in kernel order: the diagonal,
+# then the blocks (d, d + 1), then (0, 2)
+_BLOCKS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2))
+
+
+@lru_cache(maxsize=2)
+def _cell_gather(dpn):
+    """Where each entry of a node-major (nd, nd) cell stiffness sits in the
+    sum-factorization kernel's result: the (d, d') block of _BLOCKS (d <=
+    d') and the position in that block, indexed (c, c', b, b', a, a') for
+    the node pair ((a, b, c), (a', b', c')); a block d > d' is read from
+    (d', d) transposed.  Also returns the permutation of a block's
+    positions that transposes it."""
+    a, b, c, a2, b2, c2 = np.indices((4,) * 6).reshape(6, -1)
+    pos = ((((c * 4 + c2) * 4 + b) * 4 + b2) * 4 + a) * 4 + a2
+    pos_t = ((((c2 * 4 + c) * 4 + b2) * 4 + b) * 4 + a2) * 4 + a
+    swap = np.empty(4096, dtype=np.intp)
+    swap[pos] = pos_t
+    block = np.empty((64, dpn, 64, dpn), dtype=np.intp)
+    at = np.empty_like(block)
+    for k, (d, e) in enumerate(_BLOCKS[:1 if dpn == 1 else None]):
+        block[:, e, :, d] = block[:, d, :, e] = k
+        at[:, e, :, d] = pos_t.reshape(64, 64)
+        at[:, d, :, e] = pos.reshape(64, 64)
+    for t in (swap, block, at):
+        t.setflags(write=False)
+    return block.ravel(), at.ravel(), swap
+
+
 class Assembly:
     """Precomputed quadrature data of a model at one sub-cube level.
 
@@ -261,21 +334,25 @@ class Assembly:
     nsub * npts), one contiguous plane per cell and entry; the sub-cube
     volumes; the load of a unit heat source; the cell-to-dof map; and
     batched routines for sub-element stiffness, aggregation over
-    per-(cell, sub) stiffness factors, matvec, and sub-element energies.
-    The constructor forms J by one GEMM per cell of its control net with
-    the gradient table, and det J and the adjugate by whole-array cofactor
-    arithmetic on the planes over batches of cells; a det J that is not
-    positive raises a ValueError naming the (cell, sub-cube, point) of the
-    least one in the model.  All reductions run in a fixed order, so
-    repeated assemblies are bit-identical.  The stiffness integrals
-    (sub_stiffness, aggregate, add_increment) share one Gram kernel; it and
-    sub_energies form weighted physical gradients as S^T X on the gradient
-    table.  Each of their batches, and of those forming S, holds at most
-    the larger of its budget (_GRAM_BATCH_BYTES, or _PLANE_BATCH_BYTES for
-    per-point planes) and one cell's rows.  So memory beside the results
-    does not grow with the mesh, but it does with the level once one
-    cell's rows pass the budget: one elasticity cell's energy planes take
-    5.5 MB at level 3, above the 4 MiB plane budget, and 8x that a level
+    per-(cell, sub) stiffness factors, increments, matvec, and sub-element
+    energies.  The constructor forms J by one GEMM per cell of its control
+    net with the gradient table, and det J and the adjugate by whole-array
+    cofactor arithmetic on the planes over batches of cells; a det J that
+    is not positive raises a ValueError naming the (cell, sub-cube, point)
+    of the least one in the model.  All reductions run in a fixed order,
+    so repeated assemblies are bit-identical.  Whole cells go through the
+    sum-factorization kernel (_sum_factorized): aggregate runs it on every
+    cell's grid, sub_stiffness on one sub-cube's block of it.  Increments
+    go through the pair-run Gram kernel (_gram_batches), and sub_energies
+    forms the weighted physical gradients S^T X on the gradient table.
+    Each batch of these, and of those forming S, holds at most the larger
+    of its budget (_PLANE_BATCH_BYTES for the per-point planes of the
+    geometry, the energies and the sum factorization, _GRAM_BATCH_BYTES
+    for the Grams) and one cell's working set.  So memory beside the
+    results does not grow with the mesh, but it does with the level once
+    one cell's working set passes the budget: at level 3 one elasticity
+    cell's energy planes take 5.5 MB and its sum-factorization workspace
+    11.3 MB, both above the 4 MiB plane budget, and both grow 8x a level
     finer.
     """
 
@@ -290,6 +367,7 @@ class Assembly:
         self.problem = problem
         self.mat = mat
         self.level = level
+        self.quad_order = quad_order
         self.nsub = 8 ** level
         self.dpn = 3 if problem == "elasticity" else 1
         self.nd = 64 * self.dpn
@@ -357,77 +435,33 @@ class Assembly:
     def num_cells(self):
         return self.model.num_cells
 
-    def _gram_batches(self, cells, subs, scale, cap=None):
-        """Weighted gradient Grams summed over the (cell, sub) pairs of each
-        row, in batches of bounded size.
+    def _gram_batches(self, cells, subs, scale):
+        """Weighted gradient Grams summed over runs of (cell, sub) pairs, in
+        batches of bounded size: the kernel of add_increment.
 
-        A row's Gram is W = sum over its pairs and points of q q^T, with
-        q = sqrt(|scale|) S^T Ghat the weighted physical gradients of the
-        pair flattened component-major, (d, node), negated where the scale
-        is negative; for heat the sum runs over d too, giving the stiffness
+        cells, subs and scale are (n,) over pairs, and a row is a maximal
+        run of consecutive pairs of one cell and one sign of scale.  A row's
+        Gram is W = sum over its pairs and points of q q^T, with q =
+        sqrt(|scale|) S^T Ghat the weighted physical gradients of the pair
+        flattened component-major, (d, node), negated where the scale is
+        negative; for heat the sum runs over d too, giving the stiffness
         itself.  S and Ghat are read through (cell, sub, point, e, a) and
-        (sub, point, e, node) views of their plane layouts.  A row's pairs
-        are folded into the inner dimension of one GEMM per batch; where a
-        row is cut into slices, their Grams are summed, in another order
+        (sub, point, e, node) views of their plane layouts, and a row's
+        pairs are folded into the inner dimension of one GEMM.  Yields
+        (first, W) with `first` the index of each row's first pair.  The
+        batches are consecutive slices of pairs within _GRAM_BATCH_BYTES of
+        gradients and Grams, whatever the rows; a row that straddles
+        batches is yielded once, its slices' Grams summed in another order
         than one GEMM would, which changes W by rounding only.
-
-        With subs None, cells (n,) and scale (n, k) >= 0: row i holds the k
-        subs of cells[i] in order, every row reads the same view of the
-        table, which is not gathered per row, and the slices are equal,
-        of at most `span` subs.  Yields (rows, W) for consecutive slices
-        `rows` of the n rows; a batch holds at most `cap` rows and
-        _GRAM_BATCH_BYTES of gradients and Grams, or one row's slice if
-        that is larger.  Every row is its own GEMM, so the rows per batch
-        change no bits.  The slices depend on k and on _GRAM_BATCH_BYTES:
-        from the default budget up, k <= 64 (level 2 or coarser) at the
-        default quadrature order is one slice and W the same bit for bit.
-
-        Otherwise cells, subs and scale are (n,) over pairs, and a row is a
-        maximal run of consecutive pairs of one cell and one sign of scale.
-        Yields (first, W) with `first` the index of each row's first pair.
-        The batches are consecutive slices of pairs within
-        _GRAM_BATCH_BYTES of gradients and Grams, whatever the rows; a row
-        that straddles batches is yielded once, its slices' Grams summed.
         """
-        # per pair: gathered Ghat (none with subs None), gradients and the
-        # previous slice's, bound until replaced (the gathered S adds under
-        # 5 % of one)
+        # per pair: gathered Ghat, gradients and the previous slice's,
+        # bound until replaced (the gathered S adds under 5 % of one)
         pair = 3 * self._Ghat[:, 0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
+        step = max(1, _GRAM_BATCH_BYTES // (pair + gram))
         S = self.S.reshape(len(self.S), 3, 3, self.nsub, -1).transpose(
             0, 3, 4, 1, 2)
         Ghat = self._Ghat.transpose(1, 2, 0, 3)
-        if subs is not None:
-            yield from self._run_grams(S, Ghat, cells, subs, scale,
-                                       max(1, _GRAM_BATCH_BYTES
-                                           // (pair + gram)))
-            return
-        n, k = scale.shape
-        span = min(k, max(1, (_GRAM_BATCH_BYTES - gram) // pair))
-        nslice = -(-k // span)
-        span = -(-k // nslice)
-        nrow = max(1, _GRAM_BATCH_BYTES // (span * pair + gram))
-        if cap is not None:
-            nrow = min(nrow, cap)
-        for lo in range(0, n, nrow):
-            rows = slice(lo, min(lo + nrow, n))
-            W = None
-            for s0 in range(0, k, span):
-                s = slice(s0, s0 + span)
-                St = S[cells[rows], s].swapaxes(-1, -2)
-                St *= np.sqrt(scale[rows, s])[..., None, None, None]
-                G = np.matmul(St, Ghat[s])
-                Q = G.reshape(len(G), -1, self.nd)
-                part = Q.transpose(0, 2, 1) @ Q
-                if W is None:
-                    W = part
-                else:
-                    W += part
-            yield rows, W
-
-    def _run_grams(self, S, Ghat, cells, subs, scale, step):
-        """The pair form of _gram_batches, over batches of `step` pairs; a
-        row that straddles batches is carried into the next one."""
         neg = scale < 0
         root = np.sqrt(np.abs(scale))
         bounds = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1])
@@ -471,33 +505,196 @@ class Assembly:
             K[:, d::3, d::3] += A
         return K
 
+    def _kernel_floats(self, Q):
+        """Floats of the sum-factorization kernel's workspace per cell of
+        Q^3 points: S scaled in its own layout (then kappa U), U on the
+        grid, one term's coefficient planes, three product planes and a
+        sum plane, three terms' first contractions, three groups' second
+        ones, the result, the _LOWER terms' result and the transposes of
+        the diagonal blocks."""
+        elastic = self.dpn == 3
+        nb = len(_BLOCKS) if elastic else 1
+        return ((18 + elastic + nb + 3) * Q ** 3 + 48 * nb * Q * Q
+                + 768 * nb * Q + (nb + 5 * elastic + 1) * 4096)
+
+    def _sum_factorized(self, S, root, lines, out, work):
+        """Stiffness of n cells, or sub-cubes, by sum factorization.
+
+        S (n, 3, 3, m, m, m, o, o, o) holds the scaled inverse Jacobians of
+        each on its m^3 sub-cubes of o^3 Gauss points, root (n, m, m, m)
+        the square roots of the sub-cubes' stiffness factors, and lines[k]
+        the (values, derivatives) tables (Q, 4) of the 1-D basis at the Q =
+        m o points along parameter k; the points form a Q^3 grid.  Writes
+        the node-major stiffness (n, nd, nd) to `out`, which must be
+        contiguous; `work` is a flat float64 buffer of at least n *
+        _kernel_floats(Q) floats.
+
+        The basis is a tensor product, so the integral of C_eg Xhat_e
+        Xhat_g^T over the grid, Xhat_e the parameter gradient e of the
+        basis, factors into one contraction per parameter against a 1-D
+        table X_k[q, a] X'_k[q, b] (X, X' values or derivatives).  With U =
+        sqrt(f) S the coefficient planes are C_eg = k0 (U U^T)_eg for heat
+        and, per block (d, d') of the spatial components, C_eg = lam U_ed
+        U_gd' + mu U_ed' U_gd + mu delta_dd' (U U^T)_eg for elasticity.
+        One (e, g) term's planes are contracted over q3 and then q2 by
+        GEMMs; the terms that share the q1 table are stacked along the
+        second GEMM's inner dimension, which sums them, and the groups
+        along the third's.  The (g, e) term is the transpose of the (e, g)
+        one with d and d' swapped, so _UPPER and _LOWER list 45 of the 81
+        (e, g, d, d') terms of elasticity (6 of 9 for heat): the diagonal
+        terms (e = g, d = d') are halved and each diagonal block is added to
+        its transpose.  Every GEMM keeps the cells in its rows, so the
+        result does not depend on how many cells are batched together.
+        Per cell and plane the first two contractions take 2 (16 Q^3 + 256
+        Q^2) flops, and the last one 2 * 4096 Q per block and group (24 for
+        elasticity, 3 for heat).  The coefficient planes are whole-array
+        arithmetic, about three passes per plane.
+        """
+        n, m, o = len(S), S.shape[3], S.shape[-1]
+        Q = m * o
+        elastic = self.dpn == 3
+        nb = len(_BLOCKS) if elastic else 1
+        at = 0
+
+        def carve(*shape):
+            nonlocal at
+            size = int(np.prod(shape))
+            at += size
+            return work[at - size:at].reshape(shape)
+
+        if elastic:
+            scale, kappa = self.mat.mu, self.mat.lam / self.mat.mu
+        else:
+            scale = self.mat.e0 if self.mat is not None else 1.0
+        # U[e, q2, q1, a, c, q3] = sqrt(scale f) S[c, e, a] on the grid:
+        # scaled in S's layout, then moved in runs of o floats, one void
+        # item each (a third faster than one strided multiply)
+        spare = carve(9 * n * Q ** 3)
+        native = spare.reshape(n, 3, 3, m ** 3, o ** 3)
+        np.multiply(S.reshape(native.shape), np.sqrt(scale)
+                    * root.reshape(n, 1, 1, -1, 1), out=native)
+        U = carve(3, m, o, m, o, 3, n, m, o)
+        run = np.dtype((np.void, 8 * o))
+        np.copyto(U.view(run)[..., 0], native.view(run).reshape(
+            n, 3, 3, m, m, m, o, o).transpose(1, 4, 7, 3, 6, 2, 0, 5))
+        U = U.reshape(3, Q, Q, 3, n, Q)
+        planes = carve(Q * Q * nb * n * Q)
+        T = carve(Q, Q, 3, n, Q)
+        R1 = carve(3 * Q * Q * nb * n * 16)
+        R2 = carve(3 * Q * nb * n * 256)
+        R3 = carve(nb, n, 4096)
+        if elastic:
+            kU = spare.reshape(U.shape)
+            np.multiply(U, kappa, out=kU)
+            H = carve(Q, Q, n, Q)
+            R3_lower = carve(3, n, 4096)
+        mirror = carve(3 if elastic else 1, n, 4096)
+        pairs = [{(de, dg): (line[de][:, :, None] * line[dg][:, None, :])
+                  .reshape(-1, 16) for de in (0, 1) for dg in (0, 1)}
+                 for line in lines]
+
+        def off_diagonal(P, e, g):
+            # blocks (0, 1), (1, 2), then (0, 2): lam U_ed U_gd' + mu
+            # U_ed' U_gd, with mu in U
+            for s, k in ((1, slice(0, 2)), (2, slice(2, 3))):
+                np.multiply(kU[e, :, :, :3 - s], U[g, :, :, s:],
+                            out=P[:, :, k])
+                np.multiply(U[e, :, :, s:], U[g, :, :, :3 - s],
+                            out=T[:, :, k])
+                P[:, :, k] += T[:, :, k]
+
+        def upper(P, e, g):
+            half = 0.5 if e == g else 1.0
+            np.multiply(U[e], U[g], out=T)
+            if not elastic:
+                np.add(T[:, :, 0], T[:, :, 1], out=P[:, :, 0])
+                P[:, :, 0] += T[:, :, 2]
+                if e == g:
+                    P *= half
+                return
+            np.add(T[:, :, 0], T[:, :, 1], out=H)
+            np.add(H, T[:, :, 2], out=H)
+            np.multiply(H, half, out=H)
+            np.multiply(T, half * (kappa + 1.0), out=P[:, :, :3])
+            P[:, :, :3] += H[:, :, None]
+            off_diagonal(P[:, :, 3:], e, g)
+
+        def contract(groups, k, fill, res):
+            # planes P[q2, q1, block, c, q3], then T1[term, q2, (q1, block,
+            # c, cc')], G[(group, q1), (block, c, cc', bb')] and res[block,
+            # c, cc', bb', aa']
+            P = planes[:Q * Q * k * n * Q].reshape(Q, Q, k, n, Q)
+            rows = Q * k * n * 16
+            G = R2[:len(groups) * rows * 16].reshape(len(groups) * Q, -1)
+            Y1 = []
+            for i, group in enumerate(groups):
+                T1 = R1[:len(group) * Q * rows].reshape(len(group), Q, rows)
+                Y2 = []
+                for j, (e, g) in enumerate(group):
+                    fill(P, e, g)
+                    np.matmul(P.reshape(-1, Q), pairs[2][e == 2, g == 2],
+                              out=T1[j].reshape(-1, 16))
+                    Y2.append(pairs[1][e == 1, g == 1])
+                np.matmul(T1.reshape(len(group) * Q, rows).T,
+                          np.concatenate(Y2),
+                          out=G[i * Q:(i + 1) * Q].reshape(-1, 16))
+                Y1.append(pairs[0][e == 0, g == 0])
+            np.matmul(G.T, np.concatenate(Y1), out=res.reshape(-1, 16))
+
+        contract(_UPPER, nb, upper, R3)
+        if elastic:
+            contract(_LOWER, 3, off_diagonal, R3_lower)
+            R3[3:] += R3_lower
+        block, pos, swap = _cell_gather(self.dpn)
+        diag = R3[:len(mirror)]
+        np.take(diag, swap, axis=2, out=mirror, mode="clip")
+        diag += mirror
+        index = block * (n * 4096) + pos
+        flat = R3.reshape(-1)
+        for c in range(n):
+            np.take(flat[4096 * c:], index, out=out[c].reshape(-1),
+                    mode="clip")
+
     def sub_stiffness(self, cells, subs, factors=None):
         """Stiffness of the given (cell, sub-cube) pairs, optionally scaled
         by per-pair factors (negative factors allowed, e.g. for incremental
-        stiffness removal).  A pair outside the model, or a factor that is
-        not finite, raises a ValueError naming the pair."""
+        stiffness removal).  Each pair runs the sum-factorization kernel on
+        its own o^3 block of its cell's grid, one pair at a time, so at
+        level 0 it does aggregate's arithmetic on the whole cell.  A pair
+        outside the model, or a factor that is not finite, raises a
+        ValueError naming the pair."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         _check_pairs(cells, subs, self.num_cells, self.nsub)
         scale = (np.ones(len(cells)) if factors is None
                  else np.asarray(factors, dtype=float))
         _check_factors(scale, cells, subs, "stiffness factor")
+        m, o = 2 ** self.level, self.quad_order
+        B, D = _line_tables(self.level, o)
+        S = self.S.reshape(self.num_cells, 3, 3, self.nsub, 1, 1, 1, o, o, o)
+        root = np.sqrt(np.abs(scale)).reshape(-1, 1, 1, 1)
+        work = np.empty(self._kernel_floats(o))
         out = np.empty((len(cells), self.nd, self.nd))
-        # one call per pair: the kernel would sum neighbouring pairs of one
-        # cell and sign into one row
-        for i in range(len(cells)):
-            for _, W in self._gram_batches(cells[i:i + 1], subs[i:i + 1],
-                                           scale[i:i + 1]):
-                out[i] = self._expand(W)[0]
+        for i, (c, s) in enumerate(zip(cells, subs)):
+            lines = [(B[k * o:(k + 1) * o], D[k * o:(k + 1) * o])
+                     for k in np.unravel_index(s, (m, m, m))]
+            self._sum_factorized(S[c:c + 1, :, :, s], root[i:i + 1], lines,
+                                 out[i:i + 1], work)
+            if scale[i] < 0:
+                np.negative(out[i], out=out[i])
         return out
 
     def aggregate(self, factors, chunk=128):
         """Per-cell stiffness sum_s factors[c, s] * K0_{c,s}, (nc, nd, nd).
 
-        Each cell's sub-cubes are summed inside the Gram kernel, whose
-        working set stays within _GRAM_BATCH_BYTES beside the output;
-        `chunk` caps the cells per batch.  The result does not depend on
-        the batch size, and at level 0 it equals sub_stiffness bit for
+        Every cell is one run of the sum-factorization kernel over the
+        grid of all its sub-cubes' Gauss points, its factors applied per
+        point, in batches of at most `chunk` cells.  Beside the output a
+        batch holds its workspace, at most the larger of _PLANE_BATCH_BYTES
+        and one cell's (0.95 MB for an elasticity cell at level 1, 11.3 MB
+        at level 3), and a gather index of nd^2 integers, so memory beside
+        the output does not grow with the mesh.  The result does not depend
+        on the batch size, and at level 0 it equals sub_stiffness bit for
         bit.  A factor that is negative or not finite raises a ValueError
         naming its (cell, sub) pair."""
         if chunk < 1:
@@ -506,10 +703,17 @@ class Assembly:
         factors = np.asarray(factors, dtype=float).reshape(nc, self.nsub)
         _check_factors(factors, np.arange(nc)[:, None],
                        np.arange(self.nsub), "stiffness factor", 0.0)
+        m, o = 2 ** self.level, self.quad_order
+        floats = self._kernel_floats(m * o)
+        step = min(chunk, max(1, _PLANE_BATCH_BYTES // (8 * floats)))
+        S = self.S.reshape(nc, 3, 3, m, m, m, o, o, o)
+        root = np.sqrt(factors).reshape(nc, m, m, m)
+        lines = (_line_tables(self.level, o),) * 3
+        work = np.empty(min(step, nc) * floats)
         out = np.empty((nc, self.nd, self.nd))
-        for rows, W in self._gram_batches(np.arange(nc), None, factors,
-                                          cap=chunk):
-            out[rows] = self._expand(W)
+        for lo in range(0, nc, step):
+            rows = slice(lo, min(lo + step, nc))
+            self._sum_factorized(S[rows], root[rows], lines, out[rows], work)
         return out
 
     def add_increment(self, K_cells, cells, subs, dfactors, u):

@@ -429,24 +429,64 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
+@pytest.mark.parametrize("problem, level", [("elasticity", 0),
+                                            ("elasticity", 1), ("heat", 2),
+                                            ("heat", 3)])
 def test_aggregate_independent_of_batch_size(monkeypatch, problem, level):
     asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
     fac = _mixed_factors(asm, 1)
     ref = asm.aggregate(fac)
-    # a larger budget packs more cells per batch but slices their
-    # sub-cubes the same way, so every chunk must give the same bits
-    for budget in (iga._GRAM_BATCH_BYTES, 8 * iga._GRAM_BATCH_BYTES):
-        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    # every GEMM of the kernel keeps the cells in its rows: neither the
+    # cells per batch nor the budget that sets them may change a bit
+    for budget in (1, iga._PLANE_BATCH_BYTES, iga._GRAM_BATCH_BYTES):
+        monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
         for chunk in (1, 5, 16, 128):
             assert np.array_equal(asm.aggregate(fac, chunk=chunk), ref)
-    # a budget too small for a row's sub-cubes cuts them into more
-    # slices, whose Grams sum in another order: rounding only
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", 1)
-    small = asm.aggregate(fac)
-    assert np.abs(small - ref).max() <= 1e-14 * np.abs(ref).max()
     with pytest.raises(ValueError, match="chunk"):
         asm.aggregate(fac, chunk=0)
+
+
+@pytest.mark.parametrize("problem", ["elasticity", "heat"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_aggregate_matches_pair_grams(problem, level):
+    # the sum-factorized cells against an independent computation: the
+    # Grams of the weighted point gradients that add_increment forms, every
+    # (cell, sub) pair added with its factor to a zero stack
+    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
+    fac = _mixed_factors(asm, 9)
+    cells, subs = np.divmod(np.arange(fac.size), asm.nsub)
+    ref = np.zeros((asm.num_cells, asm.nd, asm.nd))
+    asm.add_increment(ref, cells, subs, fac.ravel(), np.zeros(asm.ndof))
+    K = asm.aggregate(fac)
+    assert _rel(K, ref) <= 1e-12
+    assert np.array_equal(K, K.transpose(0, 2, 1))
+
+
+def test_aggregate_memory_is_bounded(monkeypatch):
+    # two level-3 elasticity cells, 11.3 MB of kernel workspace each: one
+    # (e, g) term's coefficient planes take 1.6 MB a cell, and keeping
+    # every term's at once would take the pair past a 32 MiB budget
+    asm = Assembly(build_spline_model(lattice(2, 1, 1)[0]), "elasticity",
+                   Material(1.0, 0.3), level=3)
+    ones = np.ones((asm.num_cells, asm.nsub))
+    budget = iga._GRAM_BATCH_BYTES
+    runs = []
+    # both cells in one batch, then the default budget, which holds no
+    # level-3 cell: one each
+    for patched in (budget, iga._PLANE_BATCH_BYTES):
+        monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", patched)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            K = asm.aggregate(ones)
+            peak = tracemalloc.get_traced_memory()[1] - base - K.nbytes
+        finally:
+            tracemalloc.stop()
+        runs.append((peak, K))
+    (peak, K), (single, K1) = runs
+    assert peak <= budget
+    assert single <= 0.6 * peak
+    assert np.array_equal(K1, K)
 
 
 @pytest.mark.parametrize("problem", ["elasticity", "heat"])
