@@ -5,22 +5,30 @@ per cell, shared across faces).  Element integrals use tensor-product
 Gauss-Legendre quadrature; sub-element stiffness matrices integrate the
 *parent* basis over a dyadic parametric sub-cube [i,i+1]x[j,j+1]x[k,k+1]
 / 2^level, and a cell's stiffness is their sum weighted by one factor per
-(cell, sub-cube).  The geometry is stored as one scaled inverse S =
-sqrt(w det J) J^{-1} per quadrature point, formed from closed-form
-cofactors of J and kept as one contiguous (sub, point) plane per entry of
-S in each cell, so every kernel carries the quadrature weight w det J
-inside S.  Each job has one kernel:
+(cell, sub-cube).  A cell's 2^level pieces along a parameter hold o Gauss
+points each, Q = o 2^level in all, so its Q^3 points form a grid, and
+sub-cube (i, j, k) is the o^3 block of the grid starting at point (i o,
+j o, k o).  The basis is a tensor product of 1-D Bernstein polynomials,
+so one family of tables serves every kernel: the values and derivatives
+of the four 1-D polynomials at the Q points (_line_tables).  The
+geometry is stored as one scaled inverse S = sqrt(w det J) J^{-1} per
+grid point, formed from closed-form cofactors of J and kept as one
+contiguous grid plane per entry of S in each cell, so every kernel
+carries the quadrature weight w det J inside S.  Each job has one kernel:
 
-- Whole cells (aggregate, sub_stiffness): sum factorization.  A cell's
-  Q^3 Gauss points, Q = 4 * 2^level, form a grid and its basis is a tensor
-  product of 1-D Bernstein polynomials, so the stiffness is a sum of
-  per-point coefficient planes in S, contracted one parameter at a time by
-  GEMMs against 1-D tables (Antolin, Buffa, Calabro, Martinelli and
-  Sangalli, CMAME 284, 2015).  A cell costs about 2 (16 Q^3 + 256 Q^2)
-  flops per plane plus 8192 Q per block and group of the last
-  contraction: 2.0 MFLOP for a heat cell at level 2 and 3.8 MFLOP for an
-  elasticity cell at level 1, against 100 and 38 MFLOP for a Gram of its
-  points' gradients, and the ratio grows 8x per level.
+- Gradients on the grid (_grid_gradients): three GEMMs against the 1-D
+  tables take per-node fields to their parameter gradients at every grid
+  point.  They give J from the control nets, the energies' gradients from
+  the dof values and, from the 64 unit fields, the increments' gradient
+  table.
+- Whole cells (aggregate, sub_stiffness): sum factorization.  The
+  stiffness is a sum of per-point coefficient planes in S, contracted one
+  parameter at a time by GEMMs against the 1-D tables (Antolin, Buffa,
+  Calabro, Martinelli and Sangalli, CMAME 284, 2015).  A cell costs about
+  2 (16 Q^3 + 256 Q^2) flops per plane plus 8192 Q per block and group of
+  the last contraction: 2.0 MFLOP for a heat cell at level 2 and 3.8 MFLOP
+  for an elasticity cell at level 1, against 100 and 38 MFLOP for a Gram
+  of its points' gradients, and the ratio grows 8x per level.
 - Increments (add_increment): a Gram of the weighted physical gradients
   S^T Ghat of each run of (cell, sub-cube) pairs, expanded per point as
 
@@ -28,16 +36,17 @@ inside S.  Each job has one kernel:
 
   with g_i the physical shape gradients.  For the few pairs of one cell
   that a BESO step touches it costs less than a whole-cell pass.
-- Energies (sub_energies): the same gradient step S^T Ghat, contracted
-  with the dof values first.
+- Energies (sub_energies): the dof values' gradients on the grid,
+  multiplied by S^T.
 
-The parameter gradients Ghat are tabulated as one contiguous (sub, point,
-node) plane per parameter direction.  Every kernel works in batches whose
-working set stays within a fixed budget, or one cell's if that is larger,
-so memory beside its output does not grow with the mesh; all reductions
-run in a fixed order, so results are deterministic.
+Sub-cube volumes and energies are sums over the o^3 blocks of the grid.
+Every kernel works in batches whose working set stays within a fixed
+budget, or one cell's if that is larger, so memory beside its output does
+not grow with the mesh; all reductions run in a fixed order, so results
+are deterministic.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -54,15 +63,8 @@ _PROBLEMS = ("heat", "elasticity")
 _GRAM_BATCH_BYTES = 32 << 20
 # tighter bound of one batch of the whole-array arithmetic on per-point
 # planes (the geometry, the energies and the sum-factorized stiffness),
-# which then stays in cache.  On a 2-core VM the energies took, at 1 / 2 /
-# 4 / 8 / 16 MiB: 34 / 24 / 17.5 / 17 / 17 ms on a 120-cell level-2 heat
-# model, 66 / 56 / 58 / 58 / 71 ms on a 1 024-cell level-1 elasticity one.
-# The batch's rows set the node GEMM's shape and so its rounding: at 4 MiB
-# both equal the 1 MiB energies bit for bit, at 2 MiB the heat ones do not.
-# Their aggregates took 41 / 54 / 55 ms and 0.59 / 0.50 / 0.39 s at 4 / 8 /
-# 32 MiB: the heat cells' larger planes gain from the cache more than the
-# many small elasticity ones lose to call overhead.  The rows change none
-# of the aggregates' bits.
+# which then stays in cache; the rows of a batch change none of the
+# aggregates' bits
 _PLANE_BATCH_BYTES = 4 << 20
 # solves between coarse refactorizations of a StiffnessOperator's
 # preconditioner, whose cell blocks are rebuilt only where kills touched
@@ -237,56 +239,65 @@ def _box_points(points, spec, name):
     return idx
 
 
-def _gauss01(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-@lru_cache(maxsize=32)
-def _quad_tables(level, order):
-    """Per sub-cube: quadrature weights (with the 1/8^level measure),
-    parent-basis values N[s, p, n] and parameter gradients
-    Ghat[e, s, p, n] (basis n along parameter e) at the mapped points, one
-    contiguous (sub, point, node) plane per parameter.  Sub-cube (i, j, k)
-    has index (i*2^level + j)*2^level + k."""
-    x, w = _gauss01(order)
-    m = 2 ** level
-    npts = order ** 3
-    wts = (np.einsum("i,j,k->ijk", w, w, w).reshape(npts) / m ** 3)
-    N = np.empty((m ** 3, npts, 64))
-    Ghat = np.empty((3, m ** 3, npts, 64))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                u, v, t = (i + x) / m, (j + x) / m, (k + x) / m
-                B = [_bernstein(u), _bernstein(v), _bernstein(t)]
-                D = [_bernstein_deriv(u), _bernstein_deriv(v),
-                     _bernstein_deriv(t)]
-                s = (i * m + j) * m + k
-                N[s] = np.einsum("ia,jb,kc->ijkabc", *B).reshape(npts, 64)
-                for ax in range(3):
-                    F = list(B)
-                    F[ax] = D[ax]
-                    Ghat[ax, s] = np.einsum(
-                        "ia,jb,kc->ijkabc", *F).reshape(npts, 64)
-    for a in (wts, N, Ghat):
-        a.setflags(write=False)
-    return wts, N, Ghat
+def _whole(value, name, least):
+    """`value` as an int; a ValueError naming `name` unless it is a whole
+    number >= least."""
+    if not (isinstance(value, numbers.Real) and value >= least
+            and float(value).is_integer()):
+        raise ValueError("%s must be a whole number >= %d, got %r"
+                         % (name, least, value))
+    return int(value)
 
 
 @lru_cache(maxsize=32)
 def _line_tables(level, order):
     """Values and derivatives (Q, 4) of the four 1-D Bernstein polynomials
     at the Q = order * 2^level Gauss points of a cell's edge cut into
-    2^level equal pieces, in order: point q = i * order + p is point p of
-    piece i, as in _quad_tables."""
-    x, _ = _gauss01(order)
+    2^level equal pieces, in order: grid point q = i * order + p is point p
+    of piece i; and the points' Gauss weights (Q,) on the unit edge."""
+    x, w = np.polynomial.legendre.leggauss(order)
     m = 2 ** level
-    t = ((np.arange(m)[:, None] + x) / m).ravel()
-    B, D = _bernstein(t), _bernstein_deriv(t)
-    for a in (B, D):
+    t = ((np.arange(m)[:, None] + (x + 1.0) / 2.0) / m).ravel()
+    B, D, w = _bernstein(t), _bernstein_deriv(t), np.tile(w / 2.0, m) / m
+    for a in (B, D, w):
         a.setflags(write=False)
-    return B, D
+    return B, D, w
+
+
+def _grid_gradients(F, level, order):
+    """Parameter gradients on each cell's Q^3 Gauss grid of per-node
+    fields: F (n, 64, k) holds k fields per cell, node (a, b, c) at 16 a +
+    4 b + c; returns G (3, n, k, Q^3) with G[e, i, j] the gradient along
+    parameter e of field j of cell i at grid point (q1, q2, q3), flattened
+    in that order.
+
+    The basis is a tensor product, so the nodes are contracted one
+    parameter at a time by three GEMMs against _line_tables: over a with
+    the values and derivatives stacked, then over b likewise, and over c
+    with the table each e needs.  Every GEMM keeps the cells in its rows
+    or columns, so a cell's result does not depend on the others.  Beside
+    G it holds 20 k Q^2 floats per cell."""
+    B, D, _ = _line_tables(level, order)
+    Q = len(B)
+    n, _, k = F.shape
+    BD = np.concatenate([B, D])
+    # Z[b, i, j, c, t1, q1] and Y[t2, q2, i, j, c, t1, q1], t = 0 for the
+    # values and 1 for the derivatives
+    Z = F.reshape(n, 4, 4, 4, k).transpose(2, 0, 4, 3, 1).reshape(-1, 4) @ BD.T
+    Y = (BD @ Z.reshape(4, -1)).reshape(2, Q, n, k, 4, 2, Q)
+    G = np.empty((3, n, k, Q ** 3))
+    for e, (t1, t2, X) in enumerate(((1, 0, B), (0, 1, B), (0, 0, D))):
+        L = Y[t2, :, :, :, :, t1].transpose(1, 2, 4, 0, 3).reshape(-1, 4)
+        np.matmul(L, X.T, out=G[e].reshape(-1, Q))
+    return G
+
+
+def _block_sums(x, m, o):
+    """Sums of x (n, Q^3), Q = m o, over the m^3 blocks of o^3 points of
+    each grid: (n, m^3).  The three parameters are summed in turn, the
+    outermost first, so every sum but the last adds contiguous runs."""
+    x = x.reshape(len(x), m, o, m, o, m, o)
+    return x.sum(axis=2).sum(axis=3).sum(axis=4).reshape(len(x), -1)
 
 
 # The (e, g) terms of the stiffness integrand, e and g parameter
@@ -329,31 +340,35 @@ def _cell_gather(dpn):
 class Assembly:
     """Precomputed quadrature data of a model at one sub-cube level.
 
-    Holds S = sqrt(w det J) J^{-1}, nine floats at every (cell, sub-cube,
-    point), as S[c, e, a, s * npts + p] for entry (e, a): (nc, 3, 3,
-    nsub * npts), one contiguous plane per cell and entry; the sub-cube
-    volumes; the load of a unit heat source; the cell-to-dof map; and
-    batched routines for sub-element stiffness, aggregation over
-    per-(cell, sub) stiffness factors, increments, matvec, and sub-element
-    energies.  The constructor forms J by one GEMM per cell of its control
-    net with the gradient table, and det J and the adjugate by whole-array
-    cofactor arithmetic on the planes over batches of cells; a det J that
-    is not positive raises a ValueError naming the (cell, sub-cube, point)
-    of the least one in the model.  All reductions run in a fixed order,
-    so repeated assemblies are bit-identical.  Whole cells go through the
-    sum-factorization kernel (_sum_factorized): aggregate runs it on every
-    cell's grid, sub_stiffness on one sub-cube's block of it.  Increments
-    go through the pair-run Gram kernel (_gram_batches), and sub_energies
-    forms the weighted physical gradients S^T X on the gradient table.
-    Each batch of these, and of those forming S, holds at most the larger
-    of its budget (_PLANE_BATCH_BYTES for the per-point planes of the
-    geometry, the energies and the sum factorization, _GRAM_BATCH_BYTES
-    for the Grams) and one cell's working set.  So memory beside the
-    results does not grow with the mesh, but it does with the level once
-    one cell's working set passes the budget: at level 3 one elasticity
-    cell's energy planes take 5.5 MB and its sum-factorization workspace
-    11.3 MB, both above the 4 MiB plane budget, and both grow 8x a level
-    finer.
+    Holds S = sqrt(w det J) J^{-1}, nine floats at every point of each
+    cell's Q^3 Gauss grid (see the module docstring), as S[c, e, a, q] for
+    entry (e, a) at grid point q = (q1 Q + q2) Q + q3: (nc, 3, 3, Q^3), one
+    contiguous plane per cell and entry; the sub-cube volumes; the load of
+    a unit heat source; the cell-to-dof map; and batched routines for
+    sub-element stiffness, aggregation over per-(cell, sub) stiffness
+    factors, increments, matvec, and sub-element energies.  Sub-cube
+    (i, j, k) has index (i 2^level + j) 2^level + k.  The constructor forms
+    J from the control nets by _grid_gradients, det J and the adjugate by
+    whole-array cofactor arithmetic on the planes over batches of cells,
+    and the unit source by contracting w det J with the 1-D value tables;
+    a det J that is not positive raises a ValueError naming the (cell,
+    sub-cube, point) of the least one in the model.  All reductions run in
+    a fixed order, so repeated assemblies are bit-identical.  Whole cells
+    go through the sum-factorization kernel (_sum_factorized): aggregate
+    runs it on every cell's grid, sub_stiffness on one sub-cube's block of
+    it.  Increments go through the pair-run Gram kernel (_gram_batches) on
+    a table of the basis gradients at every sub-cube's points, built on
+    the first increment and kept: 50 MB at level 3.  sub_energies forms
+    the weighted physical gradients S^T X from the dof values' gradients
+    on the grid.  Each batch of these, and of those forming S, holds at
+    most the larger of its budget (_PLANE_BATCH_BYTES for the per-point
+    planes of the geometry, the energies and the sum factorization,
+    _GRAM_BATCH_BYTES for the Grams) and one cell's working set.  So
+    memory beside the results does not grow with the mesh, but it does
+    with the level once one cell's working set passes the budget: at level
+    3 one elasticity cell's energy planes take 5.5 MB and its
+    sum-factorization workspace 11.3 MB, both above the 4 MiB plane
+    budget, and both grow 8x a level finer.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -361,8 +376,8 @@ class Assembly:
             raise ValueError("problem must be one of %s" % (_PROBLEMS,))
         if problem == "elasticity" and mat is None:
             raise ValueError("elasticity requires a Material")
-        if level < 0:
-            raise ValueError("level must be >= 0")
+        level = _whole(level, "level", 0)
+        quad_order = _whole(quad_order, "quad_order", 1)
         self.model = model
         self.problem = problem
         self.mat = mat
@@ -378,24 +393,23 @@ class Assembly:
             raise ValueError("control point %d has a non-finite coordinate; "
                              "its cells' Jacobian is undefined"
                              % np.argmin(finite))
-        self._w, self._N, self._Ghat = _quad_tables(level, quad_order)
         nets = model.points[model.cell_nodes]                 # (nc, 64, 3)
-        nc, npts = len(nets), len(self._w)
-        nsp = self.nsub * npts
-        self.S = np.empty((nc, 3, 3, nsp))
+        m, o = 2 ** level, quad_order
+        B, _, w = _line_tables(level, o)
+        nc, Q = len(nets), len(B)
+        w = (w[:, None, None] * w[:, None] * w).ravel()       # on the grid
+        self.S = np.empty((nc, 3, 3, Q ** 3))
         self.sub_volumes = np.empty((nc, self.nsub))
         source = np.empty((nc, 64))
-        Gt = self._Ghat.reshape(-1, 64).T
         worst = (np.inf, 0)        # least det J and its flat index
         # R, two cofactor products, then det J, w det J, its root and the
-        # scale: at most 13 floats per point beside S
-        for rows in _row_batches(nc, 13 * nsp * 8,
+        # scale: 13 floats per point beside S, or _grid_gradients' 60 per
+        # Q^2 points while it forms R
+        for rows in _row_batches(nc, (13 * Q + 60) * Q * Q * 8,
                                  min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
-            # J[a, e] = R[:, a, e] = sum_n x_a(n) dN_n/dxi_e, one GEMM of
-            # the same shape per cell: no batching changes the bits
-            R = np.matmul(nets[rows].swapaxes(1, 2), Gt).reshape(
-                -1, 3, 3, nsp)
-            J = [[R[:, a, e] for e in range(3)] for a in range(3)]
+            # J[a][e] = R[e, :, a] = sum_n x_a(n) dN_n/dxi_e
+            R = _grid_gradients(nets[rows], level, o)
+            J = [[R[e, :, a] for e in range(3)] for a in range(3)]
             S = self.S[rows]
             # S[e, a] = cofactor (a, e) of J, so S = adj J = det J J^{-1}
             for a in range(3):
@@ -410,18 +424,22 @@ class Assembly:
             least = det.flat[i]
             if least < worst[0] or (np.isnan(least)
                                     and not np.isnan(worst[0])):
-                worst = (least, rows.start * nsp + i)
+                worst = (least, rows.start * Q ** 3 + i)
             if not (worst[0] > 0):            # a NaN fails the test too
                 continue
-            wdet = self._w * det.reshape(-1, self.nsub, npts)
-            self.sub_volumes[rows] = wdet.sum(axis=-1)
-            source[rows] = wdet.reshape(len(det), -1) @ self._N.reshape(-1, 64)
-            S *= (np.sqrt(wdet).reshape(det.shape) / det)[:, None, None]
+            wdet = w * det
+            self.sub_volumes[rows] = _block_sums(wdet, m, o)
+            # the unit source: w det J against the value tables
+            source[rows] = np.einsum("cpqr,pa,qb,rd->cabd", wdet.reshape(
+                -1, Q, Q, Q), B, B, B, optimize=True).reshape(-1, 64)
+            S *= (np.sqrt(wdet) / det)[:, None, None]
         if not (worst[0] > 0):
-            c, s, p = np.unravel_index(worst[1], (nc, self.nsub, npts))
+            c, i, p, j, q, k, r = np.unravel_index(
+                worst[1], (nc, m, o, m, o, m, o))
             raise ValueError(
                 "non-positive Jacobian in cell %d (sub-element %d, "
-                "quadrature point %d): det J = %g" % (c, s, p, worst[0]))
+                "quadrature point %d): det J = %g"
+                % (c, (i * m + j) * m + k, (p * o + q) * o + r, worst[0]))
         # load of a unit heat source, per control point
         self._unit_source = np.bincount(model.cell_nodes.ravel(),
                                         weights=source.ravel(),
@@ -435,6 +453,20 @@ class Assembly:
     def num_cells(self):
         return self.model.num_cells
 
+    @cached_property
+    def _gram_table(self):
+        """Parameter gradients of the 64 basis functions at every
+        sub-cube's o^3 points, (nsub, o^3, 3, 64) indexed (sub, point, e,
+        node): _grid_gradients of the 64 unit fields, reordered once.  Built
+        on first use and kept with this Assembly: 50 MB at level 3."""
+        m, o = 2 ** self.level, self.quad_order
+        G = _grid_gradients(np.eye(64)[None], self.level, o).reshape(
+            3, 64, m, o, m, o, m, o)
+        table = G.transpose(2, 4, 6, 3, 5, 7, 0, 1).reshape(
+            self.nsub, -1, 3, 64)
+        table.setflags(write=False)
+        return table
+
     def _gram_batches(self, cells, subs, scale):
         """Weighted gradient Grams summed over runs of (cell, sub) pairs, in
         batches of bounded size: the kernel of add_increment.
@@ -445,23 +477,25 @@ class Assembly:
         sqrt(|scale|) S^T Ghat the weighted physical gradients of the pair
         flattened component-major, (d, node), negated where the scale is
         negative; for heat the sum runs over d too, giving the stiffness
-        itself.  S and Ghat are read through (cell, sub, point, e, a) and
-        (sub, point, e, node) views of their plane layouts, and a row's
-        pairs are folded into the inner dimension of one GEMM.  Yields
+        itself.  A pair's S is gathered from its o^3 block of the grid as
+        (point, a, e), Ghat is its sub-cube's slice of _gram_table, and a
+        row's pairs are folded into the inner dimension of one GEMM.  Yields
         (first, W) with `first` the index of each row's first pair.  The
         batches are consecutive slices of pairs within _GRAM_BATCH_BYTES of
         gradients and Grams, whatever the rows; a row that straddles
         batches is yielded once, its slices' Grams summed in another order
         than one GEMM would, which changes W by rounding only.
         """
+        Ghat = self._gram_table
         # per pair: gathered Ghat, gradients and the previous slice's,
         # bound until replaced (the gathered S adds under 5 % of one)
-        pair = 3 * self._Ghat[:, 0].nbytes
+        pair = 3 * Ghat[0].nbytes
         gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
         step = max(1, _GRAM_BATCH_BYTES // (pair + gram))
-        S = self.S.reshape(len(self.S), 3, 3, self.nsub, -1).transpose(
-            0, 3, 4, 1, 2)
-        Ghat = self._Ghat.transpose(1, 2, 0, 3)
+        m, o = 2 ** self.level, self.quad_order
+        S = self.S.reshape(len(self.S), 3, 3, m, o, m, o, m, o).transpose(
+            0, 3, 5, 7, 4, 6, 8, 2, 1)
+        i, j, k = np.unravel_index(subs, (m, m, m))
         neg = scale < 0
         root = np.sqrt(np.abs(scale))
         bounds = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1])
@@ -469,7 +503,8 @@ class Assembly:
         carry = None
         for q0 in range(0, len(cells), step):
             q1 = min(q0 + step, len(cells))
-            St = S[cells[q0:q1], subs[q0:q1]].swapaxes(-1, -2)
+            St = S[cells[q0:q1], i[q0:q1], j[q0:q1], k[q0:q1]].reshape(
+                q1 - q0, -1, 3, 3)
             St *= root[q0:q1, None, None, None]
             G = np.matmul(St, Ghat[subs[q0:q1]])
             # the runs starting before q1, from the one holding pair q0
@@ -520,14 +555,14 @@ class Assembly:
     def _sum_factorized(self, S, root, lines, out, work):
         """Stiffness of n cells, or sub-cubes, by sum factorization.
 
-        S (n, 3, 3, m, m, m, o, o, o) holds the scaled inverse Jacobians of
-        each on its m^3 sub-cubes of o^3 Gauss points, root (n, m, m, m)
-        the square roots of the sub-cubes' stiffness factors, and lines[k]
-        the (values, derivatives) tables (Q, 4) of the 1-D basis at the Q =
-        m o points along parameter k; the points form a Q^3 grid.  Writes
-        the node-major stiffness (n, nd, nd) to `out`, which must be
-        contiguous; `work` is a flat float64 buffer of at least n *
-        _kernel_floats(Q) floats.
+        S (n, 3, 3, Q, Q, Q), which may be a strided view, holds the scaled
+        inverse Jacobians of each on its Q^3 grid of Gauss points, root (n,
+        m, m, m) the square roots of the stiffness factors of its m^3
+        sub-cubes of (Q / m)^3 points, and lines[k] the (values,
+        derivatives) tables (Q, 4) of the 1-D basis at the Q points along
+        parameter k.  Writes the node-major stiffness (n, nd, nd) to `out`,
+        which must be contiguous; `work` is a flat float64 buffer of at
+        least n * _kernel_floats(Q) floats.
 
         The basis is a tensor product, so the integral of C_eg Xhat_e
         Xhat_g^T over the grid, Xhat_e the parameter gradient e of the
@@ -550,8 +585,8 @@ class Assembly:
         elasticity, 3 for heat).  The coefficient planes are whole-array
         arithmetic, about three passes per plane.
         """
-        n, m, o = len(S), S.shape[3], S.shape[-1]
-        Q = m * o
+        n, m, Q = len(S), root.shape[1], S.shape[-1]
+        o = Q // m
         elastic = self.dpn == 3
         nb = len(_BLOCKS) if elastic else 1
         at = 0
@@ -567,18 +602,19 @@ class Assembly:
         else:
             scale = self.mat.e0 if self.mat is not None else 1.0
         # U[e, q2, q1, a, c, q3] = sqrt(scale f) S[c, e, a] on the grid:
-        # scaled in S's layout, then moved in runs of o floats, one void
-        # item each (a third faster than one strided multiply)
+        # scaled in S's layout by sqrt(scale f) spread over the grid (in the
+        # planes' space until they are filled), then transposed in runs of
+        # Q floats (the q3 rows of the grid), one void item each
         spare = carve(9 * n * Q ** 3)
-        native = spare.reshape(n, 3, 3, m ** 3, o ** 3)
-        np.multiply(S.reshape(native.shape), np.sqrt(scale)
-                    * root.reshape(n, 1, 1, -1, 1), out=native)
-        U = carve(3, m, o, m, o, 3, n, m, o)
-        run = np.dtype((np.void, 8 * o))
-        np.copyto(U.view(run)[..., 0], native.view(run).reshape(
-            n, 3, 3, m, m, m, o, o).transpose(1, 4, 7, 3, 6, 2, 0, 5))
-        U = U.reshape(3, Q, Q, 3, n, Q)
+        U = carve(3, Q, Q, 3, n, Q)
         planes = carve(Q * Q * nb * n * Q)
+        f = planes[:n * Q ** 3].reshape(n, m, o, m, o, m, o)
+        np.copyto(f, np.sqrt(scale) * root.reshape(n, m, 1, m, 1, m, 1))
+        native = spare.reshape(n, 3, 3, Q, Q, Q)
+        np.multiply(S, f.reshape(n, 1, 1, Q, Q, Q), out=native)
+        run = np.dtype((np.void, 8 * Q))
+        np.copyto(U.view(run)[..., 0],
+                  native.view(run)[..., 0].transpose(1, 4, 3, 2, 0))
         T = carve(Q, Q, 3, n, Q)
         R1 = carve(3 * Q * Q * nb * n * 16)
         R2 = carve(3 * Q * nb * n * 256)
@@ -670,15 +706,16 @@ class Assembly:
                  else np.asarray(factors, dtype=float))
         _check_factors(scale, cells, subs, "stiffness factor")
         m, o = 2 ** self.level, self.quad_order
-        B, D = _line_tables(self.level, o)
-        S = self.S.reshape(self.num_cells, 3, 3, self.nsub, 1, 1, 1, o, o, o)
+        B, D, _ = _line_tables(self.level, o)
+        S = self.S.reshape(self.num_cells, 3, 3, m * o, m * o, m * o)
         root = np.sqrt(np.abs(scale)).reshape(-1, 1, 1, 1)
         work = np.empty(self._kernel_floats(o))
         out = np.empty((len(cells), self.nd, self.nd))
         for i, (c, s) in enumerate(zip(cells, subs)):
-            lines = [(B[k * o:(k + 1) * o], D[k * o:(k + 1) * o])
-                     for k in np.unravel_index(s, (m, m, m))]
-            self._sum_factorized(S[c:c + 1, :, :, s], root[i:i + 1], lines,
+            at = [slice(k * o, (k + 1) * o)
+                  for k in np.unravel_index(s, (m, m, m))]
+            self._sum_factorized(S[c:c + 1, :, :, at[0], at[1], at[2]],
+                                 root[i:i + 1], [(B[a], D[a]) for a in at],
                                  out[i:i + 1], work)
             if scale[i] < 0:
                 np.negative(out[i], out=out[i])
@@ -706,9 +743,9 @@ class Assembly:
         m, o = 2 ** self.level, self.quad_order
         floats = self._kernel_floats(m * o)
         step = min(chunk, max(1, _PLANE_BATCH_BYTES // (8 * floats)))
-        S = self.S.reshape(nc, 3, 3, m, m, m, o, o, o)
+        S = self.S.reshape(nc, 3, 3, m * o, m * o, m * o)
         root = np.sqrt(factors).reshape(nc, m, m, m)
-        lines = (_line_tables(self.level, o),) * 3
+        lines = (_line_tables(self.level, o)[:2],) * 3
         work = np.empty(min(step, nc) * floats)
         out = np.empty((nc, self.nd, self.nd))
         for lo in range(0, nc, step):
@@ -761,32 +798,30 @@ class Assembly:
     def sub_energies(self, u):
         """Energies u_e^T K0_{c,s} u_e of every (cell, sub), factor 1.
 
-        The nodes are contracted in one GEMM with the gradient table, and
-        S^T is applied by 3 * dpn whole-array multiply-adds over the
-        contiguous (cells, sub * point) planes of S and of the GEMM's
-        result; S carries w det J, so the energy density summed over the
-        points is the energy.  The batches of cells hold their gradient
+        The dof values' gradients on the grid come from _grid_gradients,
+        and S^T is applied by 3 * dpn whole-array multiply-adds over the
+        contiguous grid planes of S and of the gradients; S carries w det
+        J, so the energy density summed over a sub-cube's o^3 block of the
+        grid is its energy.  The batches of cells hold their gradient
         tensors within _PLANE_BATCH_BYTES, or one cell's if that is larger:
-        (6 dpn + 3) floats per (sub, point), 5.5 MB for an elasticity cell
-        at level 3.  So the memory beside the (nc, nsub) result does not
-        grow with the mesh, and grows 8x per level once a cell's tensors
-        pass the budget."""
-        nsub, nsp = self.nsub, self.S.shape[-1]
-        Gt = self._Ghat.reshape(-1, 64).T
+        (6 dpn + 3) floats per point, 5.5 MB for an elasticity cell at
+        level 3.  So the memory beside the (nc, nsub) result does not grow
+        with the mesh, and grows 8x per level once a cell's tensors pass the
+        budget."""
         k0 = self.mat.e0 if self.mat is not None else 1.0
-        nc = self.num_cells
-        out = np.empty((nc, nsub))
-        # T and H, 3 * dpn floats per point each, and three temporaries
-        for rows in _row_batches(nc, (6 * self.dpn + 3) * nsp * 8,
-                                 min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
+        out = np.empty((self.num_cells, self.nsub))
+        # T and H, 3 * dpn floats per point each, and three temporaries;
+        # _grid_gradients holds under 5 dpn more per point beside T
+        row = (6 * self.dpn + 3) * self.S[0, 0, 0].nbytes
+        for rows in _row_batches(len(out), row, min(_GRAM_BATCH_BYTES,
+                                                    _PLANE_BATCH_BYTES)):
             un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
-            # T[c, d, e, sp] = sum_n Ghat[e, sp, n] u[c, n, d], one 2-D
-            # GEMM, and H[f][d] = sum_e S[:, e, f] T[:, d, e]
-            T = (un.swapaxes(1, 2).reshape(-1, 64) @ Gt).reshape(
-                len(un), self.dpn, 3, nsp)
+            # T[e, c, d] = the gradient along e of component d, and H[f][d]
+            # = sum_e S[:, e, f] T[e, :, d]
+            T = _grid_gradients(un, self.level, self.quad_order)
             S = self.S[rows]
-            H = [[S[:, 0, f] * T[:, d, 0] + S[:, 1, f] * T[:, d, 1]
-                  + S[:, 2, f] * T[:, d, 2] for d in range(self.dpn)]
+            H = [[S[:, 0, f] * T[0, :, d] + S[:, 1, f] * T[1, :, d]
+                  + S[:, 2, f] * T[2, :, d] for d in range(self.dpn)]
                  for f in range(3)]
             if self.dpn == 1:
                 dens = k0 * (H[0][0] ** 2 + H[1][0] ** 2 + H[2][0] ** 2)
@@ -800,7 +835,7 @@ class Assembly:
                     dens += 2 * mu * H[f][f] ** 2
                     for d in range(f):
                         dens += mu * (H[f][d] + H[d][f]) ** 2
-            out[rows] = dens.reshape(len(dens), nsub, -1).sum(axis=-1)
+            out[rows] = _block_sums(dens, 2 ** self.level, self.quad_order)
         return out
 
     def load_vector(self, bcs):
@@ -1119,11 +1154,8 @@ class TwoLevelPreconditioner:
     holding a dof's control point (8 at a regular interior mesh vertex,
     more at an extraordinary one), so an unweighted sum would count that
     dof m times; with the exponent 1/2 the squared weights of each dof sum
-    to one over its cells, a partition of unity.  Of the exponents 0, 1/4,
-    1/2, 5/8, 3/4 and 1, 1/2 also took the fewest CG iterations in BESO
-    runs: 112 against 162 unweighted and 212 at 1 over a cantilever's
-    solves 2-10, 1 038 against 1 641 and 2 032 over a heat run's solves
-    2-36.
+    to one over its cells, a partition of unity, and of the exponents
+    tried it took the fewest CG iterations in BESO runs.
 
     The smooth end of the spectrum is corrected on the cells' corner
     control points (the mesh vertices of a model from build_spline_model):
@@ -1146,10 +1178,9 @@ class TwoLevelPreconditioner:
     and so does one that float64 Cholesky accepts but float32 does not,
     as too ill-conditioned for single precision.  One pass per block
     while it is in cache makes the inverse exactly symmetric, as CG
-    requires, and applies the weights.  Building the 1 024 blocks of the
-    benchmark cantilever takes 0.9 s against 1.2 s with a float64 sweep
-    (2-core VM), and each block stays within a relative error of about
-    1e-5 of the weighted float64 inverse at condition numbers up to 4e4.
+    requires, and applies the weights.  Each block stays within a relative
+    error of about 1e-5 of the weighted float64 inverse at condition
+    numbers up to 4e4.
 
     It is complete when made: the constructor keeps `K_cells`, the
     float64 stack it preconditions, by reference, builds every cell block
@@ -1172,10 +1203,8 @@ class TwoLevelPreconditioner:
     """
 
     def __init__(self, assembly, free, K_cells):
-        # the tables' temporaries are freed before the blocks are built:
-        # alive across the build, they took the benchmark cantilever's
-        # build from about 2 000 minor page faults and 0.85 s to 200 000
-        # and 1.2 s (2-core VM)
+        # the tables' temporaries are freed before the blocks are built,
+        # so that the build reuses their memory instead of faulting in more
         self._tables(assembly, free)
         self.K = K_cells
         self._build(np.arange(assembly.num_cells))

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .hexmesh import CORNER_OFFSETS, LOCAL_FACES, Incidence
 from .subdivision import subdivide as subdivide_mesh
 from .spline import build_spline_model, evaluate_cells, parameter_grid
-from .iga import Assembly, StiffnessOperator, solve_system
+from .iga import Assembly, StiffnessOperator, _whole, solve_system
 from . import vtkio
 
 
@@ -282,12 +282,13 @@ class BesoConfig:
             raise ValueError("er must lie in (0, 1)")
         if not 0.0 < self.rho_min < 1.0:
             raise ValueError("rho_min must lie in (0, 1)")
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
+        if self.mu_min is not None and not 0.0 < self.mu_min < 1.0:
+            raise ValueError("mu_min must be None or lie in (0, 1), got %r"
+                             % (self.mu_min,))
+        self.level = _whole(self.level, "level", 0)
         if not 0.0 < self.rtol < 1.0:      # a NaN fails the test too
             raise ValueError("rtol must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        self.max_iterations = _whole(self.max_iterations, "max_iterations", 1)
 
     def material(self, base):
         """Material with this config's mu_min applied."""

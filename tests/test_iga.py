@@ -13,7 +13,8 @@ from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
                          LoadSpec, Material, Solution, StiffnessOperator,
                          TwoLevelPreconditioner, assemble_and_solve,
                          solve_system)
-from ccsolid.spline import SplineModel, build_spline_model, regular_box_model
+from ccsolid.spline import (SplineModel, _bernstein, _bernstein_deriv,
+                            build_spline_model, regular_box_model)
 from ccsolid.subdivision import subdivide
 from ccsolid.topopt import density_factors
 from meshes import lattice, one_cell_model, wheel
@@ -270,6 +271,49 @@ def test_nonpositive_jacobian_named_whatever_the_batches(monkeypatch):
     assert "in cell 11 " in msgs[0]
 
 
+@pytest.mark.parametrize("name, value", [
+    ("level", 1.5), ("level", -1), ("level", float("nan")),
+    ("quad_order", 0), ("quad_order", 2.5), ("quad_order", float("inf"))])
+def test_assembly_rejects_bad_level_or_quad_order(name, value):
+    with pytest.raises(ValueError,
+                       match="^%s must be a whole number" % name):
+        Assembly(one_cell_model(_greville_net()), "heat", **{name: value})
+
+
+def test_assembly_accepts_whole_float_level():
+    model = one_cell_model(_greville_net())
+    asm = Assembly(model, "heat", level=1.0, quad_order=3.0)
+    ref = Assembly(model, "heat", level=1, quad_order=3)
+    assert (asm.level, asm.quad_order, asm.nsub) == (1, 3, 8)
+    assert np.array_equal(asm.S, ref.S)
+
+
+def test_level3_heat_memory_is_bounded_from_cold_caches(monkeypatch):
+    # the bounds of a level-3 Assembly and of its energies count every
+    # table they build: no module cache may hold one for them
+    model = build_spline_model(subdivide(lattice(2, 1, 1)[0])[0])
+    budget = 4 << 20
+    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    for obj in vars(iga).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        asm = Assembly(model, "heat", Material(1.0, 0.0), level=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert asm.num_cells == 16
+        assert peak <= asm.S.nbytes + asm.sub_volumes.nbytes + 2 * budget
+        u = np.random.default_rng(13).standard_normal(asm.ndof)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        E = asm.sub_energies(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert peak <= E.nbytes + 2 * budget
+    finally:
+        tracemalloc.stop()
+
+
 def test_assembly_jacobian_memory_is_bounded(monkeypatch):
     model = _curved_model()
     monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", 1)    # a cell per batch
@@ -297,19 +341,28 @@ def test_scaled_inverse_jacobian_matches_lapack(problem):
     # a J built here from the control nets and the parameter gradients
     model = _curved_model()
     asm = Assembly(model, problem, Material(1.0, 0.3), level=2)
-    w, _, Ghat = iga._quad_tables(2, 4)
-    J = np.einsum("cna,espn->cspae", model.points[model.cell_nodes], Ghat)
-    wdet = w * np.linalg.det(J)
+    # the grid: 4 Gauss points in each of 4 pieces per parameter
+    x, w = np.polynomial.legendre.leggauss(4)
+    t = ((np.arange(4)[:, None] + (x + 1) / 2) / 4).ravel()
+    w = np.tile(w / 8, 4)
+    B, D = _bernstein(t), _bernstein_deriv(t)
+    Ghat = np.stack([np.einsum("ia,jb,kc->ijkabc", *tables).reshape(-1, 64)
+                     for tables in ((D, B, B), (B, D, B), (B, B, D))])
+    # J summed in extended precision (where numpy has it), so that the
+    # reference's own rounding stays well inside the bounds
+    nets = model.points[model.cell_nodes].astype(np.longdouble)
+    J = np.einsum("cna,epn->cpae", nets, Ghat).astype(float)
+    wdet = np.einsum("i,j,k->ijk", w, w, w).ravel() * np.linalg.det(J)
     ref = np.sqrt(wdet)[..., None, None] * np.linalg.inv(J)
-    # S[c, e, a] is the plane of entry (e, a) over the (sub, point) pairs
-    S = asm.S.reshape(ref.shape[:1] + (3, 3) + ref.shape[1:3])
-    S = S.transpose(0, 3, 4, 1, 2)
+    # S[c, e, a] is the plane of entry (e, a) over the grid
+    S = asm.S.transpose(0, 3, 1, 2)
     assert _rel(S, ref) <= 1e-14
     # near the solid's corners J shrinks to under 2 % of its median size,
     # and either sum for it cancels to about 2e-13 relative
     err = np.abs(S - ref).max(axis=(-2, -1))
     assert (err <= 1e-12 * np.abs(ref).max(axis=(-2, -1))).all()
-    assert _rel(asm.sub_volumes, wdet.sum(axis=-1)) <= 1e-14
+    vols = wdet.reshape(-1, 4, 4, 4, 4, 4, 4).sum(axis=(2, 4, 6))
+    assert _rel(asm.sub_volumes, vols.reshape(-1, 64)) <= 1e-14
 
 
 # ------------------------------------------------------------ subelements
@@ -661,6 +714,9 @@ def test_gram_kernel_memory_is_bounded():
         K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
         peak = tracemalloc.get_traced_memory()[1] - base
         assert peak <= K.nbytes + budget
+        # the first increment builds the Assembly's gradient table, which
+        # stays: warm it up so that it does not inflate peaks[0]
+        asm.add_increment(K, [0], [0], [0.0], np.zeros(asm.ndof))
         peaks = []
         for n in (150, 600):
             pick = rng.choice(asm.num_cells * asm.nsub, n, replace=False)

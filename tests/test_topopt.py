@@ -625,6 +625,22 @@ def test_beso_config_validation():
         BesoConfig(v_star=0.5, p=4.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("mu_min", float("nan")), ("mu_min", 2.0), ("mu_min", 0.0),
+    ("level", 1.5), ("level", -1), ("max_iterations", 2.5),
+    ("max_iterations", 0)])
+def test_beso_config_rejects_bad_fields_at_entry(name, value):
+    with pytest.raises(ValueError, match="^%s must" % name):
+        BesoConfig(v_star=0.5, **{name: value})
+
+
+def test_beso_config_takes_whole_numbers_as_ints():
+    cfg = BesoConfig(v_star=0.5, level=2.0, max_iterations=np.int64(7))
+    assert (cfg.level, cfg.max_iterations) == (2, 7)
+    assert type(cfg.level) is int and type(cfg.max_iterations) is int
+    assert BesoConfig(v_star=0.5, mu_min=None).mu_min is None
+
+
 def test_heat_level2_design_is_stable_under_a_tighter_solve():
     # on a multi-resolution heat design, the default solve must make the
     # kill decisions a solve four orders of magnitude tighter makes, and
