@@ -18,24 +18,19 @@ carries the quadrature weight w det J inside S.  Each job has one kernel:
 
 - Gradients on the grid (_grid_gradients): three GEMMs against the 1-D
   tables take per-node fields to their parameter gradients at every grid
-  point.  They give J from the control nets, the energies' gradients from
-  the dof values and, from the 64 unit fields, the increments' gradient
-  table.
-- Whole cells (aggregate, sub_stiffness): sum factorization.  The
-  stiffness is a sum of per-point coefficient planes in S, contracted one
-  parameter at a time by GEMMs against the 1-D tables (Antolin, Buffa,
-  Calabro, Martinelli and Sangalli, CMAME 284, 2015).  A cell costs about
-  2 (16 Q^3 + 256 Q^2) flops per plane plus 8192 Q per block and group of
-  the last contraction: 2.0 MFLOP for a heat cell at level 2 and 3.8 MFLOP
-  for an elasticity cell at level 1, against 100 and 38 MFLOP for a Gram
-  of its points' gradients, and the ratio grows 8x per level.
-- Increments (add_increment): a Gram of the weighted physical gradients
-  S^T Ghat of each run of (cell, sub-cube) pairs, expanded per point as
-
-      B_i^T D B_j = lam g_i g_j^T + mu (g_j g_i^T + (g_i . g_j) I)
-
-  with g_i the physical shape gradients.  For the few pairs of one cell
-  that a BESO step touches it costs less than a whole-cell pass.
+  point.  They give J from the control nets and the energies' gradients
+  from the dof values.
+- Stiffness (aggregate, add_increment, sub_stiffness): sum
+  factorization.  The stiffness is a sum of per-point coefficient planes
+  in S, contracted one parameter at a time by GEMMs against the 1-D tables
+  (Antolin, Buffa, Calabro, Martinelli and Sangalli, CMAME 284, 2015).  A
+  cell costs about 2 (16 Q^3 + 256 Q^2) flops per plane plus 8192 Q per
+  block and group of the last contraction: 2.0 MFLOP for a heat cell at
+  level 2 and 3.8 MFLOP for an elasticity cell at level 1, against 100 and
+  38 MFLOP for a Gram of its points' gradients, and the ratio grows 8x per
+  level.  An increment re-aggregates the cells whose factors changed,
+  whole, so the stiffness it leaves equals a fresh aggregate's bit for
+  bit.
 - Energies (sub_energies): the dof values' gradients on the grid,
   multiplied by S^T.
 
@@ -58,10 +53,10 @@ from .hexmesh import CORNER_OFFSETS
 from .spline import _bernstein, _bernstein_deriv
 
 _PROBLEMS = ("heat", "elasticity")
-# working-set bound of one batch of the geometry, the increments' Gram
-# kernel, the sub-element energies and the preconditioner's cell blocks
-_GRAM_BATCH_BYTES = 32 << 20
-# tighter bound of one batch of the whole-array arithmetic on per-point
+# working-set bound of one batch of the preconditioner's cell blocks and
+# coarse products
+_PRECOND_BATCH_BYTES = 32 << 20
+# working-set bound of one batch of the whole-array arithmetic on per-point
 # planes (the geometry, the energies and the sum-factorized stiffness),
 # which then stays in cache; the rows of a batch change none of the
 # aggregates' bits
@@ -182,11 +177,10 @@ class Solution:
     restarts: int = 0
 
 
-def _row_batches(n, row_bytes, budget=None):
+def _row_batches(n, row_bytes, budget):
     """Consecutive slices of range(n) whose rows of `row_bytes` each hold
-    at most `budget` (default _GRAM_BATCH_BYTES) together, or one row if a
-    row is larger."""
-    step = max(1, (budget or _GRAM_BATCH_BYTES) // row_bytes)
+    at most `budget` together, or one row if a row is larger."""
+    step = max(1, budget // row_bytes)
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
 
@@ -353,22 +347,20 @@ class Assembly:
     and the unit source by contracting w det J with the 1-D value tables;
     a det J that is not positive raises a ValueError naming the (cell,
     sub-cube, point) of the least one in the model.  All reductions run in
-    a fixed order, so repeated assemblies are bit-identical.  Whole cells
-    go through the sum-factorization kernel (_sum_factorized): aggregate
-    runs it on every cell's grid, sub_stiffness on one sub-cube's block of
-    it.  Increments go through the pair-run Gram kernel (_gram_batches) on
-    a table of the basis gradients at every sub-cube's points, built on
-    the first increment and kept: 50 MB at level 3.  sub_energies forms
-    the weighted physical gradients S^T X from the dof values' gradients
-    on the grid.  Each batch of these, and of those forming S, holds at
-    most the larger of its budget (_PLANE_BATCH_BYTES for the per-point
-    planes of the geometry, the energies and the sum factorization,
-    _GRAM_BATCH_BYTES for the Grams) and one cell's working set.  So
-    memory beside the results does not grow with the mesh, but it does
-    with the level once one cell's working set passes the budget: at level
-    3 one elasticity cell's energy planes take 5.5 MB and its
-    sum-factorization workspace 11.3 MB, both above the 4 MiB plane
-    budget, and both grow 8x a level finer.
+    a fixed order, so repeated assemblies are bit-identical.  All stiffness
+    goes through the sum-factorization kernel (_sum_factorized): aggregate
+    runs it on every cell's grid, add_increment on the grids of the cells
+    whose factors changed, both by one loop over batches of cells
+    (_cell_batches), and sub_stiffness on one sub-cube's block of a grid.
+    sub_energies forms the weighted physical gradients S^T X from the dof
+    values' gradients on the grid.  Each batch of these, and of those
+    forming S, holds at most the larger of _PLANE_BATCH_BYTES and one
+    cell's working set, and no table grows with the level.  So memory
+    beside the results does not grow with the mesh, but it does with the
+    level once one cell's working set passes the budget: at level 3 one
+    elasticity cell's energy planes take 5.5 MB and its sum-factorization
+    workspace 11.3 MB, both above the 4 MiB budget, and both grow 8x a
+    level finer.
     """
 
     def __init__(self, model, problem, mat=None, level=0, quad_order=4):
@@ -406,7 +398,7 @@ class Assembly:
         # scale: 13 floats per point beside S, or _grid_gradients' 60 per
         # Q^2 points while it forms R
         for rows in _row_batches(nc, (13 * Q + 60) * Q * Q * 8,
-                                 min(_GRAM_BATCH_BYTES, _PLANE_BATCH_BYTES)):
+                                 _PLANE_BATCH_BYTES):
             # J[a][e] = R[e, :, a] = sum_n x_a(n) dN_n/dxi_e
             R = _grid_gradients(nets[rows], level, o)
             J = [[R[e, :, a] for e in range(3)] for a in range(3)]
@@ -453,93 +445,6 @@ class Assembly:
     def num_cells(self):
         return self.model.num_cells
 
-    @cached_property
-    def _gram_table(self):
-        """Parameter gradients of the 64 basis functions at every
-        sub-cube's o^3 points, (nsub, o^3, 3, 64) indexed (sub, point, e,
-        node): _grid_gradients of the 64 unit fields, reordered once.  Built
-        on first use and kept with this Assembly: 50 MB at level 3."""
-        m, o = 2 ** self.level, self.quad_order
-        G = _grid_gradients(np.eye(64)[None], self.level, o).reshape(
-            3, 64, m, o, m, o, m, o)
-        table = G.transpose(2, 4, 6, 3, 5, 7, 0, 1).reshape(
-            self.nsub, -1, 3, 64)
-        table.setflags(write=False)
-        return table
-
-    def _gram_batches(self, cells, subs, scale):
-        """Weighted gradient Grams summed over runs of (cell, sub) pairs, in
-        batches of bounded size: the kernel of add_increment.
-
-        cells, subs and scale are (n,) over pairs, and a row is a maximal
-        run of consecutive pairs of one cell and one sign of scale.  A row's
-        Gram is W = sum over its pairs and points of q q^T, with q =
-        sqrt(|scale|) S^T Ghat the weighted physical gradients of the pair
-        flattened component-major, (d, node), negated where the scale is
-        negative; for heat the sum runs over d too, giving the stiffness
-        itself.  A pair's S is gathered from its o^3 block of the grid as
-        (point, a, e), Ghat is its sub-cube's slice of _gram_table, and a
-        row's pairs are folded into the inner dimension of one GEMM.  Yields
-        (first, W) with `first` the index of each row's first pair.  The
-        batches are consecutive slices of pairs within _GRAM_BATCH_BYTES of
-        gradients and Grams, whatever the rows; a row that straddles
-        batches is yielded once, its slices' Grams summed in another order
-        than one GEMM would, which changes W by rounding only.
-        """
-        Ghat = self._gram_table
-        # per pair: gathered Ghat, gradients and the previous slice's,
-        # bound until replaced (the gathered S adds under 5 % of one)
-        pair = 3 * Ghat[0].nbytes
-        gram = 4 * self.nd * self.nd * 8    # W, a slice's Gram and _expand
-        step = max(1, _GRAM_BATCH_BYTES // (pair + gram))
-        m, o = 2 ** self.level, self.quad_order
-        S = self.S.reshape(len(self.S), 3, 3, m, o, m, o, m, o).transpose(
-            0, 3, 5, 7, 4, 6, 8, 2, 1)
-        i, j, k = np.unravel_index(subs, (m, m, m))
-        neg = scale < 0
-        root = np.sqrt(np.abs(scale))
-        bounds = np.flatnonzero(np.r_[True, (cells[1:] != cells[:-1])
-                                      | (neg[1:] != neg[:-1]), True])
-        carry = None
-        for q0 in range(0, len(cells), step):
-            q1 = min(q0 + step, len(cells))
-            St = S[cells[q0:q1], i[q0:q1], j[q0:q1], k[q0:q1]].reshape(
-                q1 - q0, -1, 3, 3)
-            St *= root[q0:q1, None, None, None]
-            G = np.matmul(St, Ghat[subs[q0:q1]])
-            # the runs starting before q1, from the one holding pair q0
-            r0 = np.searchsorted(bounds, q0, "right") - 1
-            r1 = np.searchsorted(bounds, q1)
-            W = np.empty((r1 - r0, self.nd, self.nd))
-            for r in range(r0, r1):
-                lo, hi = max(bounds[r], q0), min(bounds[r + 1], q1)
-                Q = G[lo - q0:hi - q0].reshape(-1, self.nd)
-                np.matmul(Q.T, Q, out=W[r - r0])
-            if carry is not None:
-                W[0] += carry
-            carry = None
-            if bounds[r1] > q1:
-                carry, W = W[-1].copy(), W[:-1]
-            if len(W):
-                first = bounds[r0:r0 + len(W)]
-                np.negative(W, out=W, where=neg[first, None, None])
-                yield first, W
-
-    def _expand(self, W):
-        """Turn gradient Grams into stiffness matrices."""
-        if self.problem == "heat":
-            k0 = self.mat.e0 if self.mat is not None else 1.0
-            return k0 * W
-        lam, mu = self.mat.lam, self.mat.mu
-        W4 = W.reshape(len(W), 3, 64, 3, 64)
-        K = np.empty((len(W), 192, 192))
-        A = mu * np.einsum("mdidj->mij", W4)
-        for d in range(3):
-            for e in range(3):
-                K[:, d::3, e::3] = lam * W4[:, d, :, e] + mu * W4[:, e, :, d]
-            K[:, d::3, d::3] += A
-        return K
-
     def _kernel_floats(self, Q):
         """Floats of the sum-factorization kernel's workspace per cell of
         Q^3 points: S scaled in its own layout (then kappa U), U on the
@@ -560,9 +465,10 @@ class Assembly:
         m, m, m) the square roots of the stiffness factors of its m^3
         sub-cubes of (Q / m)^3 points, and lines[k] the (values,
         derivatives) tables (Q, 4) of the 1-D basis at the Q points along
-        parameter k.  Writes the node-major stiffness (n, nd, nd) to `out`,
-        which must be contiguous; `work` is a flat float64 buffer of at
-        least n * _kernel_floats(Q) floats.
+        parameter k.  Writes the node-major stiffness of cell i to out[i],
+        a contiguous (nd, nd) array; `work` is a flat float64 buffer of at
+        least n * _kernel_floats(Q) floats.  S may be its first 9 n Q^3
+        floats, as a contiguous array, which are then scaled in place.
 
         The basis is a tensor product, so the integral of C_eg Xhat_e
         Xhat_g^T over the grid, Xhat_e the parameter gradient e of the
@@ -721,62 +627,92 @@ class Assembly:
                 np.negative(out[i], out=out[i])
         return out
 
+    def _cell_batches(self, cells, factors, out, chunk=None):
+        """The sum-factorization kernel on whole cells, a batch at a time.
+
+        Yields (sel, run) for each batch of consecutive entries of `cells`
+        (an int array): sel the batch's cells, and run() runs the kernel on
+        them over the grid of all their sub-cubes' Gauss points, each
+        cell's row of `factors` (nc, nsub) applied per point, and writes
+        each cell's stiffness to out[cell] in place.  Call run before
+        drawing the next batch.  A batch's S is gathered into the head of
+        the kernel's workspace, where the kernel scales it in place, so one
+        workspace, made once, holds a batch's work beside the kernel's
+        gather index of nd^2 integers: at most `chunk` cells, within
+        _PLANE_BATCH_BYTES or one cell's if that is larger.  Every cell's
+        stiffness is the same whatever the batches."""
+        m, o = 2 ** self.level, self.quad_order
+        Q = m * o
+        floats = self._kernel_floats(Q)
+        step = max(1, _PLANE_BATCH_BYTES // (8 * floats))
+        step = min(step, chunk or step)
+        work = np.empty(min(step, len(cells)) * floats)
+        lines = (_line_tables(self.level, o)[:2],) * 3
+        for lo in range(0, len(cells), step):
+            sel = cells[lo:lo + step]
+            S = work[:9 * len(sel) * Q ** 3].reshape(-1, 3, 3, Q ** 3)
+            np.take(self.S, sel, axis=0, out=S)
+            yield sel, partial(self._sum_factorized,
+                               S.reshape(-1, 3, 3, Q, Q, Q),
+                               np.sqrt(factors[sel]).reshape(-1, m, m, m),
+                               lines, [out[c] for c in sel], work)
+
     def aggregate(self, factors, chunk=128):
         """Per-cell stiffness sum_s factors[c, s] * K0_{c,s}, (nc, nd, nd).
 
         Every cell is one run of the sum-factorization kernel over the
         grid of all its sub-cubes' Gauss points, its factors applied per
-        point, in batches of at most `chunk` cells.  Beside the output a
-        batch holds its workspace, at most the larger of _PLANE_BATCH_BYTES
-        and one cell's (0.95 MB for an elasticity cell at level 1, 11.3 MB
-        at level 3), and a gather index of nd^2 integers, so memory beside
-        the output does not grow with the mesh.  The result does not depend
-        on the batch size, and at level 0 it equals sub_stiffness bit for
-        bit.  A factor that is negative or not finite raises a ValueError
-        naming its (cell, sub) pair."""
+        point, in batches of at most `chunk` cells (_cell_batches).  Beside
+        the output a batch holds its workspace, at most the larger of
+        _PLANE_BATCH_BYTES and one cell's (0.95 MB for an elasticity cell
+        at level 1, 11.3 MB at level 3), and a gather index of nd^2
+        integers, so memory beside the output does not grow with the mesh.
+        The result does not depend on the batch size, and at level 0 it
+        equals sub_stiffness bit for bit.  A factor that is negative or not
+        finite raises a ValueError naming its (cell, sub) pair."""
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         nc = self.num_cells
         factors = np.asarray(factors, dtype=float).reshape(nc, self.nsub)
         _check_factors(factors, np.arange(nc)[:, None],
                        np.arange(self.nsub), "stiffness factor", 0.0)
-        m, o = 2 ** self.level, self.quad_order
-        floats = self._kernel_floats(m * o)
-        step = min(chunk, max(1, _PLANE_BATCH_BYTES // (8 * floats)))
-        S = self.S.reshape(nc, 3, 3, m * o, m * o, m * o)
-        root = np.sqrt(factors).reshape(nc, m, m, m)
-        lines = (_line_tables(self.level, o)[:2],) * 3
-        work = np.empty(min(step, nc) * floats)
         out = np.empty((nc, self.nd, self.nd))
-        for lo in range(0, nc, step):
-            rows = slice(lo, min(lo + step, nc))
-            self._sum_factorized(S[rows], root[rows], lines, out[rows], work)
+        for _, run in self._cell_batches(np.arange(nc), factors, out, chunk):
+            run()
         return out
 
-    def add_increment(self, K_cells, cells, subs, dfactors, u):
-        """K_cells[c] += dfactor * K0_{c,s} for each listed pair (in place);
-        returns dK u, the increment's product with the dof vector u (ndof,).
+    def add_increment(self, K_cells, factors, cells, u):
+        """Re-aggregate the listed cells of K_cells in place from their rows
+        of `factors` (nc, nsub); returns dK u, the change's product with the
+        dof vector u (ndof,).
 
-        Pairs are sorted by cell and sign, and the Gram kernel folds each
-        run of one cell and one sign into the inner dimension of one GEMM,
-        so a touched cell costs one Gram and one expansion per sign, added
-        to its block in place and multiplied with u on the cell's dofs
-        while it is in cache.  A pair may be listed more than once; one
-        outside the model, or an increment that is not finite, raises a
-        ValueError naming it, before K_cells changes."""
+        The cells run through the kernel and the batches of aggregate
+        (_cell_batches), so each new block equals a fresh aggregate's bit
+        for bit, and the memory beside K_cells is aggregate's, however many
+        cells are listed.  A batch's part of dK u is its cells' products
+        with u taken just before and after the kernel overwrites their
+        blocks, while they are in cache.  A cell listed twice counts once.
+        A cell outside the model, or a factor of a listed cell that is
+        negative or not finite, raises a ValueError naming the cell or the
+        (cell, sub) pair, before K_cells changes."""
         cells = np.asarray(cells, dtype=np.int64)
-        subs = np.asarray(subs, dtype=np.int64)
-        df = np.asarray(dfactors, dtype=float)
-        _check_pairs(cells, subs, self.num_cells, self.nsub)
-        _check_factors(df, cells, subs, "stiffness factor increment")
-        order = np.lexsort((df < 0, cells))
-        cells = cells[order]
+        bad = (cells < 0) | (cells >= self.num_cells)
+        if bad.any():
+            raise ValueError("cell %d out of range for %d cells"
+                             % (cells[np.argmax(bad)], self.num_cells))
+        cells = np.unique(cells)
+        factors = np.asarray(factors, dtype=float).reshape(self.num_cells,
+                                                           self.nsub)
+        _check_factors(factors[cells], cells[:, None], np.arange(self.nsub),
+                       "stiffness factor", 0.0)
         du = np.zeros(self.ndof)
-        for first, W in self._gram_batches(cells, subs[order], df[order]):
-            for cell, block in zip(cells[first], self._expand(W)):
-                K_cells[cell] += block
-                dofs = self.dofmap[cell]
-                np.add.at(du, dofs, block @ u[dofs])
+        for sel, run in self._cell_batches(cells, factors, K_cells):
+            dofs = self.dofmap[sel]
+            ue = u[dofs]
+            old = [K_cells[c] @ x for c, x in zip(sel, ue)]
+            run()
+            new = [K_cells[c] @ x for c, x in zip(sel, ue)]
+            np.add.at(du, dofs, np.subtract(new, old))
         return du
 
     def matvec(self, K_cells, u):
@@ -813,8 +749,7 @@ class Assembly:
         # T and H, 3 * dpn floats per point each, and three temporaries;
         # _grid_gradients holds under 5 dpn more per point beside T
         row = (6 * self.dpn + 3) * self.S[0, 0, 0].nbytes
-        for rows in _row_batches(len(out), row, min(_GRAM_BATCH_BYTES,
-                                                    _PLANE_BATCH_BYTES)):
+        for rows in _row_batches(len(out), row, _PLANE_BATCH_BYTES):
             un = u[self.dofmap[rows]].reshape(-1, 64, self.dpn)
             # T[e, c, d] = the gradient along e of component d, and H[f][d]
             # = sum_e S[:, e, f] T[e, :, d]
@@ -1195,7 +1130,7 @@ class TwoLevelPreconditioner:
     sharply.  The weights depend on the mesh alone and never change.
     Blocks and the coarse products are built in batches of cells whose
     index arrays, float64 and float32 blocks and temporaries stay within
-    _GRAM_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
+    _PRECOND_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
     its K and its mask `free` of unfixed dofs at the first solve, updates
     the cells its increments touched before every later one and refreshes
     it every _REFRESH_EVERY solves.  It is the preconditioner of every CG
@@ -1298,7 +1233,7 @@ class TwoLevelPreconditioner:
         """Build and invert the blocks of `cells` (sorted, unique)."""
         cost = self._block_bytes[cells]
         # consecutive batches within the budget, or one cell if larger
-        batch = (np.cumsum(cost) - cost) // _GRAM_BATCH_BYTES
+        batch = (np.cumsum(cost) - cost) // _PRECOND_BATCH_BYTES
         for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
             if len(sel):
                 self.blocks[sel] = _sweep_inverse(
@@ -1318,7 +1253,8 @@ class TwoLevelPreconditioner:
         A = np.empty((nc, m, m))
         # per cell: the masked table, its product with the block, a copy
         # of either for the GEMM and the gathered dof indices
-        for sel in _row_batches(nc, 8 * (3 * nd * m + nd)):
+        for sel in _row_batches(nc, 8 * (3 * nd * m + nd),
+                                _PRECOND_BATCH_BYTES):
             # T_c = kron(T, I) with the rows of fixed dofs zeroed
             Tc = self._T * self.free[asm.dofmap[sel]][:, :, None]
             np.matmul(Tc.transpose(0, 2, 1), K_cells[sel] @ Tc, out=A[sel])
@@ -1394,21 +1330,23 @@ class StiffnessOperator:
 
     def set_factors(self, cells, subs, values):
         """Change the stiffness factors of the listed (cell, sub) pairs and
-        patch K, its mirror and the carried residual incrementally: r -=
-        (dK u)[free], with dK u from add_increment, and each touched cell
-        re-cast into K32 on its own.  A pair outside the model, one listed
-        twice, or a factor that is negative or not finite raises a
-        ValueError naming it, before anything changes."""
+        bring K, its mirror and the carried residual into step: the new
+        factors are written first, add_increment re-aggregates the touched
+        cells of K from them, so K stays equal to a fresh aggregate of the
+        factors bit for bit, and r -= (dK u)[free] with the dK u it returns;
+        each touched cell is re-cast into K32 on its own.  A pair outside
+        the model, one listed twice, or a factor that is negative or not
+        finite raises a ValueError naming it, before anything changes."""
         cells = np.asarray(cells, dtype=np.int64)
         subs = np.asarray(subs, dtype=np.int64)
         values = np.asarray(values, dtype=float)
         _check_pairs(cells, subs, *self.factors.shape, distinct=True)
         _check_factors(values, cells, subs, "stiffness factor", 0.0)
-        du = self.assembly.add_increment(
-            self.K, cells, subs, values - self.factors[cells, subs], u=self.u)
         self.factors[cells, subs] = values
-        self.r = self.r - du[self.free]
         touched = np.unique(cells)
+        du = self.assembly.add_increment(self.K, self.factors, touched,
+                                         self.u)
+        self.r = self.r - du[self.free]
         if self.K32 is not None:
             for c in touched:
                 self.K32[c] = self.K[c]

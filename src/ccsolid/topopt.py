@@ -359,18 +359,17 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     The mesh is subdivided `subdivide` times, turned into a spline model,
     and analysed with `mat` / `bcs` while densities evolve at cfg.level.
     Per iteration: solve (warm-started), rank history-averaged filtered
-    sensitivities, delete along the volume schedule, and patch the affected
-    sub-element stiffnesses incrementally.  Stops once the schedule reaches
-    v_star and a further iteration changes nothing.
+    sensitivities, delete along the volume schedule, and re-aggregate the
+    stiffness of the cells the deletions touched.  Stops once the schedule
+    reaches v_star and a further iteration changes nothing.  A `subdivide`
+    that is not a whole number >= 0 raises a ValueError.
 
     With out_dir set, writes iter_%04d.vtk density snapshots and an
     incrementally flushed history.csv (iter, compliance, volume_fraction,
     killed_count).  Returns (DensityField, history rows).  A solver failure
     aborts with the state saved to out_dir.
     """
-    if subdivide < 0:
-        raise ValueError("subdivide must be >= 0, got %d" % subdivide)
-    for _ in range(subdivide):
+    for _ in range(_whole(subdivide, "subdivide", 0)):
         mesh, _ = subdivide_mesh(mesh)
     model = build_spline_model(mesh)
     eff = cfg.material(mat)

@@ -18,7 +18,7 @@ from ccsolid.spline import (SplineModel, _bernstein, _bernstein_deriv,
 from ccsolid.subdivision import subdivide
 from ccsolid.topopt import density_factors
 from meshes import lattice, one_cell_model, wheel
-from reference import dense_solve, dense_stiffness
+from reference import dense_solve, dense_stiffness, pair_gram_stiffness
 
 EVERYWHERE = dict(lo=(-1e9, -1e9, -1e9), hi=(1e9, 1e9, 1e9))
 BIG = 1e9
@@ -262,8 +262,8 @@ def test_nonpositive_jacobian_named_whatever_the_batches(monkeypatch):
         nodes[c] = nodes[c].reshape(4, 4, 4)[::-1].ravel()
     bad = SplineModel(points=model.points, cell_nodes=nodes)
     msgs = []
-    for budget in (iga._GRAM_BATCH_BYTES, 1):
-        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    for budget in (iga._PLANE_BATCH_BYTES, 1):
+        monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
         with pytest.raises(ValueError, match="non-positive Jacobian") as err:
             Assembly(bad, "heat", None, level=1)
         msgs.append(str(err.value))
@@ -293,7 +293,7 @@ def test_level3_heat_memory_is_bounded_from_cold_caches(monkeypatch):
     # table they build: no module cache may hold one for them
     model = build_spline_model(subdivide(lattice(2, 1, 1)[0])[0])
     budget = 4 << 20
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
     for obj in vars(iga).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
@@ -316,10 +316,10 @@ def test_level3_heat_memory_is_bounded_from_cold_caches(monkeypatch):
 
 def test_assembly_jacobian_memory_is_bounded(monkeypatch):
     model = _curved_model()
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", 1)    # a cell per batch
+    monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", 1)   # a cell per batch
     ref = Assembly(model, "elasticity", Material(1.0, 0.3), level=2)
     budget = 1 << 20
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -491,7 +491,7 @@ def test_aggregate_independent_of_batch_size(monkeypatch, problem, level):
     ref = asm.aggregate(fac)
     # every GEMM of the kernel keeps the cells in its rows: neither the
     # cells per batch nor the budget that sets them may change a bit
-    for budget in (1, iga._PLANE_BATCH_BYTES, iga._GRAM_BATCH_BYTES):
+    for budget in (1, iga._PLANE_BATCH_BYTES, 32 << 20):
         monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
         for chunk in (1, 5, 16, 128):
             assert np.array_equal(asm.aggregate(fac, chunk=chunk), ref)
@@ -502,16 +502,15 @@ def test_aggregate_independent_of_batch_size(monkeypatch, problem, level):
 @pytest.mark.parametrize("problem", ["elasticity", "heat"])
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_aggregate_matches_pair_grams(problem, level):
-    # the sum-factorized cells against an independent computation: the
-    # Grams of the weighted point gradients that add_increment forms, every
-    # (cell, sub) pair added with its factor to a zero stack
+    # the sum-factorized cells against an independent computation: every
+    # (cell, sub) pair's Gram of its weighted point gradients, from 1-D
+    # Bernstein tables built in the reference, summed with its factor; at
+    # level 3 on two cells
     asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
     fac = _mixed_factors(asm, 9)
-    cells, subs = np.divmod(np.arange(fac.size), asm.nsub)
-    ref = np.zeros((asm.num_cells, asm.nd, asm.nd))
-    asm.add_increment(ref, cells, subs, fac.ravel(), np.zeros(asm.ndof))
+    cells = [0, 11] if level == 3 else np.arange(asm.num_cells)
     K = asm.aggregate(fac)
-    assert _rel(K, ref) <= 1e-12
+    assert _rel(K[cells], pair_gram_stiffness(asm, fac, cells)) <= 1e-12
     assert np.array_equal(K, K.transpose(0, 2, 1))
 
 
@@ -522,7 +521,7 @@ def test_aggregate_memory_is_bounded(monkeypatch):
     asm = Assembly(build_spline_model(lattice(2, 1, 1)[0]), "elasticity",
                    Material(1.0, 0.3), level=3)
     ones = np.ones((asm.num_cells, asm.nsub))
-    budget = iga._GRAM_BATCH_BYTES
+    budget = 32 << 20
     runs = []
     # both cells in one batch, then the default budget, which holds no
     # level-3 cell: one each
@@ -562,76 +561,50 @@ def test_add_increment_matches_fresh_aggregate(monkeypatch, problem, level,
                                                budget):
     asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
     if budget is not None:
-        # one pair per batch: a cell's pairs fall into several batches
-        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+        # one cell per batch
+        monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
     fac = _mixed_factors(asm, 4) + 0.5
     K = asm.aggregate(fac)
-    # unsorted cells, repeated cells, one repeated pair, mixed signs
-    cells = np.array([9, 2, 9, 15, 2, 0, 9, 9])
-    subs = np.array([1, 3, 0, 4, 3, 7, 5, 2])
-    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, 1.5, -0.45, 0.05])
+    # factors raised and lowered in cells 9, 2, 15 and 0, every sub-cube
+    # of cell 4 changed, and cell 6 changed but not listed
     new = fac.copy()
-    np.add.at(new, (cells, subs), df)
+    np.add.at(new, ([9, 2, 9, 15, 2, 0, 9, 9, 6], [1, 3, 0, 4, 5, 7, 5, 2, 1]),
+              [-0.4, 0.3, 0.25, -0.1, -0.2, 1.5, -0.45, 0.05, 0.5])
+    new[4] = np.random.default_rng(8).random(asm.nsub)
     u = np.random.default_rng(3).standard_normal(asm.ndof)
     before = K.copy()
-    du = asm.add_increment(K, cells, subs, df, u)
+    # unsorted cells, cell 9 listed twice
+    du = asm.add_increment(K, new, [9, 2, 4, 9, 15, 0], u)
     ref = asm.aggregate(new)
-    assert _rel(K, ref) <= 1e-12
-    touched = np.unique(cells)
-    for c in touched:
-        assert _rel(K[c], ref[c]) <= 1e-12
-    # the returned product is the increment's action on u
+    touched = [0, 2, 4, 9, 15]
+    assert np.array_equal(K[touched], ref[touched])
+    others = np.setdiff1d(np.arange(asm.num_cells), touched)
+    assert np.array_equal(K[others], before[others])
+    assert not np.array_equal(K[6], ref[6])
+    # the returned product is the change's action on u
     assert _rel(du, asm.matvec(K - before, u)) <= 1e-12
     before = K.copy()
-    du = asm.add_increment(K, [], [], [], u)
+    du = asm.add_increment(K, new, [], u)
     assert np.array_equal(K, before)
     assert np.array_equal(du, np.zeros(asm.ndof))
 
 
-@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
-def test_add_increment_sums_long_runs_per_cell(problem, level):
-    # one call gives cell 9 all 8 subs of a level-1 cell plus a repeat of
-    # sub 3, 10 pairs in all, and cell 4 a run of 3: each cell's run of
-    # one sign is folded into one Gram
-    asm = Assembly(_curved_model(), problem, Material(1.0, 0.3), level=level)
-    fac = _mixed_factors(asm, 7) + 0.5
-    K = asm.aggregate(fac)
-    cells = np.array([9, 4, 9, 9, 9, 4, 9, 9, 9, 13, 9, 9, 4, 9])
-    subs = np.array([0, 2, 1, 2, 3, 6, 4, 5, 6, 1, 7, 3, 0, 3])
-    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, -0.35, 1.5, -0.45, 0.05,
-                   -0.3, 0.6, -0.15, 0.2, -0.1])
-    new = fac.copy()
-    np.add.at(new, (cells, subs), df)
-    assert (new >= 0).all()
-    u = np.random.default_rng(5).standard_normal(asm.ndof)
-    before = K.copy()
-    du = asm.add_increment(K, cells, subs, df, u)
-    ref = asm.aggregate(new)
-    assert _rel(K, ref) <= 1e-12
-    for c in (4, 9, 13):
-        assert _rel(K[c], ref[c]) <= 1e-12
-    assert _rel(du, asm.matvec(K - before, u)) <= 1e-12
-
-
 def test_add_increment_rejects_pairs_outside_the_model():
-    # a negative id once wrapped round to the last cell or sub-cube; a
-    # pair listed twice stays legal here
+    # a negative id once wrapped round to the last cell; a cell listed
+    # twice stays legal here
     asm = Assembly(build_spline_model(lattice(2, 1, 1)[0]), "elasticity",
                    Material(1.0, 0.3), level=1)
     K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
     before = K.copy()
-    for cells, subs, msg in (([-1], [-1], r"\(-1, -1\)"),
-                             ([0, 2], [1, 0], r"\(2, 0\)"),
-                             ([1, 1], [3, 8], r"\(1, 8\)")):
-        with pytest.raises(ValueError, match=r"^\(cell, sub\) pair " + msg
-                           + " out of range for 2 cells of 8 sub-cubes"):
-            asm.add_increment(K, cells, subs, np.full(len(cells), -0.5),
-                              np.zeros(asm.ndof))
-        assert np.array_equal(K, before)
-    asm.add_increment(K, [1, 1], [3, 3], [-0.25, -0.25], np.zeros(asm.ndof))
     fac = np.ones((2, 8))
     fac[1, 3] = 0.5
-    assert _rel(K, asm.aggregate(fac)) <= 1e-12
+    for cells, msg in (([-1], "-1"), ([0, 2], "2"), ([1, 1, 5], "5")):
+        with pytest.raises(ValueError, match=r"^cell %s out of range for 2 "
+                           r"cells$" % msg):
+            asm.add_increment(K, fac, cells, np.zeros(asm.ndof))
+        assert np.array_equal(K, before)
+    asm.add_increment(K, fac, [1, 1], np.zeros(asm.ndof))
+    assert np.array_equal(K, asm.aggregate(fac))
 
 
 def _two_cell_assembly():
@@ -658,15 +631,22 @@ def test_aggregate_rejects_bad_factors(value, shown):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_add_increment_rejects_non_finite_increments(value):
+    # the factors of the listed cells are checked, before K changes; an
+    # unlisted cell's are not read
     asm = _two_cell_assembly()
     K = asm.aggregate(np.ones((2, 8)))
     before = K.copy()
-    with pytest.raises(ValueError, match=r"^stiffness factor increment of "
-                       r"\(cell, sub\) pair \(0, 6\) is -?(nan|inf); it must "
-                       r"be finite$"):
-        asm.add_increment(K, [1, 0, 1], [2, 6, 4], [-0.5, value, -0.5],
-                          np.zeros(asm.ndof))
+    fac = np.ones((2, 8))
+    fac[0, 6] = value
+    fac[1, 2] = fac[1, 4] = 0.5
+    with pytest.raises(ValueError, match=r"^stiffness factor of \(cell, "
+                       r"sub\) pair \(0, 6\) is -?(nan|inf); it must be "
+                       r"finite and >= 0$"):
+        asm.add_increment(K, fac, [1, 0], np.zeros(asm.ndof))
     assert np.array_equal(K, before)
+    asm.add_increment(K, fac, [1], np.zeros(asm.ndof))
+    fac[0, 6] = 1.0
+    assert np.array_equal(K, asm.aggregate(fac))
 
 
 def test_sub_stiffness_rejects_non_finite_factors():
@@ -676,59 +656,56 @@ def test_sub_stiffness_rejects_non_finite_factors():
         asm.sub_stiffness([0, 1], [2, 7], [-0.5, np.nan])
 
 
-def test_add_increment_makes_one_gram_per_cell_and_sign(monkeypatch):
-    # unsorted cells, one repeated pair, and cells 2 and 9 with increments
-    # of both signs: the kernel yields one Gram per (cell, sign)
+def test_add_increment_runs_the_kernel_on_the_listed_cells(monkeypatch):
+    # unsorted cells, one listed twice: each distinct cell goes through
+    # the sum-factorization kernel once, over the grid of all its
+    # sub-cubes, and nothing else forms stiffness
     asm = Assembly(_curved_model(), "elasticity", Material(1.0, 0.3), level=1)
     fac = _mixed_factors(asm, 4) + 0.5
     K = asm.aggregate(fac)
-    cells = np.array([9, 2, 9, 15, 2, 0, 9, 9, 2])
-    subs = np.array([1, 3, 0, 4, 3, 7, 5, 2, 6])
-    df = np.array([-0.4, 0.3, 0.25, -0.1, -0.2, 1.5, -0.45, 0.05, -0.3])
-    kernel = Assembly._gram_batches
-    rows = []
+    kernel = Assembly._sum_factorized
+    runs = []
 
-    def counted(self, *args, **kwargs):
-        for first, W in kernel(self, *args, **kwargs):
-            rows.append(len(W))
-            yield first, W
+    def counted(self, S, root, *args):
+        runs.append((len(S), root.shape[1:]))
+        return kernel(self, S, root, *args)
 
-    monkeypatch.setattr(Assembly, "_gram_batches", counted)
-    asm.add_increment(K, cells, subs, df, np.zeros(asm.ndof))
-    assert sum(rows) == len(set(zip(cells, df < 0))) == 6
-    new = fac.copy()
-    np.add.at(new, (cells, subs), df)
-    assert _rel(K, asm.aggregate(new)) <= 1e-12
+    monkeypatch.setattr(Assembly, "_sum_factorized", counted)
+    fac[[9, 2, 15, 0], [1, 3, 4, 7]] = [0.1, 0.2, 0.3, 0.4]
+    asm.add_increment(K, fac, [9, 2, 9, 15, 0], np.zeros(asm.ndof))
+    assert sum(n for n, _ in runs) == 4
+    assert {shape for _, shape in runs} == {(2, 2, 2)}
+    assert np.array_equal(K, asm.aggregate(fac))
 
 
-def test_gram_kernel_memory_is_bounded():
-    # 27 cells x 64 sub-cubes: the whole (cell, sub) gradient stack would
-    # take about 170 MB per copy
-    model = build_spline_model(lattice(3, 3, 3)[0])
-    asm = Assembly(model, "heat", None, level=2)
-    budget = 64 << 20
-    rng = np.random.default_rng(5)
+def test_add_increment_memory_is_bounded():
+    # 64 elasticity cells at level 1: the touched stack would take 18.9 MB.
+    # The cells run in aggregate's batches, whose workspaces stay within
+    # the 4 MiB plane budget, beside the kernel's gather index of nd^2
+    # integers, however many cells are listed
+    asm = Assembly(build_spline_model(lattice(4, 4, 4)[0]), "elasticity",
+                   Material(1.0, 0.3), level=1)
+    bound = iga._PLANE_BATCH_BYTES + 8 * asm.nd ** 2
+    fac = np.ones((asm.num_cells, asm.nsub))
+    K = asm.aggregate(fac)
+    u = np.random.default_rng(5).standard_normal(asm.ndof)
+    rng = np.random.default_rng(6)
+    peaks = []
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        K = asm.aggregate(np.ones((asm.num_cells, asm.nsub)))
-        peak = tracemalloc.get_traced_memory()[1] - base
-        assert peak <= K.nbytes + budget
-        # the first increment builds the Assembly's gradient table, which
-        # stays: warm it up so that it does not inflate peaks[0]
-        asm.add_increment(K, [0], [0], [0.0], np.zeros(asm.ndof))
-        peaks = []
-        for n in (150, 600):
-            pick = rng.choice(asm.num_cells * asm.nsub, n, replace=False)
+        for n in (4, asm.num_cells):
+            cells = rng.choice(asm.num_cells, n, replace=False)
+            fac[cells, rng.integers(0, asm.nsub, n)] = 1e-2
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            asm.add_increment(K, pick // asm.nsub, pick % asm.nsub,
-                              np.full(n, -0.5), np.zeros(asm.ndof))
+            asm.add_increment(K, fac, cells, u)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        assert peaks[1] <= budget
-        assert peaks[1] <= 1.25 * peaks[0]
     finally:
         tracemalloc.stop()
+    assert K.nbytes > 4 * bound
+    assert max(peaks) <= bound
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert np.array_equal(K, asm.aggregate(fac))
 
 
 @pytest.mark.parametrize("problem", ["elasticity", "heat"])
@@ -1038,8 +1015,9 @@ def test_two_level_update_matches_refresh_after_kills():
     # remove four sub-elements as a BESO kill does, two in one cell
     cells = np.array([0, 9, 9, 17])
     subs = np.array([3, 0, 6, 7])
-    asm.add_increment(K, cells, subs, mat.mu_min - fac[cells, subs],
-                      np.zeros(asm.ndof))
+    new = fac.copy()
+    new[cells, subs] = mat.mu_min
+    asm.add_increment(K, new, cells, np.zeros(asm.ndof))
     pc.update(cells)
     fresh = TwoLevelPreconditioner(asm, pc.free, K)
     touched = np.unique(cells)
@@ -1362,7 +1340,30 @@ def test_operator_follows_kills():
         assert (pc.lu is first) == (k < 8)
     fac.reshape(-1)[~alive] = 0.05
     assert np.array_equal(op.factors, fac)
-    assert _rel(op.K, asm.aggregate(fac)) <= 1e-12
+    assert np.array_equal(op.K, asm.aggregate(fac))
+
+
+@pytest.mark.parametrize("problem, level", [("elasticity", 1), ("heat", 2)])
+def test_set_factors_keeps_K_equal_to_a_fresh_aggregate(problem, level):
+    # factors lowered, raised and changed again over several calls: after
+    # each, K equals a fresh aggregate of the operator's factors bit for
+    # bit (pair increments once left it off by about 1e-15 relative), and
+    # K32 its cast
+    _, model, bcs = _beam()
+    if problem == "heat":
+        bcs = BoundaryConditions(dirichlet=[DirichletSpec(
+            (-BIG, -BIG, -BIG), (0.3, BIG, BIG), (0,))], heat_source=1.0)
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, problem, mat, level=level)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 41), bcs,
+                           single_precision=True)
+    rng = np.random.default_rng(43)
+    for n in (1, 7, 40, 3, 60):
+        pick = rng.choice(op.factors.size, n, replace=False)
+        op.set_factors(pick // asm.nsub, pick % asm.nsub,
+                       rng.uniform(0.0, 1.2, n))
+        assert np.array_equal(op.K, asm.aggregate(op.factors))
+        assert np.array_equal(op.K32, op.K.astype(np.float32))
 
 
 def test_operator_rejects_bad_pairs_before_patching():
@@ -1416,18 +1417,17 @@ def test_operator_rejects_bad_factors_before_patching(value, shown):
 def test_refresh_and_mirror_independent_of_batch_size(monkeypatch):
     # at a budget of one byte the block builds and coarse products of a
     # new preconditioner run one cell per batch (set_factors re-casts K32
-    # one cell at a time anyway); one pair per cell keeps the increments
-    # themselves batch-free.  The operators aggregate at the default
-    # budget, whose batches hold every sub-cube of a cell.
+    # one cell at a time anyway).  The operators aggregate, and
+    # re-aggregate the touched cells, at the default plane budget.
     _, model, bcs = _beam()
     mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
     asm = Assembly(model, "elasticity", mat, level=1)
     fac = _random_factors(asm, mat, 61)
     cells, subs = np.array([17, 0, 9, 5, 23]), np.array([7, 3, 6, 0, 2])
     runs = []
-    for budget in (iga._GRAM_BATCH_BYTES, 1):
+    for budget in (iga._PRECOND_BATCH_BYTES, 1):
         op = StiffnessOperator(asm, fac, bcs, single_precision=True)
-        monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+        monkeypatch.setattr(iga, "_PRECOND_BATCH_BYTES", budget)
         op.set_factors(cells, subs, np.full(len(cells), mat.mu_min))
         pc = op.precond
         rhs = np.random.default_rng(67).standard_normal(pc.lu.shape[0])
@@ -1720,7 +1720,7 @@ def test_preconditioner_update_memory_is_bounded(monkeypatch):
     asm = Assembly(model, "elasticity", mat)
     pc = StiffnessOperator(asm, _random_factors(asm, mat, 23), bcs).precond
     budget = 4 << 20
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    monkeypatch.setattr(iga, "_PRECOND_BATCH_BYTES", budget)
     before = pc.blocks.copy()
     cells = np.arange(asm.num_cells)
     tracemalloc.start()
@@ -1741,7 +1741,7 @@ def test_elastic_energies_memory_is_bounded(monkeypatch):
     u = np.random.default_rng(29).standard_normal(asm.ndof)
     ref = asm.sub_energies(u)
     budget = 1 << 20
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -698,7 +698,7 @@ def test_level3_heat_design_runs_end_to_end(monkeypatch):
     fine = subdivide(mesh)[0]
     model = build_spline_model(fine)
     budget = 4 << 20
-    monkeypatch.setattr(iga, "_GRAM_BATCH_BYTES", budget)
+    monkeypatch.setattr(iga, "_PLANE_BATCH_BYTES", budget)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -729,11 +729,14 @@ def test_level3_heat_design_runs_end_to_end(monkeypatch):
 
 
 def test_optimize_rejects_negative_subdivide():
+    # a fractional count once reached range() and raised a TypeError
     mesh, _ = lattice(2, 1, 1)
-    with pytest.raises(ValueError, match="subdivide must be >= 0, got -1"):
-        optimize(mesh, BesoConfig(v_star=0.5), Material(1.0, 0.0),
-                 BoundaryConditions(heat_source=1.0), problem="heat",
-                 subdivide=-1)
+    for value in (-1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^subdivide must be a whole "
+                           r"number >= 0, got %r$" % value):
+            optimize(mesh, BesoConfig(v_star=0.5), Material(1.0, 0.0),
+                     BoundaryConditions(heat_source=1.0), problem="heat",
+                     subdivide=value)
 
 
 def test_twolevel_runs_without_vertex_constraint():
