@@ -359,7 +359,7 @@ class Assembly:
     beside the results does not grow with the mesh, but it does with the
     level once one cell's working set passes the budget: at level 3 one
     elasticity cell's energy planes take 5.5 MB and its sum-factorization
-    workspace 11.3 MB, both above the 4 MiB budget, and both grow 8x a
+    workspace 11.6 MB, both above the 4 MiB budget, and both grow 8x a
     level finer.
     """
 
@@ -467,8 +467,9 @@ class Assembly:
         derivatives) tables (Q, 4) of the 1-D basis at the Q points along
         parameter k.  Writes the node-major stiffness of cell i to out[i],
         a contiguous (nd, nd) array; `work` is a flat float64 buffer of at
-        least n * _kernel_floats(Q) floats.  S may be its first 9 n Q^3
-        floats, as a contiguous array, which are then scaled in place.
+        least n * _kernel_floats(Q) + nd^2 floats, the last nd^2 for the
+        index that gathers the blocks.  S may be its first 9 n Q^3 floats,
+        as a contiguous array, which are then scaled in place.
 
         The basis is a tensor product, so the integral of C_eg Xhat_e
         Xhat_g^T over the grid, Xhat_e the parameter gradient e of the
@@ -591,7 +592,9 @@ class Assembly:
         diag = R3[:len(mirror)]
         np.take(diag, swap, axis=2, out=mirror, mode="clip")
         diag += mirror
-        index = block * (n * 4096) + pos
+        index = carve(self.nd ** 2).view(np.intp)
+        np.multiply(block, n * 4096, out=index)
+        index += pos
         flat = R3.reshape(-1)
         for c in range(n):
             np.take(flat[4096 * c:], index, out=out[c].reshape(-1),
@@ -615,7 +618,7 @@ class Assembly:
         B, D, _ = _line_tables(self.level, o)
         S = self.S.reshape(self.num_cells, 3, 3, m * o, m * o, m * o)
         root = np.sqrt(np.abs(scale)).reshape(-1, 1, 1, 1)
-        work = np.empty(self._kernel_floats(o))
+        work = np.empty(self._kernel_floats(o) + self.nd ** 2)
         out = np.empty((len(cells), self.nd, self.nd))
         for i, (c, s) in enumerate(zip(cells, subs)):
             at = [slice(k * o, (k + 1) * o)
@@ -637,21 +640,24 @@ class Assembly:
         each cell's stiffness to out[cell] in place.  Call run before
         drawing the next batch.  A batch's S is gathered into the head of
         the kernel's workspace, where the kernel scales it in place, so one
-        workspace, made once, holds a batch's work beside the kernel's
-        gather index of nd^2 integers: at most `chunk` cells, within
-        _PLANE_BATCH_BYTES or one cell's if that is larger.  Every cell's
-        stiffness is the same whatever the batches."""
+        workspace, made once, holds a batch's work and the kernel's gather
+        index of nd^2 integers.  A batch is at most `chunk` cells, and
+        their workspace and the buffers numpy's ufuncs allocate on strided
+        planes (np.getbufsize() floats for each of three operands) stay
+        within _PLANE_BATCH_BYTES, or one cell's if that is larger.  Every
+        cell's stiffness is the same whatever the batches."""
         m, o = 2 ** self.level, self.quad_order
         Q = m * o
         floats = self._kernel_floats(Q)
-        step = max(1, _PLANE_BATCH_BYTES // (8 * floats))
+        spare = _PLANE_BATCH_BYTES // 8 - self.nd ** 2 - 3 * np.getbufsize()
+        step = max(1, spare // floats)
         step = min(step, chunk or step)
-        work = np.empty(min(step, len(cells)) * floats)
+        work = np.empty(min(step, len(cells)) * floats + self.nd ** 2)
         lines = (_line_tables(self.level, o)[:2],) * 3
         for lo in range(0, len(cells), step):
             sel = cells[lo:lo + step]
             S = work[:9 * len(sel) * Q ** 3].reshape(-1, 3, 3, Q ** 3)
-            np.take(self.S, sel, axis=0, out=S)
+            np.take(self.S, sel, axis=0, out=S, mode="clip")
             yield sel, partial(self._sum_factorized,
                                S.reshape(-1, 3, 3, Q, Q, Q),
                                np.sqrt(factors[sel]).reshape(-1, m, m, m),
@@ -663,10 +669,11 @@ class Assembly:
         Every cell is one run of the sum-factorization kernel over the
         grid of all its sub-cubes' Gauss points, its factors applied per
         point, in batches of at most `chunk` cells (_cell_batches).  Beside
-        the output a batch holds its workspace, at most the larger of
-        _PLANE_BATCH_BYTES and one cell's (0.95 MB for an elasticity cell
-        at level 1, 11.3 MB at level 3), and a gather index of nd^2
-        integers, so memory beside the output does not grow with the mesh.
+        the output a batch holds its workspace, gather index and numpy's
+        ufunc buffers included, at most the larger of _PLANE_BATCH_BYTES
+        and one cell's (1.2 MB for an elasticity cell at level 1, 11.6 MB
+        at level 3), so memory beside the output does not grow with the
+        mesh.
         The result does not depend on the batch size, and at level 0 it
         equals sub_stiffness bit for bit.  A factor that is negative or not
         finite raises a ValueError naming its (cell, sub) pair."""
@@ -960,15 +967,24 @@ def solve_system(op, rtol=1e-8):
                     iterations=iters, residual=float(res), restarts=restarts)
 
 
-def _cell_overlaps(cell_nodes):
-    """Control points shared by ordered pairs of distinct cells.
+def _cell_overlaps(cell_nodes, dpn):
+    """Control points shared by ordered pairs of distinct cells, as
+    templates of block entries.
 
-    Returns one (cells, nbrs, a, b) group per shared-point count s:
-    cells[i] and nbrs[i] share s points, found at local node indices
-    a[i] (s,) in cells[i] and b[i] (s,) in nbrs[i].  Built by pairing the
-    occurrences of every control point across the cell tables.
+    Cells c and n that share s control points, at local node indices a
+    (s,) in c and b (s,) in n, are one pair; the pairs are found by
+    pairing the occurrences of every control point across the cell
+    tables.  They come in groups of one s each, in increasing s, and
+    sorted by (c, n) within a group.  A group's distinct patterns (a, b)
+    are its templates, a few dozen on a whole mesh: template t holds the
+    flat offsets, in a cell's (nd, nd) block of dpn dofs per node, of the
+    entries on the shared dofs, src[t] at (b, b) in n's block and dst[t]
+    at (a, a) in c's.  Returns (cell, nbr, template), one entry per pair
+    over all groups, and per group (start, stop, src, dst): its slice of
+    the pairs and its (templates, (s dpn)^2) offset tables.
     """
     npc = cell_nodes.shape[1]
+    nd = npc * dpn
     flat = cell_nodes.ravel()
     order = np.argsort(flat, kind="stable")
     node, cell, loc = flat[order], order // npc, order % npc
@@ -978,19 +994,30 @@ def _cell_overlaps(cell_nodes):
         j = i + d
         recs.append((cell[i], cell[j], loc[i], loc[j]))
         recs.append((cell[j], cell[i], loc[j], loc[i]))
+    none = np.zeros(0, dtype=np.intp)
     if not recs:
-        return []
+        return (none, none, none), []
     C, N, A, B = (np.concatenate(r) for r in zip(*recs))
     order = np.lexsort((A, N, C))
     C, N, A, B = C[order], N[order], A[order], B[order]
     start = np.flatnonzero(np.r_[True, (C[1:] != C[:-1]) | (N[1:] != N[:-1])])
     size = np.diff(np.r_[start, len(C)])
-    groups = []
+    comps = np.arange(dpn)
+    pairs, groups, stop = [], [], 0
     for s in np.unique(size):
         first = start[size == s]
         idx = first[:, None] + np.arange(s)
-        groups.append((C[first], N[first], A[idx], B[idx]))
-    return groups
+        pattern, template = np.unique(np.concatenate([A[idx], B[idx]], 1),
+                                      axis=0, return_inverse=True)
+        # each template's shared dofs, in c (a) and in n (b)
+        a, b = (dpn * pattern.reshape(-1, 2, s, 1) + comps).reshape(
+            len(pattern), 2, -1).transpose(1, 0, 2)
+        src, dst = ((x[:, :, None] * nd + x[:, None, :]).reshape(len(x), -1)
+                    for x in (b, a))
+        pairs.append((C[first], N[first], template.reshape(-1)))
+        groups.append((stop, stop + len(first), src, dst))
+        stop += len(first)
+    return tuple(np.concatenate(p) for p in zip(*pairs)), groups
 
 
 def _gauss_jordan(A, cells, exact):
@@ -1102,7 +1129,21 @@ class TwoLevelPreconditioner:
     Every kept coarse column then holds a 1 in a row where all others hold
     0, so P_f has full column rank and the coarse matrix is positive
     definite whenever K_ff is.  It is ~20x smaller than the spline system
-    and factorizes in milliseconds.
+    and factorizes in milliseconds, by SuperLU in symmetric mode (Li, ACM
+    TOMS 31, 2005): pivots taken from the diagonal, which an SPD matrix
+    allows, and a minimum-degree ordering of A + A^T; on the cantilever
+    that leaves 15 % less fill than the unsymmetric default.
+
+    A cell's block sums its own K_cells entry and, for every neighbour
+    sharing control points with it, the neighbour's entries on the shared
+    dofs.  A mesh has only a few dozen distinct patterns of shared local
+    nodes, so each is kept once as a template of flat block offsets
+    (_cell_overlaps), and a batch's source and destination indices are
+    its pairs' templates shifted by one offset per pair; one bincount adds
+    every neighbour term in a fixed order.  Each build (the constructor's
+    and every update) allocates one workspace, sized to its largest batch,
+    for the float64 blocks, those indices and the gathered entries, reuses
+    it across its batches and drops it on return.
 
     Each batch of blocks is cast to float32 once and inverted in numpy's
     own LAPACK and BLAS by one recursive block Gauss-Jordan sweep
@@ -1129,7 +1170,7 @@ class TwoLevelPreconditioner:
     definite and CG stays valid; it only preconditions a little less
     sharply.  The weights depend on the mesh alone and never change.
     Blocks and the coarse products are built in batches of cells whose
-    index arrays, float64 and float32 blocks and temporaries stay within
+    workspace, float32 blocks and temporaries stay within
     _PRECOND_BATCH_BYTES.  The StiffnessOperator that owns it builds it on
     its K and its mask `free` of unfixed dofs at the first solve, updates
     the cells its increments touched before every later one and refreshes
@@ -1178,67 +1219,95 @@ class TwoLevelPreconditioner:
         # P restricted to a cell's dofs: kron(T, I) on its corners' dofs
         self._T = np.kron(T, np.eye(dpn))
         self._cdofs = (dpn * cnode[:, :, None] + comps).reshape(len(nodes), -1)
-        self._overlaps = _cell_overlaps(assembly.model.cell_nodes)
+        self._pairs, self._groups = _cell_overlaps(nodes, dpn)
+        # the cells holding a fixed dof, whose blocks the Dirichlet mask
+        # changes
+        self._clamped = ~free[assembly.dofmap].all(axis=1)
         # every dof's weight m^(-1/2), m the number of cells holding its
         # control point
         self._weight = np.bincount(nodes.ravel()).repeat(dpn) ** -0.5
-        # bytes of building one cell's block: its float64 block and at
-        # most three more of its size at once (the scattered neighbour
-        # sum; or the float32 copy the sweep inverts, with the sweep's
-        # float32 pivot rows and update product and a leaf's factor and
-        # inverse), plus source index, destination index and weight (each
-        # made and concatenated) per shared-dof entry
-        entries = np.zeros(assembly.num_cells)
-        for c, _, a, _ in self._overlaps:
-            entries += (dpn * a.shape[1]) ** 2 * np.bincount(
-                c, minlength=assembly.num_cells)
-        self._block_bytes = 4 * 8 * assembly.nd ** 2 + 6 * 8 * entries
+        # each cell's shared-dof entries, one per (pair, template entry)
+        self._entries = np.zeros(assembly.num_cells, dtype=np.int64)
+        for lo, hi, src, _ in self._groups:
+            self._entries += src.shape[1] * np.bincount(
+                self._pairs[0][lo:hi], minlength=assembly.num_cells)
+        # bytes of building one cell's block: its float64 block in the
+        # workspace and at most three more of its size at once (the
+        # scattered neighbour sum; or the float32 copy the sweep inverts,
+        # with the sweep's float32 pivot rows and update product and a
+        # leaf's factor and inverse), plus a source index, a destination
+        # index and a weight in the workspace per shared-dof entry
+        self._block_bytes = 4 * 8 * assembly.nd ** 2 + 3 * 8 * self._entries
         self.blocks = np.empty((assembly.num_cells, assembly.nd, assembly.nd),
                                dtype=np.float32)
 
-    def _cell_blocks(self, cells):
+    def _workspace(self, batches):
+        """Flat buffers for the float64 blocks, the source and destination
+        indices and the gathered weights of the largest of `batches`."""
+        nd2 = self.assembly.nd ** 2
+        cells = max(map(len, batches), default=0)
+        entries = max((self._entries[sel].sum() for sel in batches),
+                      default=0)
+        return (np.empty(cells * nd2), np.empty(entries, dtype=np.intp),
+                np.empty(entries, dtype=np.intp), np.empty(entries))
+
+    def _cell_blocks(self, cells, work):
         """Assembled principal submatrices on the dofs of `cells` (sorted,
-        unique), Dirichlet dofs replaced by identity; float64."""
+        unique), Dirichlet dofs replaced by identity; float64, in the
+        head of the first buffer of `work` (from _workspace).
+
+        Each pair of a cell and a neighbour adds the neighbour's K_cells
+        entries on their shared dofs, at the offsets of its template; the
+        pairs are taken in the order of the templates' groups, so every
+        entry sums its terms in a fixed order.  One bincount adds them
+        all: a cell can meet one template more than once (at an
+        extraordinary vertex), so its destinations repeat."""
         asm, K_cells = self.assembly, self.K
-        nd, dpn, m = asm.nd, asm.dpn, len(cells)
-        out = K_cells[cells]
-        comps = np.arange(dpn)
-        src, dst = [], []
-        for c, n, a, b in self._overlaps:
-            # each group is sorted by cell: take the pairs of `cells`
-            lo = np.searchsorted(c, cells, "left")
-            cnt = np.searchsorted(c, cells, "right") - lo
-            k = int(cnt.sum())
-            if not k:
-                continue
-            pos = np.repeat(np.arange(m), cnt)
-            idx = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(k)
-            a = (dpn * a[idx][:, :, None] + comps).reshape(k, -1)
-            b = (dpn * b[idx][:, :, None] + comps).reshape(k, -1)
-            src.append(((n[idx][:, None, None] * nd + b[:, :, None]) * nd
-                        + b[:, None, :]).ravel())
-            dst.append(((pos[:, None, None] * nd + a[:, :, None]) * nd
-                        + a[:, None, :]).ravel())
-        if src:
-            out += np.bincount(np.concatenate(dst),
-                               weights=K_cells.reshape(-1)[np.concatenate(src)],
+        nd, m = asm.nd, len(cells)
+        blocks, src, dst, vals = work
+        out = blocks[:m * nd * nd].reshape(m, nd, nd)
+        np.take(K_cells, cells, axis=0, out=out)
+        cell, nbr, template = self._pairs
+        slot = np.full(asm.num_cells, -1)
+        slot[cells] = np.arange(m)
+        pos = slot[cell]
+        mine = np.flatnonzero(pos >= 0)
+        at = 0
+        for lo, hi, S, D in self._groups:
+            i = mine[np.searchsorted(mine, lo):np.searchsorted(mine, hi)]
+            shape = len(i), S.shape[1]
+            for table, base, flat in ((S, nbr, src), (D, pos, dst)):
+                index = flat[at:at + shape[0] * shape[1]].reshape(shape)
+                np.take(table, template[i], axis=0, out=index)
+                index += (base[i] * (nd * nd))[:, None]
+            at += shape[0] * shape[1]
+        if at:
+            np.take(K_cells.reshape(-1), src[:at], out=vals[:at])
+            out += np.bincount(dst[:at], weights=vals[:at],
                                minlength=out.size).reshape(out.shape)
-        keep = self.free[asm.dofmap[cells]]
-        out *= keep[:, :, None]
-        out *= keep[:, None, :]
-        out.reshape(m, -1)[:, ::nd + 1][~keep] = 1.0
+        fix = np.flatnonzero(self._clamped[cells])
+        if len(fix):
+            keep = self.free[asm.dofmap[cells[fix]]]
+            held = out[fix]
+            held *= keep[:, :, None]
+            held *= keep[:, None, :]
+            held.reshape(len(fix), -1)[:, ::nd + 1][~keep] = 1.0
+            out[fix] = held
         return out
 
     def _build(self, cells):
-        """Build and invert the blocks of `cells` (sorted, unique)."""
+        """Build and invert the blocks of `cells` (sorted, unique), in
+        batches that share one workspace, freed on return."""
         cost = self._block_bytes[cells]
         # consecutive batches within the budget, or one cell if larger
         batch = (np.cumsum(cost) - cost) // _PRECOND_BATCH_BYTES
-        for sel in np.split(cells, np.flatnonzero(np.diff(batch)) + 1):
-            if len(sel):
-                self.blocks[sel] = _sweep_inverse(
-                    self._cell_blocks(sel), sel,
-                    self._weight[self.assembly.dofmap[sel]])
+        batches = [sel for sel in np.split(cells, np.flatnonzero(
+            np.diff(batch)) + 1) if len(sel)]
+        work = self._workspace(batches)
+        for sel in batches:
+            self.blocks[sel] = _sweep_inverse(
+                self._cell_blocks(sel, work), sel,
+                self._weight[self.assembly.dofmap[sel]])
 
     def update(self, cells):
         """The stiffness of the listed cells changed: rebuild their
@@ -1262,7 +1331,9 @@ class TwoLevelPreconditioner:
         cols = np.tile(self._cdofs, (1, m)).ravel()
         n = len(self.cfree)
         Kc = sparse.csr_matrix((A.ravel(), (rows, cols)), shape=(n, n))
-        self.lu = spla.splu(Kc[self.cfree][:, self.cfree].tocsc())
+        self.lu = spla.splu(Kc[self.cfree][:, self.cfree].tocsc(),
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
 
     def __call__(self, r):
         fine = self.assembly.free_matvec(self.blocks, self.free, r)

@@ -360,9 +360,12 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
     and analysed with `mat` / `bcs` while densities evolve at cfg.level.
     Per iteration: solve (warm-started), rank history-averaged filtered
     sensitivities, delete along the volume schedule, and re-aggregate the
-    stiffness of the cells the deletions touched.  Stops once the schedule
-    reaches v_star and a further iteration changes nothing.  A `subdivide`
-    that is not a whole number >= 0 raises a ValueError.
+    stiffness of the cells the deletions touched.  After an iteration that
+    deleted nothing the design is unchanged, so the next one reuses its
+    solution and filtered sensitivities and solves nothing (its Solution
+    reports 0 iterations and 0 restarts).  Stops once the schedule reaches
+    v_star and a further iteration changes nothing.  A `subdivide` that is
+    not a whole number >= 0 raises a ValueError.
 
     With out_dir set, writes iter_%04d.vtk density snapshots and an
     incrementally flushed history.csv (iter, compliance, volume_fraction,
@@ -395,13 +398,19 @@ def optimize(mesh, cfg, mat, bcs, problem="elasticity", subdivide=0,
         csv.write("iter,compliance,volume_fraction,killed_count\n")
 
     history = state.compliance_history
+    killed = None
     try:
         while state.iteration < cfg.max_iterations:
-            sol = solve_system(op, rtol=cfg.rtol)
-            sol.density_version = dens.version
-
-            alpha = sensitivities(sol, asm, dens)
-            ahat = filt.apply(alpha) if filt is not None else alpha
+            if killed is None or len(killed):
+                sol = solve_system(op, rtol=cfg.rtol)
+                sol.density_version = dens.version
+                alpha = sensitivities(sol, asm, dens)
+                ahat = filt.apply(alpha) if filt is not None else alpha
+            else:
+                # the last iteration killed nothing: the design, and with
+                # it the analysis, is the one already at hand
+                sol = replace(sol, iterations=0, restarts=0)
+                sol.density_version = dens.version
             atil = average_history(state.history_alpha, ahat)
             state = replace(state, history_alpha=atil)
 

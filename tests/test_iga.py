@@ -680,12 +680,13 @@ def test_add_increment_runs_the_kernel_on_the_listed_cells(monkeypatch):
 
 def test_add_increment_memory_is_bounded():
     # 64 elasticity cells at level 1: the touched stack would take 18.9 MB.
-    # The cells run in aggregate's batches, whose workspaces stay within
-    # the 4 MiB plane budget, beside the kernel's gather index of nd^2
-    # integers, however many cells are listed
+    # The cells run in aggregate's batches, whose workspaces, the kernel's
+    # gather index included, stay within the 4 MiB plane budget however
+    # many cells are listed; so does everything the call allocates, the
+    # returned dK u too
     asm = Assembly(build_spline_model(lattice(4, 4, 4)[0]), "elasticity",
                    Material(1.0, 0.3), level=1)
-    bound = iga._PLANE_BATCH_BYTES + 8 * asm.nd ** 2
+    bound = iga._PLANE_BATCH_BYTES
     fac = np.ones((asm.num_cells, asm.nsub))
     K = asm.aggregate(fac)
     u = np.random.default_rng(5).standard_normal(asm.ndof)
@@ -1047,7 +1048,7 @@ def _check_blocks(pc, asm, K):
     Blocks without the weights are off by 0.18 or more, and without the
     symmetrisation they are not symmetric."""
     cells = np.arange(asm.num_cells)
-    A = pc._cell_blocks(cells)
+    A = pc._cell_blocks(cells, pc._workspace([cells]))
     X = A.copy()
     iga._gauss_jordan(X, cells, A)
     assert pc.blocks.dtype == np.float32
@@ -1125,6 +1126,39 @@ def test_two_level_weights_are_a_partition_of_unity(coarse, most):
     w = pc._weight[asm.dofmap]
     total = np.bincount(asm.dofmap.ravel(), weights=(w * w).ravel())
     assert np.abs(total - 1.0).max() <= 1e-15
+
+
+def test_two_level_heat_blocks_on_subdivided_wheel():
+    # around the wheel's axis a cell meets one overlap template in two
+    # neighbours, so a block entry can take two terms from one template:
+    # every block is still the weighted inverse of the dense assembly, and
+    # a block rebuilt by update equals a fresh build's bit for bit
+    mesh, _ = subdivide(wheel(5, 3)[0])
+    model = build_spline_model(mesh)
+    mat = Material(e0=1.0, nu=0.3, mu_min=1e-2)
+    asm = Assembly(model, "heat", mat, level=1)
+    bottom = model.points[:, 2].min() + 0.05
+    bcs = BoundaryConditions(
+        dirichlet=[DirichletSpec((-BIG, -BIG, -BIG), (BIG, BIG, bottom),
+                                 (0,))],
+        heat_source=1.0)
+    op = StiffnessOperator(asm, _random_factors(asm, mat, 43), bcs)
+    pc = op.precond
+    cell, _, template = pc._pairs
+    repeats = 0
+    for lo, hi, _, _ in pc._groups:
+        met = np.unique(np.stack([cell[lo:hi], template[lo:hi]]), axis=1)
+        repeats += hi - lo - met.shape[1]
+    assert repeats > 0
+    _check_blocks(pc, asm, op.K)
+    pairs = np.random.default_rng(47).permutation(op.factors.size)[:40]
+    op.set_factors(pairs // asm.nsub, pairs % asm.nsub,
+                   np.full(len(pairs), mat.mu_min))
+    op.prepare()
+    touched = np.unique(pairs // asm.nsub)
+    fresh = TwoLevelPreconditioner(asm, pc.free, op.K)
+    assert np.array_equal(pc.blocks[touched], fresh.blocks[touched])
+    _check_blocks(fresh, asm, op.K)
 
 
 def test_two_level_cold_heat_solve_on_subdivided_wheel():

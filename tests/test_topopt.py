@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 import warnings
@@ -9,7 +10,8 @@ import pytest
 from ccsolid import iga, topopt
 from ccsolid.hexmesh import CORNER_OFFSETS, Incidence
 from ccsolid.iga import (Assembly, BoundaryConditions, DirichletSpec,
-                         LoadSpec, Material, StiffnessOperator)
+                         LoadSpec, Material, StiffnessOperator,
+                         solve_system)
 from ccsolid.spline import build_spline_model, jacobian, regular_box_model
 from ccsolid.subdivision import subdivide
 from ccsolid.topopt import (BesoConfig, DensityField, OptState,
@@ -556,8 +558,8 @@ def test_optimize_solves_warm_from_the_operators_state(monkeypatch):
     # every solve after the first starts from the operator's last solution
     # and its carried residual.  After a kill a float32 sweep comes first,
     # and each of the solve's float64 passes is one of its restarts, made
-    # after a sweep.  After an iteration that killed nothing the carried
-    # residual already meets rtol: one float64 pass confirms it.
+    # after a sweep.  After an iteration that killed nothing there is no
+    # solve, and so no pass at all.
     mesh, _ = jittered_lattice(3, 2, 1, seed=7, amp=0.12)
     cfg = BesoConfig(v_star=0.6, er=0.1, level=0, rtol=1e-6, mu_min=1e-2,
                      single_precision=True)
@@ -592,7 +594,51 @@ def test_optimize_solves_warm_from_the_operators_state(monkeypatch):
         if before:
             assert kinds[0] == "S" and restarts == len(re.findall("S+", kinds))
         else:
-            assert kinds == "E"
+            assert kinds == "" and restarts == 0
+
+
+def test_optimize_reuses_the_analysis_of_an_unchanged_design(monkeypatch):
+    # iteration 4 of this run kills nothing, so iteration 5, the last one,
+    # has the design iteration 4 analysed: it makes no pass over the
+    # stiffness, and the solution it ranks is the one a re-solve gives,
+    # bit for bit
+    mesh, _ = jittered_lattice(3, 2, 1, seed=7, amp=0.12)
+    cfg = BesoConfig(v_star=0.6, er=0.1, level=0, rtol=1e-6, mu_min=1e-2,
+                     single_precision=True)
+    ops, passes, reused = [], [], []
+
+    class Recorded(StiffnessOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ops.append(self)
+
+    free_matvec = Assembly.free_matvec
+    monkeypatch.setattr(Assembly, "free_matvec", lambda *args: (
+        passes.append(1), free_matvec(*args))[1])
+    monkeypatch.setattr(topopt, "StiffnessOperator", Recorded)
+    records = []
+
+    def record(state, sol):
+        records.append((len(passes), sol))
+        passes.clear()
+        if len(records) > 1 and not state.compliance_history[-2][3]:
+            again = solve_system(copy.copy(ops[0]), rtol=cfg.rtol)
+            passes.clear()
+            reused.append(again.compliance == sol.compliance
+                          and np.array_equal(again.u, sol.u))
+
+    dens, history = optimize(mesh, cfg, Material(1.0, 0.3),
+                             _clamp_and_pull(3.0), callback=record)
+    killed = [row[3] for row in history]
+    after = [i + 1 for i, k in enumerate(killed[:-1]) if not k]
+    assert after == [4] and reused == [True]
+    for i, (count, sol) in enumerate(records):
+        if i in after:
+            assert count == 0
+            assert (sol.iterations, sol.restarts) == (0, 0)
+            assert history[i][1] == history[i - 1][1]
+        else:
+            assert count > 0
 
 
 def test_single_precision_rejects_extreme_contrast(tmp_path):
